@@ -43,7 +43,6 @@ from .robot import (
     RobotModel,
     forward_kinematics,
     geometric_jacobian,
-    hessian_contract,
     irb4600,
     kinematic_hessian,
     load_robot,
@@ -53,13 +52,12 @@ from .solver import (
     SolverSettings,
     TaskProjector,
     damped_step,
-    decompose,
     error_twist,
-    halley_step,
-    saturate,
+    project,
     solve,
     solve_toolpath,
     task_error,
+    task_step,
 )
 from .toolpath import (
     ConeSpec,

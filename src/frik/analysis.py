@@ -4,6 +4,7 @@ per-step timing statistics."""
 
 from __future__ import annotations
 
+import collections
 import math
 import multiprocessing
 from dataclasses import dataclass, field
@@ -248,19 +249,22 @@ def workspace_sweep(
 
 
 def _mode_stats(wmap: WorkspaceMap) -> dict:
+    causes = dict(collections.Counter(cause.partition("@")[0] for cause in wmap.causes.values()))
     means = wmap.reachable_means()
     if means.size == 0:
-        return {"reachable_voxels": 0, "max_w": None, "mean_w": None, "std_w": None}
+        return {"reachable_voxels": 0, "max_w": None, "mean_w": None, "std_w": None, "causes": causes}
     return {
         "reachable_voxels": wmap.reachable_count,
         "max_w": float(means.max()),
         "mean_w": float(means.mean()),
         "std_w": float(means.std()),
+        "causes": causes,
     }
 
 
 def workspace_summary(map_adhoc: WorkspaceMap, map_frik: WorkspaceMap) -> dict:
-    """Reachable-voxel counts and manipulability statistics for both modes."""
+    """Reachable-voxel counts, manipulability statistics and failure-cause
+    counts (keyed by the cause kind before any ``@``) for both modes."""
     adhoc = _mode_stats(map_adhoc)
     frik = _mode_stats(map_frik)
     summary = {"adhoc": adhoc, "frik": frik}

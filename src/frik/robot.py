@@ -250,14 +250,6 @@ def kinematic_hessian(model: RobotModel, q: np.ndarray) -> np.ndarray:
     return hessian_from_frames(tcp[:3, 3], axes, origins)
 
 
-def hessian_contract(h: np.ndarray, dq: np.ndarray) -> np.ndarray:
-    """Directional Jacobian derivative: result[:, i] = sum_j H[:, i, j] dq[j]."""
-    dq = np.asarray(dq, dtype=float)
-    if dq.shape != (h.shape[2],):
-        raise DimensionMismatch(f"expected dq of length {h.shape[2]}, got shape {dq.shape}")
-    return h @ dq
-
-
 def irb4600() -> RobotModel:
     """Bundled ABB IRB4600 model: DH table plus datasheet joint limits."""
     dh = (

@@ -1,12 +1,14 @@
 """Functionally redundant inverse kinematics (FRIK).
 
-The solver iterates a damped least-squares update on a task-space-decomposed
-error twist. Decomposition re-expresses the error twist, Jacobian and
-kinematic Hessian in the target frame and keeps only the first r of the six
-twist components (r = 5 drops rotation about the target z-axis, r = 3 keeps
-position only). The "halley" method augments the Jacobian with a half
-Hessian contraction along the damped Newton step before a second damped
-solve, giving third-order convergence.
+``solve`` iterates one joint update, ``task_step``: a damped least-squares
+step (Wampler 1986) on the task-projected error, optionally refined by
+Halley's method. ``project`` re-expresses a twist or Jacobian in the target
+frame and keeps only the first r of the six twist components (r = 5 drops
+rotation about the target z-axis, r = 3 keeps position only). The step clamps
+the projected error to ``e_max``, divides the linear rows by
+``position_scale``, takes the damped step, and for the "halley" method solves
+again with the Jacobian augmented by half the Hessian contracted along that
+first step, J + H dq / 2, giving third-order convergence.
 
 Error models:
 
@@ -28,34 +30,23 @@ import time
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .errors import DimensionMismatch, NotConverged
-from .liegroup import pose_inverse, se3_log, so3_log, twist_rotation
-from .robot import (
-    RobotModel,
-    chain_frames,
-    hessian_contract,
-    hessian_from_frames,
-    jacobian_from_frames,
-)
+from .liegroup import pose_inverse, se3_log, so3_log
+from .robot import RobotModel, chain_frames, hessian_from_frames, jacobian_from_frames
 
 _TASK_DOFS = (3, 5, 6)
 
 
 @dataclass(frozen=True)
 class TaskProjector:
-    """Row-selection matrix keeping the first r of the six twist components."""
+    """Task dimension r: how many of the six twist components the task keeps."""
 
     r: int
 
     def __post_init__(self):
         if self.r not in _TASK_DOFS:
             raise ValueError(f"task dimension must be one of {_TASK_DOFS}, got {self.r}")
-
-    @property
-    def matrix(self) -> np.ndarray:
-        return np.eye(6)[: self.r]
 
 
 @dataclass(frozen=True)
@@ -141,7 +132,9 @@ def axis_alignment_error(z_e: np.ndarray, z_d: np.ndarray) -> np.ndarray:
     the half-turn axis is picked deterministically from ``z_d``.
     """
     cos_a = float(np.dot(z_e, z_d))
-    perp = np.cross(z_e, z_d)
+    e0, e1, e2 = z_e.tolist()
+    d0, d1, d2 = z_d.tolist()
+    perp = np.array([e1 * d2 - e2 * d1, e2 * d0 - e0 * d2, e0 * d1 - e1 * d0])
     sin_a = float(np.linalg.norm(perp))
     if sin_a < 1e-12:
         if cos_a > 0.0:
@@ -166,76 +159,12 @@ def task_error(t_e: np.ndarray, t_d: np.ndarray, task_dof: int) -> np.ndarray:
     return np.concatenate([linear, angular])
 
 
-def saturate(e: np.ndarray, e_max: float) -> np.ndarray:
-    """Clamp a twist to magnitude ``e_max``, preserving its direction exactly."""
-    if e_max <= 0:
-        raise ValueError("e_max must be positive")
-    norm = np.linalg.norm(e)
-    if norm <= e_max:
-        return e
-    return e * (e_max / norm)
+def project(m: np.ndarray, rd_t: np.ndarray, r: int) -> np.ndarray:
+    """Task rows of a twist (6,) or Jacobian (6, n) in the target frame.
 
-
-def decompose(
-    j: np.ndarray,
-    dx: np.ndarray,
-    h: np.ndarray,
-    rd: np.ndarray,
-    proj: TaskProjector,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Project Jacobian, error twist and Hessian into the r-dimensional task.
-
-    Each quantity is re-expressed in the target frame ``rd`` via the twist
-    rotation transform, then reduced to the selected task rows.
+    Equals ``twist_rotation(rd)[:r] @ m`` with ``rd_t = rd.T``: both 3-row
+    halves are rotated onto the target axes and the first r rows are kept.
     """
-    n = j.shape[1]
-    if j.shape != (6, n) or dx.shape != (6,) or h.shape != (6, n, n):
-        raise DimensionMismatch(
-            f"inconsistent shapes: J {j.shape}, dx {dx.shape}, H {h.shape}"
-        )
-    tr = proj.matrix @ twist_rotation(rd)
-    j_hat = tr @ j
-    dx_hat = tr @ dx
-    h_hat = np.einsum("rk,kij->rij", tr, h)
-    return j_hat, dx_hat, h_hat
-
-
-def damped_step(j_hat: np.ndarray, dx_hat: np.ndarray, lam: float) -> np.ndarray:
-    """Damped least-squares joint update J^T (J J^T + lam^2 I)^-1 dx.
-
-    Minimises ||dx - J dq||^2 + lam^2 ||dq||^2. The r x r system is solved
-    through a Cholesky factorization; lam > 0 keeps it positive definite, so
-    the step stays bounded by ||dx|| / (2 lam) at any rank.
-    """
-    if lam <= 0:
-        raise ValueError("lam must be positive")
-    gram = j_hat @ j_hat.T
-    gram.flat[:: gram.shape[0] + 1] += lam * lam
-    factor = cho_factor(gram, lower=True, check_finite=False)
-    return j_hat.T @ cho_solve(factor, dx_hat, check_finite=False)
-
-
-def halley_step(
-    j: np.ndarray,
-    h: np.ndarray,
-    dx_hat: np.ndarray,
-    proj: TaskProjector,
-    rd: np.ndarray,
-    lam: float,
-) -> np.ndarray:
-    """Two-stage damped update using the kinematic Hessian.
-
-    First a damped Newton step from the projected Jacobian, then a second
-    damped solve on the projected augmented matrix J + (1/2) H dq.
-    """
-    tr = proj.matrix @ twist_rotation(rd)
-    dq_dnr = damped_step(tr @ j, dx_hat, lam)
-    augmented = j + 0.5 * hessian_contract(h, dq_dnr)
-    return damped_step(tr @ augmented, dx_hat, lam)
-
-
-def _rotate_select(m: np.ndarray, rd_t: np.ndarray, r: int) -> np.ndarray:
-    """Fast equivalent of (T_t x twist_rotation) @ m for prefix-row projectors."""
     top = rd_t @ m[:3]
     if r == 3:
         return top
@@ -243,6 +172,57 @@ def _rotate_select(m: np.ndarray, rd_t: np.ndarray, r: int) -> np.ndarray:
     if r == 6:
         return np.concatenate([top, bottom])
     return np.concatenate([top, bottom[:2]])
+
+
+def damped_step(j_hat: np.ndarray, dx_hat: np.ndarray, lam: float) -> np.ndarray:
+    """Damped least-squares joint update J^T (J J^T + lam^2 I)^-1 dx.
+
+    Minimises ||dx - J dq||^2 + lam^2 ||dq||^2. lam > 0 keeps the r x r
+    system positive definite, so the step stays bounded by ||dx|| / (2 lam)
+    at any rank.
+    """
+    if lam <= 0:
+        raise ValueError("lam must be positive")
+    gram = j_hat @ j_hat.T
+    gram.flat[:: gram.shape[0] + 1] += lam * lam
+    return j_hat.T @ np.linalg.solve(gram, dx_hat)
+
+
+def task_step(
+    j6: np.ndarray,
+    h6: np.ndarray | None,
+    err_hat: np.ndarray,
+    rd_t: np.ndarray,
+    r: int,
+    settings: SolverSettings,
+) -> np.ndarray:
+    """The joint update ``solve`` takes from Jacobian ``j6`` and projected error.
+
+    ``err_hat`` is the r-row task error (``project`` of the error twist). It
+    is clamped to ``settings.e_max``, then the damped step is taken on the
+    projected Jacobian with the linear rows of both divided by
+    ``position_scale``. With the kinematic Hessian ``h6`` (6 x n x n) the
+    step is re-solved on the projected J + H dq / 2 (Halley); with ``None``
+    the damped Newton step is returned. The result is bounded by the weighted
+    clamped error's norm over 2 lam.
+    """
+    err_norm = float(np.linalg.norm(err_hat))
+    if err_norm > settings.e_max:
+        step_err = err_hat * (settings.e_max / err_norm)
+    else:
+        step_err = err_hat.copy()
+    scale = settings.position_scale
+    j_hat = project(j6, rd_t, r)
+    if scale != 1.0:
+        j_hat[:3] /= scale
+        step_err[:3] /= scale
+    dq = damped_step(j_hat, step_err, settings.lam)
+    if h6 is not None:
+        a_hat = project(j6 + 0.5 * (h6 @ dq), rd_t, r)
+        if scale != 1.0:
+            a_hat[:3] /= scale
+        dq = damped_step(a_hat, step_err, settings.lam)
+    return dq
 
 
 def solve(
@@ -268,8 +248,7 @@ def solve(
     r = proj.r
     use_halley = settings.method == "halley"
     scale = settings.position_scale
-    lam = settings.lam
-    bound_factor = 1.0 / (2.0 * lam)
+    bound_factor = 1.0 / (2.0 * settings.lam)
     record = settings.record_residuals
     norms: list[float] | None = [] if record else None
     sats: list[bool] | None = [] if record else None
@@ -281,10 +260,10 @@ def solve(
     for it in range(settings.max_iterations + 1):
         tcp, axes, origins = chain_frames(model, q)
         if settings.error_model == "se3-log":
-            dx = se3_log(t_d @ pose_inverse(tcp))
+            dx = error_twist(tcp, t_d)
         else:
             dx = task_error(tcp, t_d, r)
-        dx_hat = _rotate_select(dx, rd_t, r)
+        dx_hat = project(dx, rd_t, r)
         res_norm = float(np.linalg.norm(dx_hat))
         if record:
             norms.append(res_norm)
@@ -295,29 +274,22 @@ def solve(
             break
         if it == settings.max_iterations:
             break
-
-        saturating = res_norm > settings.e_max
         if record:
-            sats.append(saturating)
-        step_err = dx_hat * (settings.e_max / res_norm) if saturating else dx_hat.copy()
+            sats.append(res_norm > settings.e_max)
 
         p_tcp = tcp[:3, 3]
         j6 = jacobian_from_frames(p_tcp, axes, origins)
-        j_hat = _rotate_select(j6, rd_t, r)
+        h6 = hessian_from_frames(p_tcp, axes, origins) if use_halley else None
+        dq = task_step(j6, h6, dx_hat, rd_t, r, settings)
+        # Damping guarantee sigma/(sigma^2 + lam^2) <= 1/(2 lam) on the
+        # clamped error as the damped solve sees it (linear rows over
+        # position_scale); a violation means the step math is broken, not
+        # that the pose is hard.
+        seen = res_norm
         if scale != 1.0:
-            j_hat[:3] /= scale
-            step_err[:3] /= scale
-        dq = damped_step(j_hat, step_err, lam)
-        if use_halley:
-            h6 = hessian_from_frames(p_tcp, axes, origins)
-            a_hat = _rotate_select(j6 + 0.5 * (h6 @ dq), rd_t, r)
-            if scale != 1.0:
-                a_hat[:3] /= scale
-            dq = damped_step(a_hat, step_err, lam)
-        # Damping guarantee sigma/(sigma^2 + lam^2) <= 1/(2 lam); a violation
-        # means the step math is broken, not that the pose is hard.
+            seen = float(np.linalg.norm(np.concatenate([dx_hat[:3] / scale, dx_hat[3:]])))
+        limit = bound_factor * min(1.0, settings.e_max / res_norm) * seen
         step_norm = float(np.linalg.norm(dq))
-        limit = bound_factor * float(np.linalg.norm(step_err))
         assert step_norm <= limit * (1.0 + 1e-9) and np.isfinite(step_norm), (
             f"damped step {step_norm} exceeds bound {limit}"
         )

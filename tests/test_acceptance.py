@@ -209,23 +209,20 @@ def test_c07_singularity_robustness(model):
         q = rng.uniform(model.joint_min, model.joint_max)
         q[4] = 0.0
         target = forward_kinematics(model, q + rng.uniform(-0.3, 0.3, 6))
+        rd_t = target[:3, :3].T
+        jac = geometric_jacobian(model, q)
+        hess = kinematic_hessian(model, q)
+        t_e = forward_kinematics(model, q)
         for r in (6, 5):
-            proj = TaskProjector(r)
-            # one explicit step at the singular configuration
-            jac = geometric_jacobian(model, q)
-            hess = kinematic_hessian(model, q)
-            t_e = forward_kinematics(model, q)
-            dx = frik.task_error(t_e, target, r)
-            j_hat, dx_hat, _ = frik.decompose(jac, dx, hess, target[:3, :3], proj)
-            dx_hat = frik.saturate(dx_hat, settings.e_max)
-            for dq in (
-                frik.damped_step(j_hat, dx_hat, settings.lam),
-                frik.halley_step(jac, hess, dx_hat, proj, target[:3, :3], settings.lam),
-            ):
+            # one explicit step at the singular configuration, the step solve takes
+            err_hat = frik.project(frik.task_error(t_e, target, r), rd_t, r)
+            clamped = min(float(np.linalg.norm(err_hat)), settings.e_max)
+            for h6 in (None, hess):
+                dq = frik.task_step(jac, h6, err_hat, rd_t, r, settings)
                 assert np.all(np.isfinite(dq))
-                assert np.linalg.norm(dq) <= bound * np.linalg.norm(dx_hat) * (1 + 1e-9)
+                assert np.linalg.norm(dq) <= bound * clamped * (1 + 1e-9)
             # the full solve keeps every internal step inside the same bound
-            result = solve(model, target, q, proj, settings)
+            result = solve(model, target, q, TaskProjector(r), settings)
             assert np.all(np.isfinite(result.q))
     report("criterion 7 singularity robustness: all steps finite and bounded at q5 = 0")
 

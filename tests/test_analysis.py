@@ -2,7 +2,6 @@ import math
 
 import numpy as np
 import pytest
-from scipy.linalg import svdvals
 
 from frik.analysis import (
     SweepSpec,
@@ -25,7 +24,7 @@ def svd_manipulability_oracle(model, q):
     """Product of singular values of J sqrt(W): independent of the det route."""
     weights = joint_limit_weights(model, q)
     jac = geometric_jacobian(model, q)
-    return float(np.prod(svdvals(jac * np.sqrt(weights))))
+    return float(np.prod(np.linalg.svd(jac * np.sqrt(weights), compute_uv=False)))
 
 
 def fake_result(q, us):
@@ -207,11 +206,20 @@ def test_workspace_summary_structure(model, q0_benchmark):
         targets=(ToolpathTarget(0, np.eye(4)),),
         frame=make_pose(rot_y(np.pi / 2), np.array([0.0, -5000.0, 0.0])),
     )
-    adhoc, frik = workspace_sweep(model, template, one_voxel_spec(-5000.0, 0.0), q0_benchmark)
+    # voxel centers y = -5000 (beyond the reach bound) and y = -2600 (inside
+    # the bound, beyond the arm: the solve fails with "not_converged@0")
+    spec = SweepSpec(
+        y_min_mm=-6200.0, y_max_mm=-1400.0, z_min_mm=-1200.0, z_max_mm=1200.0, voxel_mm=2400.0
+    )
+    adhoc, frik = workspace_sweep(model, template, spec, q0_benchmark)
     summary = workspace_summary(adhoc, frik)
     assert summary["adhoc"]["reachable_voxels"] == 0
     assert summary["frik"]["reachable_voxels"] == 0
     assert summary["adhoc"]["mean_w"] is None
+    for wmap in (adhoc, frik):
+        causes = summary[wmap.mode]["causes"]
+        assert sum(causes.values()) == wmap.reachable.size - wmap.reachable_count
+        assert causes == {"not_converged": 1, "out_of_reach": 1}
 
 
 def test_first_solve_keeps_start_wrist_branch(model, q0_benchmark, workpiece_frame):

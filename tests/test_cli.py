@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import frik
 from frik.cli import main
 from frik.liegroup import pose_inverse
 from frik.robot import forward_kinematics
@@ -156,3 +161,17 @@ def test_solve_exit_code_two_on_unreachable(tmp_path, capsys):
     code = main(["solve", "--config", str(config)])
     assert code == 2
     assert "did not converge" in capsys.readouterr().err
+
+
+def test_import_loads_numpy_only():
+    # numpy is the only runtime dependency: a cold import of the package and
+    # its CLI loads no other non-stdlib module (multiprocessing registers
+    # __main__ again as __mp_main__)
+    env = dict(os.environ, PYTHONPATH=str(Path(frik.__file__).resolve().parents[1]))
+    code = (
+        "import sys; before = set(sys.modules); import frik, frik.cli; "
+        "print(sorted({m.split('.')[0] for m in set(sys.modules) - before}"
+        " - set(sys.stdlib_module_names) - {'frik', 'numpy', '__mp_main__'}))"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

@@ -3,20 +3,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from frik.errors import DimensionMismatch, NotConverged
+from frik.errors import NotConverged
 from frik.liegroup import make_pose, rot_z, se3_exp, so3_exp, twist_rotation
 from frik.robot import forward_kinematics, geometric_jacobian, kinematic_hessian
 from frik.solver import (
     SolverSettings,
     TaskProjector,
     damped_step,
-    decompose,
     error_twist,
-    halley_step,
-    saturate,
+    project,
     solve,
     solve_toolpath,
     task_error,
+    task_step,
 )
 from frik.toolpath import Toolpath, ToolpathTarget
 
@@ -33,10 +32,12 @@ def path_of(poses):
 
 
 @pytest.mark.parametrize("r", [3, 5, 6])
-def test_projector_is_identity_row_submatrix(r):
-    mat = TaskProjector(r).matrix
-    assert mat.shape == (r, 6)
-    assert np.array_equal(mat, np.eye(6)[:r])
+def test_projector_is_identity_row_submatrix(r, model, q0_benchmark):
+    # in the identity frame the projection keeps the first r rows as they are
+    j = geometric_jacobian(model, q0_benchmark)
+    dx = np.arange(6.0)
+    assert np.array_equal(project(j, np.eye(3), r), j[:r])
+    assert np.array_equal(project(dx, np.eye(3), r), dx[:r])
 
 
 def test_projector_rejects_bad_dimension():
@@ -77,62 +78,40 @@ def test_one_damped_step_reduces_millimetre_error(model, q0_benchmark):
     assert np.linalg.norm(error_twist(t_e, t_d)) < 1.0
 
 
-def test_saturate_passthrough_and_clamp():
-    e = np.array([3.0, 0.0, 0.0, 0.0, 4.0, 0.0])
-    assert np.array_equal(saturate(e, 10.0), e)
-    clamped = saturate(e, 2.5)
-    assert abs(np.linalg.norm(clamped) - 2.5) < 1e-12
-    assert np.allclose(clamped / np.linalg.norm(clamped), e / np.linalg.norm(e))
-    assert np.array_equal(saturate(np.zeros(6), 1.0), np.zeros(6))
+def test_saturate_passthrough_and_clamp(model, q0_benchmark):
+    # task_step passes an error below e_max to the damped step unchanged and
+    # clamps a larger one to e_max along the same direction
+    j = geometric_jacobian(model, q0_benchmark)
+    e = np.array([3.0, 0.0, 0.0, 0.0, 4.0])
+    loose = SolverSettings(e_max=10.0)
+    assert np.array_equal(task_step(j, None, e, np.eye(3), 5, loose), damped_step(j[:5], e, loose.lam))
+    tight = SolverSettings(e_max=2.5)
+    clamped = task_step(j, None, e, np.eye(3), 5, tight)
+    assert np.array_equal(clamped, damped_step(j[:5], 0.5 * e, tight.lam))
+    assert np.array_equal(task_step(j, None, np.zeros(5), np.eye(3), 5, tight), np.zeros(6))
 
 
 # ---------------------------------------------------------------------------
-# decomposition
+# projection
 # ---------------------------------------------------------------------------
 
 
-def test_decompose_identity_frame_full_task(model, q0_benchmark):
-    j = geometric_jacobian(model, q0_benchmark)
-    h = kinematic_hessian(model, q0_benchmark)
-    dx = np.arange(6.0)
-    j_hat, dx_hat, h_hat = decompose(j, dx, h, np.eye(3), TaskProjector(6))
-    assert np.array_equal(j_hat, j)
-    assert np.array_equal(dx_hat, dx)
-    assert np.array_equal(h_hat, h)
-
-
-def test_decompose_identity_frame_five_dof(model, q0_benchmark):
-    j = geometric_jacobian(model, q0_benchmark)
-    h = kinematic_hessian(model, q0_benchmark)
-    dx = np.arange(6.0)
-    j_hat, dx_hat, h_hat = decompose(j, dx, h, np.eye(3), TaskProjector(5))
-    assert np.array_equal(j_hat, j[:5])
-    assert np.array_equal(dx_hat, dx[:5])
-    assert np.array_equal(h_hat, h[:5])
-
-
-def test_decompose_discards_target_frame_spin_component(model, q0_benchmark):
+def test_project_discards_target_frame_spin_component(model, q0_benchmark):
     rng = np.random.default_rng(13)
     j = geometric_jacobian(model, q0_benchmark)
-    h = kinematic_hessian(model, q0_benchmark)
     for _ in range(20):
         axis = rng.normal(size=3)
         axis /= np.linalg.norm(axis)
         rd = so3_exp(rng.uniform(0, 3) * axis)
         dx = rng.normal(size=6) * np.array([100, 100, 100, 1, 1, 1])
-        _, dx_hat, _ = decompose(j, dx, h, rd, TaskProjector(5))
+        dx_hat = project(dx, rd.T, 5)
         # reconstruct the dropped component directly: rotation about target z
         dropped = float(rd[:, 2] @ dx[3:])
         full = twist_rotation(rd) @ dx
         assert abs(full[5] - dropped) < 1e-12
         assert np.allclose(dx_hat, full[:5], atol=1e-12)
-
-
-def test_decompose_rejects_bad_shapes(model, q0_benchmark):
-    j = geometric_jacobian(model, q0_benchmark)
-    h = kinematic_hessian(model, q0_benchmark)
-    with pytest.raises(DimensionMismatch):
-        decompose(j, np.zeros(5), h, np.eye(3), TaskProjector(5))
+        for r in (3, 5, 6):
+            assert np.abs(project(j, rd.T, r) - twist_rotation(rd)[:r] @ j).max() < 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -192,39 +171,61 @@ def test_full_task_step_unchanged_by_twist_rotation(model, q0_benchmark):
 
 
 # ---------------------------------------------------------------------------
-# Halley step
+# task step
 # ---------------------------------------------------------------------------
 
 
-def test_halley_step_zero_error(model, q0_benchmark):
+def test_task_step_zero_error(model, q0_benchmark):
     j = geometric_jacobian(model, q0_benchmark)
     h = kinematic_hessian(model, q0_benchmark)
-    dq = halley_step(j, h, np.zeros(5), TaskProjector(5), np.eye(3), 0.02)
-    assert np.array_equal(dq, np.zeros(6))
+    for h6 in (None, h):
+        assert np.array_equal(task_step(j, h6, np.zeros(5), np.eye(3), 5, SETTINGS), np.zeros(6))
 
 
-def test_halley_step_with_zero_hessian_equals_newton(model, q0_benchmark):
+def test_task_step_with_zero_hessian_equals_newton(model, q0_benchmark):
     j = geometric_jacobian(model, q0_benchmark)
-    proj = TaskProjector(5)
     rd = so3_exp(np.array([0.2, -0.4, 0.1]))
     dx_hat = np.array([5.0, -2.0, 1.0, 0.05, -0.02])
-    newton = damped_step(proj.matrix @ twist_rotation(rd) @ j, dx_hat, 0.02)
-    halley = halley_step(j, np.zeros((6, 6, 6)), dx_hat, proj, rd, 0.02)
+    newton = task_step(j, None, dx_hat, rd.T, 5, SETTINGS)
+    halley = task_step(j, np.zeros((6, 6, 6)), dx_hat, rd.T, 5, SETTINGS)
     assert np.array_equal(newton, halley)
+    reference = damped_step(twist_rotation(rd)[:5] @ j, dx_hat, SETTINGS.lam)
+    assert np.abs(newton - reference).max() < 1e-10
 
 
 def test_halley_projection_commutes_with_augmentation(model, q0_benchmark):
-    # projecting the augmented matrix equals augmenting the projected pieces
+    # projecting the augmented matrix J + H dq / 2, as the Halley step does,
+    # equals augmenting the projected pieces under the reference rotation
     rng = np.random.default_rng(8)
     j = geometric_jacobian(model, q0_benchmark)
     h = kinematic_hessian(model, q0_benchmark)
     rd = so3_exp(np.array([0.3, 0.1, -0.2]))
-    proj = TaskProjector(5)
+    tr = twist_rotation(rd)[:5]
     dq = rng.normal(size=6) * 0.1
-    j_hat, _, h_hat = decompose(j, np.zeros(6), h, rd, proj)
-    direct = proj.matrix @ twist_rotation(rd) @ (j + 0.5 * (h @ dq))
-    pieces = j_hat + 0.5 * (h_hat @ dq)
+    direct = project(j + 0.5 * (h @ dq), rd.T, 5)
+    pieces = tr @ j + 0.5 * (np.einsum("rk,kij->rij", tr, h) @ dq)
     assert np.abs(direct - pieces).max() < 1e-12
+
+
+def test_one_solve_iteration_is_task_step(model, q0_benchmark):
+    # solve takes exactly the step task_step returns, saturated or not
+    q0 = q0_benchmark
+    t_e = forward_kinematics(model, q0)
+    j6 = geometric_jacobian(model, q0)
+    near = forward_kinematics(model, q0 + 0.01)
+    far = near.copy()
+    far[:3, 3] += np.array([150.0, -80.0, 60.0])
+    for method, h6 in (("newton", None), ("halley", kinematic_hessian(model, q0))):
+        for r in (3, 5, 6):
+            for scale in (1.0, 100.0):
+                settings = SolverSettings(method=method, position_scale=scale, max_iterations=1)
+                for t_d in (near, far):
+                    rd_t = t_d[:3, :3].T
+                    err_hat = project(task_error(t_e, t_d, r), rd_t, r)
+                    assert (np.linalg.norm(err_hat) > settings.e_max) == (t_d is far)
+                    dq = task_step(j6, h6, err_hat, rd_t, r, settings)
+                    res = solve(model, t_d, q0, TaskProjector(r), settings)
+                    assert np.array_equal(res.q, q0 + dq)
 
 
 # ---------------------------------------------------------------------------
@@ -401,14 +402,15 @@ def test_monotone_residual_on_benchmark_path(model, q0_benchmark, workpiece_fram
     cone = generate_cone_spiral(ConeSpec(samples_per_rev=38, pitch=6.0))
     path = cone.with_frame(workpiece_frame)
     proj = TaskProjector(5)
+    r = proj.r
     results = solve_toolpath(model, path, q0_benchmark, proj, SETTINGS)
     one_step = SolverSettings(max_iterations=1)
 
-    def projected(q, t_d):
-        dx = task_error(forward_kinematics(model, q), t_d, proj.r)
-        jac = geometric_jacobian(model, q)
-        j_hat, dx_hat, _ = decompose(jac, dx, kinematic_hessian(model, q), t_d[:3, :3], proj)
-        return j_hat, dx_hat
+    def projected_error(q, t_d):
+        dx = task_error(forward_kinematics(model, q), t_d, r)
+        dx_hat = project(dx, t_d[:3, :3].T, r)
+        assert np.abs(dx_hat - twist_rotation(t_d[:3, :3])[:r] @ dx).max() < 1e-12
+        return dx_hat
 
     thetas = []
     warm_starts = [q0_benchmark] + [res.q for res in results[:-1]]
@@ -417,11 +419,11 @@ def test_monotone_residual_on_benchmark_path(model, q0_benchmark, workpiece_fram
             step = solve(model, t_d, q, proj, one_step)
             if step.iterations == 0:
                 break
-            j_hat, dx_hat = projected(q, t_d)
+            dx_hat = projected_error(q, t_d)
             if np.linalg.norm(dx_hat) <= SETTINGS.e_max:
-                _, dx_next = projected(step.q, t_d)
-                newton = damped_step(j_hat, dx_hat, SETTINGS.lam)
-                simplified = damped_step(j_hat, dx_next, SETTINGS.lam)
+                jac, rd_t = geometric_jacobian(model, q), t_d[:3, :3].T
+                newton = task_step(jac, None, dx_hat, rd_t, r, SETTINGS)
+                simplified = task_step(jac, None, projected_error(step.q, t_d), rd_t, r, SETTINGS)
                 thetas.append(np.linalg.norm(simplified) / np.linalg.norm(newton))
             q = step.q
         assert step.converged
