@@ -40,6 +40,29 @@ def test_projector_is_identity_row_submatrix(r, model, q0_benchmark):
     assert np.array_equal(project(dx, np.eye(3), r), dx[:r])
 
 
+def test_decompose_identity_frame_full_task(model, q0_benchmark):
+    # the target-frame decomposition of J, dx and the Halley term H dq is
+    # the identity for the full task in the identity frame
+    j = geometric_jacobian(model, q0_benchmark)
+    h = kinematic_hessian(model, q0_benchmark)
+    dx = np.arange(6.0)
+    hdq = h @ np.linspace(-0.3, 0.3, j.shape[1])
+    assert np.array_equal(project(j, np.eye(3), 6), j)
+    assert np.array_equal(project(dx, np.eye(3), 6), dx)
+    assert np.array_equal(project(hdq, np.eye(3), 6), hdq)
+
+
+def test_decompose_identity_frame_five_dof(model, q0_benchmark):
+    # with r = 5 the same decomposition only drops the spin row
+    j = geometric_jacobian(model, q0_benchmark)
+    h = kinematic_hessian(model, q0_benchmark)
+    dx = np.arange(6.0)
+    hdq = h @ np.linspace(-0.3, 0.3, j.shape[1])
+    assert np.array_equal(project(j, np.eye(3), 5), j[:5])
+    assert np.array_equal(project(dx, np.eye(3), 5), dx[:5])
+    assert np.array_equal(project(hdq, np.eye(3), 5), hdq[:5])
+
+
 def test_projector_rejects_bad_dimension():
     with pytest.raises(ValueError):
         TaskProjector(4)
