@@ -52,7 +52,6 @@ from .solver import (
     SolverSettings,
     TaskProjector,
     damped_step,
-    error_twist,
     project,
     solve,
     solve_toolpath,

@@ -2,7 +2,8 @@
 analysis into reproducible experiment runs.
 
 Commands: ``generate`` (write a cone-spiral toolpath file), ``solve`` (solve
-a toolpath and write trajectory/travel/timing reports), ``workspace``
+a toolpath in the ``--mode`` given, frik, adhoc or both, and write
+trajectory/travel/timing reports), ``workspace``
 (workpiece-placement sweep over the wall grid), ``compare`` (ad hoc vs
 functionally redundant back-to-back with a delta report).
 
@@ -187,8 +188,7 @@ def _solve_modes(
     return runs, None
 
 
-def cmd_solve(config: RunConfig, args, command: str = "solve") -> int:
-    modes = ["adhoc", "frik"] if args.mode == "both" else [args.mode]
+def _solve_and_report(config: RunConfig, args, command: str, modes: list[str]) -> int:
     runs, failed = _solve_modes(config, modes)
     if failed is not None:
         return 2
@@ -236,9 +236,13 @@ def cmd_solve(config: RunConfig, args, command: str = "solve") -> int:
     return 0
 
 
+def cmd_solve(config: RunConfig, args) -> int:
+    modes = ["adhoc", "frik"] if args.mode == "both" else [args.mode]
+    return _solve_and_report(config, args, "solve", modes)
+
+
 def cmd_compare(config: RunConfig, args) -> int:
-    args.mode = "both"
-    return cmd_solve(config, args, command="compare")
+    return _solve_and_report(config, args, "compare", ["adhoc", "frik"])
 
 
 def cmd_workspace(config: RunConfig, args) -> int:
@@ -283,7 +287,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--robot", help="robot description JSON file")
     common.add_argument("--toolpath", help="toolpath file (JSON or CSV)")
     common.add_argument("--task-dof", type=int, choices=(3, 5, 6), dest="task_dof")
-    common.add_argument("--mode", choices=("frik", "adhoc", "both"), default="frik")
     common.add_argument("--out", help="output directory")
     common.add_argument("--jobs", type=int, help="parallel workers for sweeps")
     common.add_argument("--seed", type=int, help="random seed recorded in outputs")
@@ -307,7 +310,10 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("generate", parents=[common], help="write a cone-spiral toolpath file")
-    sub.add_parser("solve", parents=[common], help="solve a toolpath and write reports")
+    solve_parser = sub.add_parser(
+        "solve", parents=[common], help="solve a toolpath and write reports"
+    )
+    solve_parser.add_argument("--mode", choices=("frik", "adhoc", "both"), default="frik")
     sub.add_parser("workspace", parents=[common], help="workpiece placement sweep")
     sub.add_parser("compare", parents=[common], help="ad hoc vs FRIK delta report")
     return parser
@@ -322,7 +328,12 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    try:
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse has printed its message; a usage error is exit 1 here,
+        # because 2 means a convergence failure
+        return 0 if exc.code == 0 else 1
     try:
         config = load_config(args.config) if args.config else RunConfig()
         config = apply_flag_overrides(config, args)

@@ -73,8 +73,6 @@ def _parse_solver(block: dict) -> tuple[SolverSettings, int | None]:
         "max_iterations",
         "method",
         "task_dof",
-        "position_scale",
-        "error_model",
     }
     unknown = set(block) - known
     if unknown:
@@ -82,14 +80,13 @@ def _parse_solver(block: dict) -> tuple[SolverSettings, int | None]:
     kwargs = {}
     if "lambda" in block:
         kwargs["lam"] = float(block["lambda"])
-    for key in ("e_max", "epsilon", "position_scale"):
+    for key in ("e_max", "epsilon"):
         if key in block:
             kwargs[key] = float(block[key])
     if "max_iterations" in block:
         kwargs["max_iterations"] = int(block["max_iterations"])
-    for key in ("method", "error_model"):
-        if key in block:
-            kwargs[key] = str(block[key])
+    if "method" in block:
+        kwargs["method"] = str(block["method"])
     task_dof = int(block["task_dof"]) if "task_dof" in block else None
     try:
         return SolverSettings(**kwargs), task_dof
@@ -152,6 +149,21 @@ def load_config(path: str | Path) -> RunConfig:
         raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: top level must be an object")
+    known = {
+        "robot",
+        "solver",
+        "toolpath",
+        "cone",
+        "workpiece",
+        "q0",
+        "sweep",
+        "out_dir",
+        "seed",
+        "jobs",
+    }
+    unknown = set(raw) - known
+    if unknown:
+        raise ConfigError(f"{path}: unknown top-level keys: {sorted(unknown)}")
     if "toolpath" in raw and "cone" in raw:
         raise ConfigError(f"{path}: give either a toolpath file or a cone block, not both")
 
@@ -195,8 +207,6 @@ def resolved_dict(config: RunConfig) -> dict:
             "max_iterations": solver.max_iterations,
             "method": solver.method,
             "task_dof": config.task_dof,
-            "position_scale": solver.position_scale,
-            "error_model": solver.error_model,
         },
         "workpiece": {
             "pos_mm": config.workpiece[:3, 3].tolist(),
@@ -238,7 +248,7 @@ def apply_flag_overrides(config: RunConfig, args) -> RunConfig:
         config.task_dof = args.task_dof
     if getattr(args, "out", None):
         config.out_dir = args.out
-    if getattr(args, "jobs", None):
+    if getattr(args, "jobs", None) is not None:
         config.jobs = args.jobs
     if getattr(args, "seed", None) is not None:
         config.seed = args.seed

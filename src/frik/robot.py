@@ -1,11 +1,12 @@
-"""DH-parameterized serial chain: forward kinematics, Jacobian, kinematic Hessian.
+"""Standard-DH serial chain: forward kinematics, Jacobian, kinematic Hessian.
 
-All joints are revolute. Lengths are mm, angles rad. The geometric Jacobian
-maps joint rates to the twist ``[tcp linear velocity; angular velocity]`` in
-the base frame, with the linear part taken about the TCP point. The kinematic
-Hessian is the 6 x n x n tensor of Jacobian partials, ``H[:, :, j] = dJ/dq_j``,
-built from cross products of the Jacobian's own column data rather than by
-finite differences.
+All joints are revolute, and each link is Rz(theta) Tz(d) Tx(a) Rx(alpha).
+Lengths are mm, angles rad. The geometric Jacobian maps joint rates to the
+twist ``[tcp linear velocity; angular velocity]`` in the base frame, with the
+linear part taken about the TCP point. The kinematic Hessian is the
+6 x n x n tensor of Jacobian partials, ``H[:, :, j] = dJ/dq_j``, built from
+cross products of the Jacobian's own column data rather than by finite
+differences.
 
 Cross products are spelled out component-wise here: solver iterations call
 these functions in a tight loop and ``np.cross`` spends more time shuffling
@@ -37,18 +38,12 @@ class DHRow:
 
 @dataclass(frozen=True)
 class RobotModel:
-    """Immutable serial-chain description: DH rows, joint limits, tool transform.
-
-    ``convention`` selects where each row's joint rotation acts: "standard"
-    (distal) rows are Rz(theta) Tz(d) Tx(a) Rx(alpha); "modified" (proximal,
-    Craig) rows are Rx(alpha) Tx(a) Rz(theta) Tz(d).
-    """
+    """Immutable serial-chain description: DH rows, joint limits, tool transform."""
 
     dh: tuple[DHRow, ...]
     joint_min: np.ndarray
     joint_max: np.ndarray
     tool: np.ndarray = field(default_factory=lambda: np.eye(4))
-    convention: str = "standard"
     name: str = "robot"
 
     def __post_init__(self):
@@ -63,8 +58,6 @@ class RobotModel:
             raise DimensionMismatch(f"joint limits must have length {n}")
         if not np.all(self.joint_min < self.joint_max):
             raise ValueError("joint_min must be strictly below joint_max elementwise")
-        if self.convention not in ("standard", "modified"):
-            raise ValueError(f"unknown DH convention {self.convention!r}")
         if self.tool.shape != (4, 4):
             raise DimensionMismatch("tool transform must be 4x4")
         object.__setattr__(
@@ -75,12 +68,6 @@ class RobotModel:
                 for r in self.dh
             ),
         )
-        if self.convention == "modified":
-            object.__setattr__(
-                self,
-                "_modified_prefixes",
-                tuple(_modified_prefix(r) for r in self.dh),
-            )
 
     @property
     def n(self) -> int:
@@ -98,19 +85,6 @@ class RobotModel:
         return 0.5 * (self.joint_min + self.joint_max)
 
 
-def _modified_prefix(row: DHRow) -> np.ndarray:
-    """Fixed part Rx(alpha) Tx(a) preceding the joint rotation (modified rows)."""
-    ca, sa = np.cos(row.alpha), np.sin(row.alpha)
-    return np.array(
-        [
-            [1.0, 0.0, 0.0, row.a],
-            [0.0, ca, -sa, 0.0],
-            [0.0, sa, ca, 0.0],
-            [0.0, 0.0, 0.0, 1.0],
-        ]
-    )
-
-
 def _fill_standard_dh(out: np.ndarray, a, d, ca, sa, theta: float) -> None:
     """Write Rz(theta) Tz(d) Tx(a) Rx(alpha) into a preallocated 4x4."""
     ct = math.cos(theta)
@@ -125,17 +99,6 @@ def _fill_standard_dh(out: np.ndarray, a, d, ca, sa, theta: float) -> None:
     out[1, 3] = a * st
     out[2, 1] = sa
     out[2, 2] = ca
-    out[2, 3] = d
-
-
-def _fill_modified_joint(out: np.ndarray, d, theta: float) -> None:
-    """Write Rz(theta) Tz(d) into a preallocated 4x4."""
-    ct = math.cos(theta)
-    st = math.sin(theta)
-    out[0, 0] = ct
-    out[0, 1] = -st
-    out[1, 0] = st
-    out[1, 1] = ct
     out[2, 3] = d
 
 
@@ -156,33 +119,16 @@ def chain_frames(model: RobotModel, q: np.ndarray) -> tuple[np.ndarray, np.ndarr
     spare = np.empty((4, 4))
     link = np.zeros((4, 4))
     link[3, 3] = 1.0
-    if model.convention == "standard":
-        for i, (a, d, offset, ca, sa) in enumerate(model._row_constants):
-            axes[i, 0] = t[0, 2]
-            axes[i, 1] = t[1, 2]
-            axes[i, 2] = t[2, 2]
-            origins[i, 0] = t[0, 3]
-            origins[i, 1] = t[1, 3]
-            origins[i, 2] = t[2, 3]
-            _fill_standard_dh(link, a, d, ca, sa, q[i] + offset)
-            np.matmul(t, link, out=spare)
-            t, spare = spare, t
-    else:
-        link[2, 2] = 1.0
-        for i, ((a, d, offset, ca, sa), prefix) in enumerate(
-            zip(model._row_constants, model._modified_prefixes)
-        ):
-            np.matmul(t, prefix, out=spare)
-            t, spare = spare, t
-            axes[i, 0] = t[0, 2]
-            axes[i, 1] = t[1, 2]
-            axes[i, 2] = t[2, 2]
-            origins[i, 0] = t[0, 3]
-            origins[i, 1] = t[1, 3]
-            origins[i, 2] = t[2, 3]
-            _fill_modified_joint(link, d, q[i] + offset)
-            np.matmul(t, link, out=spare)
-            t, spare = spare, t
+    for i, (a, d, offset, ca, sa) in enumerate(model._row_constants):
+        axes[i, 0] = t[0, 2]
+        axes[i, 1] = t[1, 2]
+        axes[i, 2] = t[2, 2]
+        origins[i, 0] = t[0, 3]
+        origins[i, 1] = t[1, 3]
+        origins[i, 2] = t[2, 3]
+        _fill_standard_dh(link, a, d, ca, sa, q[i] + offset)
+        np.matmul(t, link, out=spare)
+        t, spare = spare, t
     return t @ model.tool, axes, origins
 
 
@@ -269,9 +215,11 @@ def irb4600() -> RobotModel:
 def load_robot(path: str | Path) -> RobotModel:
     """Read a robot description JSON file.
 
-    Schema: ``dh`` (list of {a_mm, alpha_rad, d_mm, theta_rad}),
-    ``joint_limits_rad`` ({min: [...], max: [...]}), ``tool`` (4x4 row-major
-    array or null), ``dh_convention`` ("standard" | "modified").
+    Schema: ``dh`` (list of standard-convention rows {a_mm, alpha_rad, d_mm,
+    theta_rad}), ``joint_limits_rad`` ({min: [...], max: [...]}), ``tool``
+    (4x4 row-major array or null), and optionally ``dh_convention``, which
+    must be "standard": a file in any other convention raises ParseError
+    rather than being walked as standard rows.
     """
     path = Path(path)
     try:
@@ -293,6 +241,11 @@ def load_robot(path: str | Path) -> RobotModel:
         joint_max = np.asarray(limits["max"], dtype=float)
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"{path}: bad robot description: {exc}") from exc
+    convention = raw.get("dh_convention", "standard")
+    if convention != "standard":
+        raise ParseError(
+            f"{path}: dh_convention {convention!r} is not supported, only 'standard'"
+        )
     tool_raw = raw.get("tool")
     if tool_raw is None:
         tool = np.eye(4)
@@ -305,7 +258,6 @@ def load_robot(path: str | Path) -> RobotModel:
         joint_min=joint_min,
         joint_max=joint_max,
         tool=tool,
-        convention=raw.get("dh_convention", "standard"),
         name=raw.get("name", path.stem),
     )
 
@@ -323,5 +275,4 @@ def robot_to_dict(model: RobotModel) -> dict:
             "max": model.joint_max.tolist(),
         },
         "tool": None if np.array_equal(model.tool, np.eye(4)) else model.tool.tolist(),
-        "dh_convention": model.convention,
     }

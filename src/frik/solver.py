@@ -5,23 +5,19 @@ step (Wampler 1986) on the task-projected error, optionally refined by
 Halley's method. ``project`` re-expresses a twist or Jacobian in the target
 frame and keeps only the first r of the six twist components (r = 5 drops
 rotation about the target z-axis, r = 3 keeps position only). The step clamps
-the projected error to ``e_max``, divides the linear rows by
-``position_scale``, takes the damped step, and for the "halley" method solves
-again with the Jacobian augmented by half the Hessian contracted along that
-first step, J + H dq / 2, giving third-order convergence.
+the projected error to ``e_max``, takes the damped step, and for the "halley"
+method solves again with the Jacobian augmented by half the Hessian
+contracted along that first step, J + H dq / 2, giving third-order
+convergence.
 
-Error models:
-
-- "decoupled" (default): position difference plus an orientation error tuned
-  to the task. For r = 6 the orientation error is the rotation vector taking
-  the TCP orientation onto the target; for r = 5 it is the minimal rotation
-  aligning the TCP z-axis with the target z-axis, which depends on the target
-  only through its z-axis. That makes every solver iterate exactly invariant
-  to re-spinning the target about its own z-axis, and a converged r = 5 solve
-  places the TCP position on the target exactly (within tolerance).
-- "se3-log": the full SE(3) matrix logarithm of the relative transform. Kept
-  for comparison; its r = 5 projection tolerates a position offset that grows
-  with the residual spin angle, so it is not the default.
+The error, ``task_error``, is the position difference plus an orientation
+error tuned to the task. For r = 6 the orientation error is the rotation
+vector taking the TCP orientation onto the target; for r = 5 it is the
+minimal rotation aligning the TCP z-axis with the target z-axis, which
+depends on the target only through its z-axis. That makes every solver
+iterate exactly invariant to re-spinning the target about its own z-axis, and
+a converged r = 5 solve places the TCP position on the target exactly (within
+tolerance).
 """
 
 from __future__ import annotations
@@ -32,7 +28,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import DimensionMismatch, NotConverged
-from .liegroup import pose_inverse, se3_log, so3_log
+from .liegroup import so3_log
 from .robot import RobotModel, chain_frames, hessian_from_frames, jacobian_from_frames
 
 _TASK_DOFS = (3, 5, 6)
@@ -64,8 +60,6 @@ class SolverSettings:
     epsilon: float = 1e-6
     max_iterations: int = 100
     method: str = "halley"
-    position_scale: float = 1.0
-    error_model: str = "decoupled"
     record_residuals: bool = False
 
     def __post_init__(self):
@@ -79,10 +73,6 @@ class SolverSettings:
             raise ValueError("max_iterations must be at least 1")
         if self.method not in ("newton", "halley"):
             raise ValueError(f"unknown method {self.method!r}")
-        if self.error_model not in ("decoupled", "se3-log"):
-            raise ValueError(f"unknown error model {self.error_model!r}")
-        if self.position_scale <= 0:
-            raise ValueError("position_scale must be positive")
 
 
 @dataclass
@@ -103,17 +93,6 @@ class SolveResult:
     wall_time_us: float
     residual_norms: list[float] | None = field(default=None, repr=False)
     saturation_flags: list[bool] | None = field(default=None, repr=False)
-
-
-def error_twist(t_e: np.ndarray, t_d: np.ndarray) -> np.ndarray:
-    """Descent-direction error twist between the TCP pose and the target.
-
-    Computed as the SE(3) log of the relative transform that carries ``t_e``
-    onto ``t_d``: stepping the TCP along the result reduces the pose error.
-    Zero exactly when the poses coincide. Raises RotationNearPi when the
-    relative rotation is within tolerance of a half-turn.
-    """
-    return se3_log(t_d @ pose_inverse(t_e))
 
 
 def _perpendicular(axis: np.ndarray) -> np.ndarray:
@@ -198,30 +177,21 @@ def task_step(
 ) -> np.ndarray:
     """The joint update ``solve`` takes from Jacobian ``j6`` and projected error.
 
-    ``err_hat`` is the r-row task error (``project`` of the error twist). It
+    ``err_hat`` is the r-row task error (``project`` of ``task_error``). It
     is clamped to ``settings.e_max``, then the damped step is taken on the
-    projected Jacobian with the linear rows of both divided by
-    ``position_scale``. With the kinematic Hessian ``h6`` (6 x n x n) the
+    projected Jacobian. With the kinematic Hessian ``h6`` (6 x n x n) the
     step is re-solved on the projected J + H dq / 2 (Halley); with ``None``
-    the damped Newton step is returned. The result is bounded by the weighted
-    clamped error's norm over 2 lam.
+    the damped Newton step is returned. The result is bounded by the clamped
+    error's norm over 2 lam.
     """
     err_norm = float(np.linalg.norm(err_hat))
     if err_norm > settings.e_max:
         step_err = err_hat * (settings.e_max / err_norm)
     else:
-        step_err = err_hat.copy()
-    scale = settings.position_scale
-    j_hat = project(j6, rd_t, r)
-    if scale != 1.0:
-        j_hat[:3] /= scale
-        step_err[:3] /= scale
-    dq = damped_step(j_hat, step_err, settings.lam)
+        step_err = err_hat
+    dq = damped_step(project(j6, rd_t, r), step_err, settings.lam)
     if h6 is not None:
-        a_hat = project(j6 + 0.5 * (h6 @ dq), rd_t, r)
-        if scale != 1.0:
-            a_hat[:3] /= scale
-        dq = damped_step(a_hat, step_err, settings.lam)
+        dq = damped_step(project(j6 + 0.5 * (h6 @ dq), rd_t, r), step_err, settings.lam)
     return dq
 
 
@@ -247,7 +217,6 @@ def solve(
     rd_t = t_d[:3, :3].T
     r = proj.r
     use_halley = settings.method == "halley"
-    scale = settings.position_scale
     bound_factor = 1.0 / (2.0 * settings.lam)
     record = settings.record_residuals
     norms: list[float] | None = [] if record else None
@@ -259,11 +228,7 @@ def solve(
     residual = np.zeros(r)
     for it in range(settings.max_iterations + 1):
         tcp, axes, origins = chain_frames(model, q)
-        if settings.error_model == "se3-log":
-            dx = error_twist(tcp, t_d)
-        else:
-            dx = task_error(tcp, t_d, r)
-        dx_hat = project(dx, rd_t, r)
+        dx_hat = project(task_error(tcp, t_d, r), rd_t, r)
         res_norm = float(np.linalg.norm(dx_hat))
         if record:
             norms.append(res_norm)
@@ -282,13 +247,9 @@ def solve(
         h6 = hessian_from_frames(p_tcp, axes, origins) if use_halley else None
         dq = task_step(j6, h6, dx_hat, rd_t, r, settings)
         # Damping guarantee sigma/(sigma^2 + lam^2) <= 1/(2 lam) on the
-        # clamped error as the damped solve sees it (linear rows over
-        # position_scale); a violation means the step math is broken, not
-        # that the pose is hard.
-        seen = res_norm
-        if scale != 1.0:
-            seen = float(np.linalg.norm(np.concatenate([dx_hat[:3] / scale, dx_hat[3:]])))
-        limit = bound_factor * min(1.0, settings.e_max / res_norm) * seen
+        # clamped error; a violation means the step math is broken, not that
+        # the pose is hard.
+        limit = bound_factor * min(1.0, settings.e_max / res_norm) * res_norm
         step_norm = float(np.linalg.norm(dq))
         assert step_norm <= limit * (1.0 + 1e-9) and np.isfinite(step_norm), (
             f"damped step {step_norm} exceeds bound {limit}"

@@ -76,6 +76,40 @@ def test_solve_bad_config_is_usage_error(tmp_path, capsys):
     assert "invalid JSON" in capsys.readouterr().err
 
 
+def test_config_with_removed_solver_key_rejected(tmp_path, capsys):
+    config = write_config(tmp_path, solver={"position_scale": 1.0})
+    assert main(["solve", "--config", str(config)]) == 1
+    assert "unknown solver keys" in capsys.readouterr().err
+
+
+def test_config_with_unknown_top_level_key_rejected(tmp_path, capsys):
+    config = write_config(tmp_path, workpeice={"pos_mm": [0.0, -1100.0, 900.0]})
+    assert main(["solve", "--config", str(config)]) == 1
+    err = capsys.readouterr().err
+    assert "unknown top-level keys" in err and "workpeice" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["solve", "--task-dof", "4"], ["solve", "--bogus"], ["workspace", "--mode", "adhoc"]],
+)
+def test_usage_error_exits_one(argv, capsys):
+    # exit 2 is kept for convergence failures
+    assert main(argv) == 1
+    assert "error:" in capsys.readouterr().err
+
+
+def test_help_exits_zero(capsys):
+    assert main(["solve", "--help"]) == 0
+    assert "--mode" in capsys.readouterr().out
+
+
+def test_jobs_zero_flag_is_validated(tmp_path, capsys):
+    config = write_config(tmp_path, jobs=2)
+    assert main(["workspace", "--config", str(config), "--jobs", "0"]) == 1
+    assert "jobs must be at least 1" in capsys.readouterr().err
+
+
 def test_config_with_both_sources_rejected(tmp_path, capsys):
     file = tmp_path / "config.json"
     file.write_text(json.dumps({"toolpath": "a.json", "cone": {}}))

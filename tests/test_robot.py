@@ -128,17 +128,6 @@ def test_fk_is_continuous(model, q0_benchmark):
         assert np.abs(moved - base).max() < 5000 * delta
 
 
-def test_modified_convention_loads_and_runs():
-    model = RobotModel(
-        dh=(DHRow(a=100.0, alpha=-np.pi / 2, d=50.0), DHRow(a=0.0, alpha=0.0, d=200.0)),
-        joint_min=np.array([-np.pi, -np.pi]),
-        joint_max=np.array([np.pi, np.pi]),
-        convention="modified",
-    )
-    q = np.array([0.3, -0.8])
-    assert np.abs(geometric_jacobian(model, q) - fd_jacobian(model, q)).max() < 1e-5
-
-
 # ---------------------------------------------------------------------------
 # geometric Jacobian
 # ---------------------------------------------------------------------------
@@ -232,6 +221,19 @@ def test_load_robot_rejects_garbage(tmp_path):
         load_robot(file)
     file.write_text('{"dh": [{"a_mm": 1.0}]}')
     with pytest.raises(ParseError):
+        load_robot(file)
+
+
+def test_load_robot_rejects_modified_convention(tmp_path, model):
+    import json
+
+    # only standard DH rows are read; a file in another convention is not
+    # walked as if it were standard
+    spec = robot_to_dict(model)
+    spec["dh_convention"] = "modified"
+    file = tmp_path / "craig.json"
+    file.write_text(json.dumps(spec))
+    with pytest.raises(ParseError, match="craig.json"):
         load_robot(file)
 
 
