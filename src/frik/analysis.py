@@ -135,6 +135,20 @@ class WorkspaceMap:
         return self.mean_w[self.reachable]
 
 
+MODES = ("adhoc", "frik")
+
+
+def mode_problem(path: Toolpath, mode: str, task_dof: int) -> tuple[Toolpath, TaskProjector]:
+    """The toolpath and task a solve mode solves for ``path``: ``adhoc`` pins
+    each target's spin (``assign_adhoc_orientation``) and solves the full
+    6-DOF task; ``frik`` solves ``path`` as given on a ``task_dof`` task."""
+    if mode == "adhoc":
+        return assign_adhoc_orientation(path), TaskProjector(6)
+    if mode == "frik":
+        return path, TaskProjector(task_dof)
+    raise ValueError(f"unknown solve mode {mode!r}")
+
+
 def _evaluate_mode(
     model: RobotModel,
     path: Toolpath,
@@ -170,18 +184,13 @@ def _evaluate_voxel(task: tuple[int, int, float, float]):
     iy, iz, y_mm, z_mm = task
     ctx = _WORKER
     frame = make_pose(ctx["frame_rot"], np.array([ctx["frame_x"], y_mm, z_mm]))
-    out = []
-    for mode in ("adhoc", "frik"):
-        result = _evaluate_mode(
-            ctx["model"],
-            ctx[f"path_{mode}"].with_frame(frame),
-            ctx["q0"],
-            ctx[f"proj_{mode}"],
-            ctx["settings"],
-            ctx["reach"],
+    adhoc, frik = (
+        _evaluate_mode(
+            ctx["model"], path.with_frame(frame), ctx["q0"], proj, ctx["settings"], ctx["reach"]
         )
-        out.append(result)
-    return iy, iz, out[0], out[1]
+        for path, proj in ctx["problems"]
+    )
+    return iy, iz, adhoc, frik
 
 
 def workspace_sweep(
@@ -205,10 +214,7 @@ def workspace_sweep(
     y_centers, z_centers = sweep.centers()
     payload = {
         "model": model,
-        "path_adhoc": assign_adhoc_orientation(path_template),
-        "path_frik": path_template,
-        "proj_adhoc": TaskProjector(6),
-        "proj_frik": TaskProjector(frik_task_dof),
+        "problems": [mode_problem(path_template, mode, frik_task_dof) for mode in MODES],
         "q0": np.asarray(q0, dtype=float),
         "settings": settings,
         "reach": model.reach_bound(),
@@ -237,7 +243,7 @@ def workspace_sweep(
             reachable=np.zeros(shape, dtype=bool),
             mean_w=np.full(shape, math.nan),
         )
-        for mode in ("adhoc", "frik")
+        for mode in MODES
     }
     for iy, iz, adhoc_cell, frik_cell in rows:
         for mode, (ok, mean_w, cause) in (("adhoc", adhoc_cell), ("frik", frik_cell)):

@@ -20,31 +20,38 @@ from pathlib import Path
 import numpy as np
 
 from .analysis import (
-    SweepSpec,
+    MODES,
     TravelReport,
     WorkspaceMap,
     joint_travel,
+    mode_problem,
     summarize_timing,
     workspace_summary,
     workspace_sweep,
 )
-from .config import ConfigError, RunConfig, apply_flag_overrides, load_config, resolved_dict
+from .config import (
+    CONE_KEYS,
+    ConfigError,
+    RunConfig,
+    apply_flag_overrides,
+    load_config,
+    resolved_dict,
+)
 from .errors import FrikError, NotConverged
 from .robot import RobotModel, irb4600, load_robot
-from .solver import SolveResult, TaskProjector, solve_toolpath
-from .toolpath import (
-    Toolpath,
-    assign_adhoc_orientation,
-    generate_cone_spiral,
-    load_toolpath,
-    toolpath_to_dict,
-)
+from .solver import SolveResult, solve_toolpath
+from .toolpath import ConeSpec, Toolpath, generate_cone_spiral, load_toolpath, toolpath_to_dict
 
-# Reference measurements for the default cone benchmark, reported beside
-# measured values so runs are easy to compare.
+# Reference figures printed beside the measured ones. They came with the
+# package's first version without a stated source, and they belong to a setup
+# with a spray-gun tool whose axis is offset from joint 6. This repository's
+# tool frame is the bare flange, so only their percent change compares. On the
+# bundled cone this repository measures 9291.5 -> 7702.4 deg (-17.10%, the
+# reference -16.66%), and on the full wall grid 69 -> 69 voxels (the
+# reference +92%).
 REFERENCE_TRAVEL_DEG = {"adhoc": 685.549, "frik": 571.313, "pct_change": -16.66}
 REFERENCE_WORKSPACE_VOXELS = {"adhoc": 75, "frik": 144, "pct_change": 92.0}
-REFERENCE_STEP_TIME_US = 196.0
+REFERENCE_NOTE = "from a spray-gun tool setup this repo lacks; only the percent change compares"
 
 
 def _fmt(value: float) -> str:
@@ -53,11 +60,15 @@ def _fmt(value: float) -> str:
 
 def _load_model(config: RunConfig) -> RobotModel:
     if config.robot_file is None:
-        return irb4600()
-    path = Path(config.robot_file)
-    if not path.exists():
-        raise ConfigError(f"robot file not found: {path}")
-    return load_robot(path)
+        model = irb4600()
+    else:
+        path = Path(config.robot_file)
+        if not path.exists():
+            raise ConfigError(f"robot file not found: {path}")
+        model = load_robot(path)
+    if config.q0_rad.shape != (model.n,):
+        raise ConfigError(f"q0 length {config.q0_rad.shape[0]} does not match robot n={model.n}")
+    return model
 
 
 def _resolve_toolpath(config: RunConfig) -> Toolpath:
@@ -163,20 +174,13 @@ def cmd_generate(config: RunConfig, args) -> int:
 
 
 def _solve_modes(
-    config: RunConfig, modes: list[str]
+    config: RunConfig, modes: tuple[str, ...]
 ) -> tuple[dict[str, list[SolveResult]], int | None]:
     model = _load_model(config)
-    if config.q0_rad.shape != (model.n,):
-        raise ConfigError(f"q0 length {config.q0_rad.shape[0]} does not match robot n={model.n}")
     base_path = _resolve_toolpath(config)
     runs: dict[str, list[SolveResult]] = {}
     for mode in modes:
-        if mode == "adhoc":
-            path = assign_adhoc_orientation(base_path)
-            proj = TaskProjector(6)
-        else:
-            path = base_path
-            proj = TaskProjector(config.task_dof)
+        path, proj = mode_problem(base_path, mode, config.task_dof)
         try:
             runs[mode] = solve_toolpath(model, path, config.q0_rad, proj, config.solver)
         except NotConverged as exc:
@@ -188,7 +192,7 @@ def _solve_modes(
     return runs, None
 
 
-def _solve_and_report(config: RunConfig, args, command: str, modes: list[str]) -> int:
+def _solve_and_report(config: RunConfig, args, command: str, modes: tuple[str, ...]) -> int:
     runs, failed = _solve_modes(config, modes)
     if failed is not None:
         return 2
@@ -212,11 +216,7 @@ def _solve_and_report(config: RunConfig, args, command: str, modes: list[str]) -
             mode: {"mean_us": t.mean_us, "total_us": t.total_us}
             for mode, t in ((m, summarize_timing(r)) for m, r in runs.items())
         }
-        payload = {
-            "config": resolved_dict(config),
-            "timing": timing,
-            "reference_step_time_us": REFERENCE_STEP_TIME_US,
-        }
+        payload = {"config": resolved_dict(config), "timing": timing}
         (out_dir / "timing_summary.json").write_text(
             json.dumps(payload, indent=1, sort_keys=True)
         )
@@ -231,24 +231,22 @@ def _solve_and_report(config: RunConfig, args, command: str, modes: list[str]) -
         print(
             "reference: adhoc "
             f"{REFERENCE_TRAVEL_DEG['adhoc']} deg, frik {REFERENCE_TRAVEL_DEG['frik']} deg "
-            f"({REFERENCE_TRAVEL_DEG['pct_change']:+.2f}%)"
+            f"({REFERENCE_TRAVEL_DEG['pct_change']:+.2f}%), {REFERENCE_NOTE}"
         )
     return 0
 
 
 def cmd_solve(config: RunConfig, args) -> int:
-    modes = ["adhoc", "frik"] if args.mode == "both" else [args.mode]
+    modes = MODES if args.mode == "both" else (args.mode,)
     return _solve_and_report(config, args, "solve", modes)
 
 
 def cmd_compare(config: RunConfig, args) -> int:
-    return _solve_and_report(config, args, "compare", ["adhoc", "frik"])
+    return _solve_and_report(config, args, "compare", MODES)
 
 
 def cmd_workspace(config: RunConfig, args) -> int:
     model = _load_model(config)
-    if config.q0_rad.shape != (model.n,):
-        raise ConfigError(f"q0 length {config.q0_rad.shape[0]} does not match robot n={model.n}")
     template = _resolve_toolpath(config)
     map_adhoc, map_frik = workspace_sweep(
         model,
@@ -276,7 +274,8 @@ def cmd_workspace(config: RunConfig, args) -> int:
         f"reachable voxels: adhoc {summary['adhoc']['reachable_voxels']}, "
         f"frik {summary['frik']['reachable_voxels']} "
         f"(reference {REFERENCE_WORKSPACE_VOXELS['adhoc']} -> "
-        f"{REFERENCE_WORKSPACE_VOXELS['frik']})"
+        f"{REFERENCE_WORKSPACE_VOXELS['frik']}, "
+        f"{REFERENCE_WORKSPACE_VOXELS['pct_change']:+.1f}%, {REFERENCE_NOTE})"
     )
     return 0
 
@@ -289,20 +288,13 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--task-dof", type=int, choices=(3, 5, 6), dest="task_dof")
     common.add_argument("--out", help="output directory")
     common.add_argument("--jobs", type=int, help="parallel workers for sweeps")
-    common.add_argument("--seed", type=int, help="random seed recorded in outputs")
     common.add_argument(
         "--no-timing",
         action="store_true",
         help="exclude wall-time fields from outputs (golden-file runs)",
     )
-    for flag, kind in (
-        ("--cone-diameter-mm", float),
-        ("--cone-height-mm", float),
-        ("--cone-pitch-mm", float),
-        ("--cone-samples-per-rev", int),
-        ("--cone-standoff-mm", float),
-    ):
-        common.add_argument(flag, type=kind)
+    for key, name in CONE_KEYS.items():
+        common.add_argument(f"--cone-{key.replace('_', '-')}", type=type(getattr(ConeSpec(), name)))
 
     parser = argparse.ArgumentParser(
         prog="frik",

@@ -51,7 +51,6 @@ class RunConfig:
     )
     sweep: SweepSpec = field(default_factory=SweepSpec)
     out_dir: str = "out"
-    seed: int = 0
     jobs: int = 1
 
     def validate(self) -> None:
@@ -65,49 +64,58 @@ class RunConfig:
             raise ConfigError("jobs must be at least 1")
 
 
-def _parse_solver(block: dict) -> tuple[SolverSettings, int | None]:
-    known = {
-        "lambda",
-        "e_max",
-        "epsilon",
-        "max_iterations",
-        "method",
-        "task_dof",
-    }
-    unknown = set(block) - known
+# JSON key -> dataclass field of each block. The dataclass holds the defaults
+# and the validation; the solver block also carries the run's task_dof.
+SOLVER_KEYS = {
+    "lambda": "lam",
+    "e_max": "e_max",
+    "epsilon": "epsilon",
+    "max_iterations": "max_iterations",
+    "method": "method",
+}
+CONE_KEYS = {
+    "diameter_mm": "diameter",
+    "height_mm": "height",
+    "pitch_mm": "pitch",
+    "samples_per_rev": "samples_per_rev",
+    "standoff_mm": "standoff",
+}
+SWEEP_KEYS = {key: key for key in ("y_min_mm", "y_max_mm", "z_min_mm", "z_max_mm", "voxel_mm")}
+TOP_LEVEL_KEYS = (
+    "robot", "solver", "toolpath", "cone", "workpiece", "q0", "sweep", "out_dir", "jobs"
+)
+
+
+def _check_block(name: str, block, keys) -> dict:
+    """``block`` itself, once it is a JSON object holding no key outside ``keys``."""
+    if not isinstance(block, dict):
+        raise ConfigError(f"{name} block must be a JSON object, got {type(block).__name__}")
+    unknown = set(block) - set(keys)
     if unknown:
-        raise ConfigError(f"unknown solver keys: {sorted(unknown)}")
-    kwargs = {}
-    if "lambda" in block:
-        kwargs["lam"] = float(block["lambda"])
-    for key in ("e_max", "epsilon"):
-        if key in block:
-            kwargs[key] = float(block[key])
-    if "max_iterations" in block:
-        kwargs["max_iterations"] = int(block["max_iterations"])
-    if "method" in block:
-        kwargs["method"] = str(block["method"])
-    task_dof = int(block["task_dof"]) if "task_dof" in block else None
+        raise ConfigError(f"unknown {name} keys: {sorted(unknown)}")
+    return block
+
+
+def _build(base, table: dict[str, str], values: dict, what: str):
+    """``base`` with the table's keys found in ``values``, each coerced to
+    the type of the field's default."""
     try:
-        return SolverSettings(**kwargs), task_dof
-    except ValueError as exc:
-        raise ConfigError(f"bad solver settings: {exc}") from exc
+        fields = {
+            name: type(getattr(base, name))(values[key])
+            for key, name in table.items()
+            if key in values
+        }
+        return replace(base, **fields)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad {what}: {exc}") from exc
 
 
-def _parse_cone(block: dict) -> ConeSpec:
-    try:
-        return ConeSpec(
-            diameter=float(block.get("diameter_mm", 100.0)),
-            height=float(block.get("height_mm", 50.0)),
-            pitch=float(block.get("pitch_mm", 2.0)),
-            samples_per_rev=int(block.get("samples_per_rev", 114)),
-            standoff=float(block.get("standoff_mm", 0.0)),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"bad cone block: {exc}") from exc
+def _dump(obj, table: dict[str, str]) -> dict:
+    return {key: getattr(obj, name) for key, name in table.items()}
 
 
-def _parse_frame(block: dict) -> np.ndarray:
+def _parse_frame(block) -> np.ndarray:
+    block = _check_block("workpiece", block, ("pos_mm", "quat"))
     position = np.asarray(block.get("pos_mm", (0.0, 0.0, 0.0)), dtype=float)
     quat = np.asarray(block.get("quat", (0.0, 0.0, 0.0, 1.0)), dtype=float)
     norm = float(np.linalg.norm(quat))
@@ -117,25 +125,45 @@ def _parse_frame(block: dict) -> np.ndarray:
 
 
 def _parse_q0(block) -> np.ndarray:
-    if isinstance(block, dict):
-        if "deg" in block:
-            return np.radians(np.asarray(block["deg"], dtype=float))
-        if "rad" in block:
-            return np.asarray(block["rad"], dtype=float)
-    raise ConfigError('q0 must be {"deg": [...]} or {"rad": [...]}')
+    block = _check_block("q0", block, ("deg", "rad"))
+    if len(block) != 1:
+        raise ConfigError('q0 must hold exactly one of "deg" or "rad"')
+    ((unit, values),) = block.items()
+    q = np.asarray(values, dtype=float)
+    return np.radians(q) if unit == "deg" else q
 
 
-def _parse_sweep(block: dict) -> SweepSpec:
-    try:
-        return SweepSpec(
-            y_min_mm=float(block.get("y_min_mm", -2400.0)),
-            y_max_mm=float(block.get("y_max_mm", 0.0)),
-            z_min_mm=float(block.get("z_min_mm", 0.0)),
-            z_max_mm=float(block.get("z_max_mm", 2400.0)),
-            voxel_mm=float(block.get("voxel_mm", 100.0)),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"bad sweep block: {exc}") from exc
+def _from_dict(raw) -> RunConfig:
+    raw = _check_block("top-level", raw, TOP_LEVEL_KEYS)
+    if "toolpath" in raw and "cone" in raw:
+        raise ConfigError("give either a toolpath file or a cone block, not both")
+
+    config = RunConfig()
+    if raw.get("robot") is not None:
+        config.robot_file = str(raw["robot"])
+    if "solver" in raw:
+        block = _check_block("solver", raw["solver"], [*SOLVER_KEYS, "task_dof"])
+        config.solver = _build(config.solver, SOLVER_KEYS, block, "solver block")
+        config.task_dof = int(block.get("task_dof", config.task_dof))
+    if "toolpath" in raw:
+        config.toolpath_file = str(raw["toolpath"])
+        config.cone = None
+    if "cone" in raw:
+        block = _check_block("cone", raw["cone"], CONE_KEYS)
+        config.cone = _build(config.cone, CONE_KEYS, block, "cone block")
+    if "workpiece" in raw:
+        config.workpiece = _parse_frame(raw["workpiece"])
+        config.workpiece_explicit = True
+    if "q0" in raw:
+        config.q0_rad = _parse_q0(raw["q0"])
+    if "sweep" in raw:
+        block = _check_block("sweep", raw["sweep"], SWEEP_KEYS)
+        config.sweep = _build(config.sweep, SWEEP_KEYS, block, "sweep block")
+    if "out_dir" in raw:
+        config.out_dir = str(raw["out_dir"])
+    if "jobs" in raw:
+        config.jobs = int(raw["jobs"])
+    return config
 
 
 def load_config(path: str | Path) -> RunConfig:
@@ -144,101 +172,37 @@ def load_config(path: str | Path) -> RunConfig:
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
     try:
-        raw = json.loads(path.read_text())
+        return _from_dict(json.loads(path.read_text()))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise ConfigError(f"{path}: top level must be an object")
-    known = {
-        "robot",
-        "solver",
-        "toolpath",
-        "cone",
-        "workpiece",
-        "q0",
-        "sweep",
-        "out_dir",
-        "seed",
-        "jobs",
-    }
-    unknown = set(raw) - known
-    if unknown:
-        raise ConfigError(f"{path}: unknown top-level keys: {sorted(unknown)}")
-    if "toolpath" in raw and "cone" in raw:
-        raise ConfigError(f"{path}: give either a toolpath file or a cone block, not both")
-
-    config = RunConfig()
-    if raw.get("robot") is not None:
-        config.robot_file = str(raw["robot"])
-    if "solver" in raw:
-        config.solver, task_dof = _parse_solver(raw["solver"])
-        if task_dof is not None:
-            config.task_dof = task_dof
-    if "toolpath" in raw:
-        config.toolpath_file = str(raw["toolpath"])
-        config.cone = None
-    if "cone" in raw:
-        config.cone = _parse_cone(raw["cone"])
-    if "workpiece" in raw:
-        config.workpiece = _parse_frame(raw["workpiece"])
-        config.workpiece_explicit = True
-    if "q0" in raw:
-        config.q0_rad = _parse_q0(raw["q0"])
-    if "sweep" in raw:
-        config.sweep = _parse_sweep(raw["sweep"])
-    if "out_dir" in raw:
-        config.out_dir = str(raw["out_dir"])
-    if "seed" in raw:
-        config.seed = int(raw["seed"])
-    if "jobs" in raw:
-        config.jobs = int(raw["jobs"])
-    return config
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
 
 
 def resolved_dict(config: RunConfig) -> dict:
     """Full resolved configuration, JSON-ready, for audit headers."""
-    solver = config.solver
     out = {
         "robot": config.robot_file or "builtin:irb4600",
-        "solver": {
-            "lambda": solver.lam,
-            "e_max": solver.e_max,
-            "epsilon": solver.epsilon,
-            "max_iterations": solver.max_iterations,
-            "method": solver.method,
-            "task_dof": config.task_dof,
-        },
+        "solver": {**_dump(config.solver, SOLVER_KEYS), "task_dof": config.task_dof},
         "workpiece": {
             "pos_mm": config.workpiece[:3, 3].tolist(),
             "quat": rot_to_quat(config.workpiece[:3, :3]).tolist(),
         },
         "q0": {"deg": np.degrees(config.q0_rad).tolist()},
-        "sweep": {
-            "y_min_mm": config.sweep.y_min_mm,
-            "y_max_mm": config.sweep.y_max_mm,
-            "z_min_mm": config.sweep.z_min_mm,
-            "z_max_mm": config.sweep.z_max_mm,
-            "voxel_mm": config.sweep.voxel_mm,
-        },
+        "sweep": _dump(config.sweep, SWEEP_KEYS),
         "out_dir": config.out_dir,
-        "seed": config.seed,
         "jobs": config.jobs,
     }
     if config.toolpath_file is not None:
         out["toolpath"] = config.toolpath_file
     if config.cone is not None:
-        out["cone"] = {
-            "diameter_mm": config.cone.diameter,
-            "height_mm": config.cone.height,
-            "pitch_mm": config.cone.pitch,
-            "samples_per_rev": config.cone.samples_per_rev,
-            "standoff_mm": config.cone.standoff,
-        }
+        out["cone"] = _dump(config.cone, CONE_KEYS)
     return out
 
 
 def apply_flag_overrides(config: RunConfig, args) -> RunConfig:
-    """Fold parsed argparse flags into a config; flags win over file values."""
+    """Fold parsed argparse flags into a config; flags win over file values.
+    Each cone key of ``CONE_KEYS`` is read from its ``--cone-<key>`` flag."""
     if getattr(args, "robot", None):
         config.robot_file = args.robot
     if getattr(args, "toolpath", None):
@@ -250,21 +214,9 @@ def apply_flag_overrides(config: RunConfig, args) -> RunConfig:
         config.out_dir = args.out
     if getattr(args, "jobs", None) is not None:
         config.jobs = args.jobs
-    if getattr(args, "seed", None) is not None:
-        config.seed = args.seed
-    cone_flags = {
-        "diameter": getattr(args, "cone_diameter_mm", None),
-        "height": getattr(args, "cone_height_mm", None),
-        "pitch": getattr(args, "cone_pitch_mm", None),
-        "samples_per_rev": getattr(args, "cone_samples_per_rev", None),
-        "standoff": getattr(args, "cone_standoff_mm", None),
-    }
-    updates = {k: v for k, v in cone_flags.items() if v is not None}
+    flags = {key: getattr(args, f"cone_{key}", None) for key in CONE_KEYS}
+    updates = {key: value for key, value in flags.items() if value is not None}
     if updates:
-        base = config.cone if config.cone is not None else ConeSpec()
-        try:
-            config.cone = replace(base, **updates)
-        except ValueError as exc:
-            raise ConfigError(f"bad cone flags: {exc}") from exc
+        config.cone = _build(config.cone or ConeSpec(), CONE_KEYS, updates, "cone flags")
         config.toolpath_file = None
     return config

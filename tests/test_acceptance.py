@@ -21,7 +21,7 @@ from frik.analysis import (
     workspace_summary,
     workspace_sweep,
 )
-from frik.cli import REFERENCE_STEP_TIME_US, REFERENCE_TRAVEL_DEG, REFERENCE_WORKSPACE_VOXELS, main
+from frik.cli import REFERENCE_NOTE, REFERENCE_TRAVEL_DEG, REFERENCE_WORKSPACE_VOXELS, main
 from frik.config import default_workpiece_frame
 from frik.liegroup import make_pose, rot_z, se3_exp, se3_log, so3_exp, unskew
 from frik.robot import forward_kinematics, geometric_jacobian, kinematic_hessian
@@ -245,7 +245,7 @@ def test_c08_cone_travel_reduction(model, cone_benchmark):
         "criterion 8 joint travel: "
         f"adhoc {adhoc:.3f} deg, frik {frik_deg:.3f} deg ({-reduction:+.2f}%); "
         f"reference {REFERENCE_TRAVEL_DEG['adhoc']} vs {REFERENCE_TRAVEL_DEG['frik']} "
-        f"({REFERENCE_TRAVEL_DEG['pct_change']:+.2f}%); solved in {wall:.1f}s"
+        f"({REFERENCE_TRAVEL_DEG['pct_change']:+.2f}%, {REFERENCE_NOTE}); solved in {wall:.1f}s"
     )
 
 
@@ -273,7 +273,8 @@ def test_c09_workspace_expansion(model, q0_benchmark, workpiece_frame):
         "criterion 9 workspace: "
         f"adhoc {adhoc_count} voxels, frik {frik_count} voxels ({expansion:+.1f}%); "
         f"reference {REFERENCE_WORKSPACE_VOXELS['adhoc']} vs "
-        f"{REFERENCE_WORKSPACE_VOXELS['frik']} ({REFERENCE_WORKSPACE_VOXELS['pct_change']:+.1f}%); "
+        f"{REFERENCE_WORKSPACE_VOXELS['frik']} ({REFERENCE_WORKSPACE_VOXELS['pct_change']:+.1f}%, "
+        f"{REFERENCE_NOTE}); "
         f"exceptions (adhoc-only reachable) {summary['adhoc_reachable_frik_not']}; "
         f"swept in {wall / 60:.1f} min at jobs={jobs}"
     )
@@ -288,7 +289,7 @@ def test_c10_throughput(cone_benchmark):
     assert timing.mean_us <= 1000.0
     report(
         "criterion 10 throughput: "
-        f"mean {timing.mean_us:.1f} us/target (gate 1000 us; reference {REFERENCE_STEP_TIME_US} us)"
+        f"mean {timing.mean_us:.1f} us/target (gate 1000 us; measured baseline in bench/README.md)"
     )
 
 
@@ -298,21 +299,11 @@ def test_c10_throughput(cone_benchmark):
 def test_c11_determinism_golden(tmp_path):
     config = {
         "cone": {"samples_per_rev": 16, "pitch_mm": 10.0},
-        "seed": 1234,
         "out_dir": str(tmp_path / "out"),
     }
     config_file = tmp_path / "config.json"
     config_file.write_text(json.dumps(config))
-    argv = [
-        "solve",
-        "--config",
-        str(config_file),
-        "--mode",
-        "both",
-        "--no-timing",
-        "--seed",
-        "1234",
-    ]
+    argv = ["solve", "--config", str(config_file), "--mode", "both", "--no-timing"]
     snapshots = []
     for _ in range(2):
         assert main(argv) == 0

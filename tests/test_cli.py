@@ -9,11 +9,13 @@ import pytest
 
 import frik
 from frik.cli import main
+from frik.config import DEFAULT_Q0_DEG, load_config, resolved_dict
 from frik.liegroup import pose_inverse
 from frik.robot import forward_kinematics
 from frik.toolpath import Toolpath, ToolpathTarget, load_toolpath, save_toolpath
 
 SMALL_CONE = ["--cone-samples-per-rev", "8", "--cone-pitch-mm", "25"]
+GOLDEN = Path(__file__).parent / "data" / "small_cone"
 
 
 def write_config(tmp_path, **overrides):
@@ -90,8 +92,33 @@ def test_config_with_unknown_top_level_key_rejected(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "block, message",
+    [
+        ({"cone": {"diamter_mm": 50.0}}, "unknown cone keys: ['diamter_mm']"),
+        ({"sweep": {"voxel": 400}}, "unknown sweep keys: ['voxel']"),
+        ({"workpiece": {"pos": [0.0, -1100.0, 900.0]}}, "unknown workpiece keys: ['pos']"),
+        ({"q0": {"deg": list(DEFAULT_Q0_DEG), "rad": [0.0] * 6}}, "exactly one of"),
+        ({"cone": 5}, "cone block must be a JSON object"),
+        ({"solver": 3}, "solver block must be a JSON object"),
+    ],
+    ids=["cone-typo", "sweep-typo", "workpiece-typo", "q0-both", "cone-scalar", "solver-scalar"],
+)
+def test_malformed_config_block_rejected(tmp_path, capsys, block, message):
+    config = write_config(tmp_path, **block)
+    assert main(["generate", "--config", str(config)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
     "argv",
-    [["solve", "--task-dof", "4"], ["solve", "--bogus"], ["workspace", "--mode", "adhoc"]],
+    [
+        ["solve", "--task-dof", "4"],
+        ["solve", "--bogus"],
+        ["workspace", "--mode", "adhoc"],
+        ["solve", "--seed", "1"],
+    ],
 )
 def test_usage_error_exits_one(argv, capsys):
     # exit 2 is kept for convergence failures
@@ -134,7 +161,7 @@ def test_compare_small_cone_writes_delta_report(tmp_path, capsys):
 
 
 def test_solve_runs_are_deterministic(tmp_path):
-    config = write_config(tmp_path, seed=7)
+    config = write_config(tmp_path)
     for _ in range(2):
         assert main(["solve", "--config", str(config), "--mode", "both", "--no-timing"]) == 0
         files = sorted((tmp_path / "out").glob("*.csv"))
@@ -143,6 +170,46 @@ def test_solve_runs_are_deterministic(tmp_path):
             first = snapshot
     assert first == snapshot
     assert not (tmp_path / "out" / "timing_summary.json").exists()
+
+
+def test_solve_small_cone_matches_golden_rows(tmp_path):
+    # c11's small cone; the golden rows omit the "# config:" audit line
+    config = write_config(tmp_path, cone={"samples_per_rev": 16, "pitch_mm": 10.0})
+    assert main(["solve", "--config", str(config), "--mode", "both", "--no-timing"]) == 0
+    goldens = sorted(GOLDEN.glob("*.csv"))
+    assert [f.name for f in goldens] == sorted(f.name for f in (tmp_path / "out").glob("*.csv"))
+    for golden in goldens:
+        fresh = (tmp_path / "out" / golden.name).read_text().splitlines()
+        assert fresh[0].startswith("# config:")
+        want = [line.split(",") for line in golden.read_text().splitlines()]
+        got = [line.split(",") for line in fresh[1:]]
+        assert got[0] == want[0] and len(got) == len(want)
+        for got_row, want_row in zip(got[1:], want[1:]):
+            for column, g, w in zip(want[0], got_row, want_row, strict=True):
+                if column in ("k", "iterations", "joint"):
+                    assert g == w, (golden.name, column)
+                else:
+                    assert abs(float(g) - float(w)) <= 1e-9, (golden.name, column, g, w)
+
+
+def test_audit_header_loads_back(tmp_path):
+    q0_deg = [-110.0, -5.0, 55.0, -80.0, -34.0, 9.0]
+    config = write_config(
+        tmp_path,
+        solver={"lambda": 0.03, "method": "newton", "task_dof": 5},
+        workpiece={"pos_mm": [0.0, -1100.0, 900.0], "quat": [0.0, 0.0, 0.6, 0.8]},
+        q0={"rad": np.radians(q0_deg).tolist()},
+        sweep={"voxel_mm": 400.0},
+    )
+    assert main(["solve", "--config", str(config), "--no-timing"]) == 0
+    line = (tmp_path / "out" / "trajectory_frik.csv").read_text().splitlines()[0]
+    audit = json.loads(line.removeprefix("# config: "))
+    assert (audit.pop("command"), audit.pop("mode")) == ("solve", "frik")
+    header_file = tmp_path / "header.json"
+    header_file.write_text(json.dumps(audit))
+    again = resolved_dict(load_config(header_file))
+    assert np.abs(np.array(again.pop("q0")["deg"]) - audit.pop("q0")["deg"]).max() < 1e-12
+    assert again == audit
 
 
 def test_workspace_single_voxel(tmp_path, model, q0_benchmark):
