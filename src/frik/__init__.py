@@ -18,9 +18,10 @@ from .errors import (
     DimensionMismatch,
     FrikError,
     InvalidRotation,
-    NotConverged,
     OutOfLimits,
     ParseError,
+    PathFailed,
+    PathFailure,
     RotationNearPi,
 )
 from .liegroup import (

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatch, NotConverged, OutOfLimits, RotationNearPi
+from .errors import DimensionMismatch, OutOfLimits, PathFailed, PathFailure
 from .liegroup import make_pose
 from .robot import RobotModel, geometric_jacobian
 from .solver import SolveResult, SolverSettings, TaskProjector, solve_toolpath
@@ -63,11 +63,10 @@ def summarize_timing(results: list[SolveResult]) -> TimingSummary:
 
 @dataclass(frozen=True)
 class TravelReport:
-    """Joint-space travel of a trajectory, in degrees, plus optional timing."""
+    """Joint-space travel of a trajectory, in degrees."""
 
     per_joint_deg: np.ndarray
     overall_deg: float
-    timing: TimingSummary | None = None
 
 
 def joint_travel(trajectory: list[np.ndarray]) -> TravelReport:
@@ -118,14 +117,14 @@ class SweepSpec:
 
 @dataclass
 class WorkspaceMap:
-    """Per-voxel reachability and mean manipulability for one solve mode."""
+    """Per-voxel reachability, mean manipulability and failure cause for one solve mode."""
 
     mode: str
     y_centers: np.ndarray
     z_centers: np.ndarray
     reachable: np.ndarray
     mean_w: np.ndarray
-    causes: dict[tuple[int, int], str] = field(default_factory=dict)
+    causes: dict[tuple[int, int], PathFailure] = field(default_factory=dict)
 
     @property
     def reachable_count(self) -> int:
@@ -150,27 +149,19 @@ def mode_problem(path: Toolpath, mode: str, task_dof: int) -> tuple[Toolpath, Ta
 
 
 def _evaluate_mode(
-    model: RobotModel,
-    path: Toolpath,
-    q0: np.ndarray,
-    proj: TaskProjector,
-    settings: SolverSettings,
-    reach: float,
-) -> tuple[bool, float, str]:
-    positions = path.base_positions()
-    if float(np.linalg.norm(positions, axis=1).max()) > reach:
-        return False, math.nan, "out_of_reach"
+    ctx: dict, path: Toolpath, proj: TaskProjector
+) -> tuple[float, PathFailure | None]:
+    """Mean manipulability along ``path`` solved from the sweep's q0, or NaN
+    and the failure that ended the path."""
+    model = ctx["model"]
+    beyond = np.linalg.norm(path.base_positions(), axis=1) > ctx["reach"]
+    if beyond.any():
+        return math.nan, PathFailure("out_of_reach", int(beyond.argmax()))
     try:
-        results = solve_toolpath(model, path, q0, proj, settings)
-    except NotConverged as exc:
-        return False, math.nan, f"not_converged@{exc.index}"
-    except RotationNearPi:
-        return False, math.nan, "rotation_near_pi"
-    for k, res in enumerate(results):
-        if not model.within_limits(res.q):
-            return False, math.nan, f"joint_limit@{k}"
-    mean_w = float(np.mean([manipulability_jl(model, res.q) for res in results]))
-    return True, mean_w, ""
+        results = solve_toolpath(model, path, ctx["q0"], proj, ctx["settings"])
+    except PathFailed as exc:
+        return math.nan, exc.failure
+    return float(np.mean([manipulability_jl(model, res.q) for res in results])), None
 
 
 _WORKER: dict = {}
@@ -184,13 +175,8 @@ def _evaluate_voxel(task: tuple[int, int, float, float]):
     iy, iz, y_mm, z_mm = task
     ctx = _WORKER
     frame = make_pose(ctx["frame_rot"], np.array([ctx["frame_x"], y_mm, z_mm]))
-    adhoc, frik = (
-        _evaluate_mode(
-            ctx["model"], path.with_frame(frame), ctx["q0"], proj, ctx["settings"], ctx["reach"]
-        )
-        for path, proj in ctx["problems"]
-    )
-    return iy, iz, adhoc, frik
+    cells = [_evaluate_mode(ctx, path.with_frame(frame), proj) for path, proj in ctx["problems"]]
+    return iy, iz, cells
 
 
 def workspace_sweep(
@@ -208,8 +194,10 @@ def workspace_sweep(
     template frame's rotation and x offset) and solved twice from ``q0``:
     once with the ad hoc fully-constrained orientation (6-DOF task) and once
     functionally redundant. A voxel counts as reachable only if every target
-    converges with all joints inside their limits; failures are recorded as
-    per-voxel causes, not raised. Returns ``(adhoc_map, frik_map)``.
+    converges with all joints inside their limits; otherwise the
+    PathFailure that ended its path (``solve_toolpath``'s, or
+    ``out_of_reach`` for a target beyond the reach bound) is recorded as the
+    voxel's cause, not raised. Returns ``(adhoc_map, frik_map)``.
     """
     y_centers, z_centers = sweep.centers()
     payload = {
@@ -245,32 +233,29 @@ def workspace_sweep(
         )
         for mode in MODES
     }
-    for iy, iz, adhoc_cell, frik_cell in rows:
-        for mode, (ok, mean_w, cause) in (("adhoc", adhoc_cell), ("frik", frik_cell)):
-            maps[mode].reachable[iy, iz] = ok
+    for iy, iz, cells in rows:
+        for mode, (mean_w, cause) in zip(MODES, cells):
+            maps[mode].reachable[iy, iz] = cause is None
             maps[mode].mean_w[iy, iz] = mean_w
-            if cause:
+            if cause is not None:
                 maps[mode].causes[(iy, iz)] = cause
     return maps["adhoc"], maps["frik"]
 
 
 def _mode_stats(wmap: WorkspaceMap) -> dict:
-    causes = dict(collections.Counter(cause.partition("@")[0] for cause in wmap.causes.values()))
     means = wmap.reachable_means()
-    if means.size == 0:
-        return {"reachable_voxels": 0, "max_w": None, "mean_w": None, "std_w": None, "causes": causes}
-    return {
+    stats = {
         "reachable_voxels": wmap.reachable_count,
-        "max_w": float(means.max()),
-        "mean_w": float(means.mean()),
-        "std_w": float(means.std()),
-        "causes": causes,
+        "causes": dict(collections.Counter(cause.kind for cause in wmap.causes.values())),
     }
+    for name, reduce in (("max_w", np.max), ("mean_w", np.mean), ("std_w", np.std)):
+        stats[name] = float(reduce(means)) if means.size else None
+    return stats
 
 
 def workspace_summary(map_adhoc: WorkspaceMap, map_frik: WorkspaceMap) -> dict:
     """Reachable-voxel counts, manipulability statistics and failure-cause
-    counts (keyed by the cause kind before any ``@``) for both modes."""
+    counts (keyed by ``PathFailure.kind``) for both modes."""
     adhoc = _mode_stats(map_adhoc)
     frik = _mode_stats(map_frik)
     summary = {"adhoc": adhoc, "frik": frik}

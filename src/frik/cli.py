@@ -7,7 +7,8 @@ trajectory/travel/timing reports), ``workspace``
 (workpiece-placement sweep over the wall grid), ``compare`` (ad hoc vs
 functionally redundant back-to-back with a delta report).
 
-Exit codes: 0 success, 1 usage/config error, 2 convergence failure.
+Exit codes: 0 success, 1 usage/config error, 2 a target the robot cannot take
+(``PathFailed``: not converged, half-turn error or joint limit).
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from .config import (
     load_config,
     resolved_dict,
 )
-from .errors import FrikError, NotConverged
+from .errors import FrikError, PathFailed
 from .robot import RobotModel, irb4600, load_robot
 from .solver import SolveResult, solve_toolpath
 from .toolpath import ConeSpec, Toolpath, generate_cone_spiral, load_toolpath, toolpath_to_dict
@@ -173,9 +174,8 @@ def cmd_generate(config: RunConfig, args) -> int:
     return 0
 
 
-def _solve_modes(
-    config: RunConfig, modes: tuple[str, ...]
-) -> tuple[dict[str, list[SolveResult]], int | None]:
+def _solve_and_report(config: RunConfig, args, command: str, modes: tuple[str, ...]) -> int:
+    """Solve the toolpath in each mode; only if every mode succeeds, write the reports."""
     model = _load_model(config)
     base_path = _resolve_toolpath(config)
     runs: dict[str, list[SolveResult]] = {}
@@ -183,19 +183,8 @@ def _solve_modes(
         path, proj = mode_problem(base_path, mode, config.task_dof)
         try:
             runs[mode] = solve_toolpath(model, path, config.q0_rad, proj, config.solver)
-        except NotConverged as exc:
-            print(
-                f"{mode}: solver did not converge at target {exc.index}",
-                file=sys.stderr,
-            )
-            return runs, exc.index
-    return runs, None
-
-
-def _solve_and_report(config: RunConfig, args, command: str, modes: tuple[str, ...]) -> int:
-    runs, failed = _solve_modes(config, modes)
-    if failed is not None:
-        return 2
+        except PathFailed as exc:
+            raise PathFailed(exc.failure, mode) from None
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     with_timing = not args.no_timing
@@ -324,7 +313,7 @@ def main(argv: list[str] | None = None) -> int:
         args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         # argparse has printed its message; a usage error is exit 1 here,
-        # because 2 means a convergence failure
+        # because 2 means a target the robot cannot take
         return 0 if exc.code == 0 else 1
     try:
         config = load_config(args.config) if args.config else RunConfig()
@@ -333,7 +322,7 @@ def main(argv: list[str] | None = None) -> int:
         return _COMMANDS[args.command](config, args)
     except (FrikError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, PathFailed) else 1
 
 
 if __name__ == "__main__":

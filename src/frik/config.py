@@ -96,12 +96,20 @@ def _check_block(name: str, block, keys) -> dict:
     return block
 
 
+def _coerce(key: str, value, default):
+    """``value`` as the type of ``default``; an int field takes only integral
+    numbers, not booleans, where ``int()`` would truncate or accept them."""
+    if isinstance(default, int) and (isinstance(value, bool) or not float(value).is_integer()):
+        raise ValueError(f"{key} must be an integer, got {value!r}")
+    return type(default)(value)
+
+
 def _build(base, table: dict[str, str], values: dict, what: str):
     """``base`` with the table's keys found in ``values``, each coerced to
     the type of the field's default."""
     try:
         fields = {
-            name: type(getattr(base, name))(values[key])
+            name: _coerce(key, values[key], getattr(base, name))
             for key, name in table.items()
             if key in values
         }
@@ -144,7 +152,7 @@ def _from_dict(raw) -> RunConfig:
     if "solver" in raw:
         block = _check_block("solver", raw["solver"], [*SOLVER_KEYS, "task_dof"])
         config.solver = _build(config.solver, SOLVER_KEYS, block, "solver block")
-        config.task_dof = int(block.get("task_dof", config.task_dof))
+        config = _build(config, {"task_dof": "task_dof"}, block, "solver block")
     if "toolpath" in raw:
         config.toolpath_file = str(raw["toolpath"])
         config.cone = None
@@ -161,9 +169,7 @@ def _from_dict(raw) -> RunConfig:
         config.sweep = _build(config.sweep, SWEEP_KEYS, block, "sweep block")
     if "out_dir" in raw:
         config.out_dir = str(raw["out_dir"])
-    if "jobs" in raw:
-        config.jobs = int(raw["jobs"])
-    return config
+    return _build(config, {"jobs": "jobs"}, raw, "top-level block")
 
 
 def load_config(path: str | Path) -> RunConfig:
@@ -182,7 +188,7 @@ def load_config(path: str | Path) -> RunConfig:
 def resolved_dict(config: RunConfig) -> dict:
     """Full resolved configuration, JSON-ready, for audit headers."""
     out = {
-        "robot": config.robot_file or "builtin:irb4600",
+        "robot": config.robot_file,
         "solver": {**_dump(config.solver, SOLVER_KEYS), "task_dof": config.task_dof},
         "workpiece": {
             "pos_mm": config.workpiece[:3, 3].tolist(),

@@ -79,7 +79,7 @@ class RobotModel:
         return span + float(np.linalg.norm(self.tool[:3, 3]))
 
     def within_limits(self, q: np.ndarray) -> bool:
-        return bool(np.all(q >= self.joint_min) and np.all(q <= self.joint_max))
+        return bool(((q >= self.joint_min) & (q <= self.joint_max)).all())
 
     def midrange(self) -> np.ndarray:
         return 0.5 * (self.joint_min + self.joint_max)

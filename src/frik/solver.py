@@ -27,7 +27,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import DimensionMismatch, NotConverged
+from .errors import DimensionMismatch, PathFailed, PathFailure, RotationNearPi
 from .liegroup import so3_log
 from .robot import RobotModel, chain_frames, hessian_from_frames, jacobian_from_frames
 
@@ -314,20 +314,25 @@ def solve_toolpath(
     in 0 iterations, which keeps other robots on the unflipped solution. So
     both modes keep q0's wrist branch, and the path is not wound toward the
     asymmetric q5 limits by whichever branch the first saturated steps
-    happen to reach. Raises NotConverged carrying the target index on the
-    first failure.
+    happen to reach. Stops at the first target the robot cannot take
+    (``rotation_near_pi``, ``not_converged``, or ``joint_limit`` after the
+    wrist-branch step) and raises PathFailed with its PathFailure.
     """
     poses = toolpath.base_poses()
-    if len(poses) == 0:
-        raise ValueError("toolpath has no targets")
     results: list[SolveResult] = []
     q = np.asarray(q0, dtype=float)
     for k, t_d in enumerate(poses):
-        result = solve(model, t_d, q, proj, settings)
+        try:
+            result = solve(model, t_d, q, proj, settings)
+            if result.converged and k == 0:
+                result = _start_wrist_branch(model, t_d, q, result, proj, settings)
+        except RotationNearPi:
+            raise PathFailed(PathFailure("rotation_near_pi", k)) from None
         if not result.converged:
-            raise NotConverged(k)
-        if k == 0:
-            result = _start_wrist_branch(model, t_d, q, result, proj, settings)
+            raise PathFailed(PathFailure("not_converged", k))
+        if not model.within_limits(result.q):
+            margin = np.degrees(np.minimum(result.q - model.joint_min, model.joint_max - result.q))
+            raise PathFailed(PathFailure("joint_limit", k, int(margin.argmin()) + 1, margin.min()))
         results.append(result)
         q = result.q
     return results

@@ -13,7 +13,7 @@ from frik.analysis import (
     workspace_summary,
     workspace_sweep,
 )
-from frik.errors import DimensionMismatch, OutOfLimits
+from frik.errors import DimensionMismatch, OutOfLimits, PathFailure
 from frik.liegroup import make_pose, pose_inverse, rot_y
 from frik.robot import forward_kinematics, geometric_jacobian
 from frik.solver import SolveResult, TaskProjector, solve_toolpath
@@ -180,13 +180,15 @@ def test_far_voxel_unreachable_in_both_modes(model, q0_benchmark):
         targets=(ToolpathTarget(0, np.eye(4)),),
         frame=make_pose(rot_y(np.pi / 2), np.array([0.0, -5000.0, 0.0])),
     )
-    adhoc, frik = workspace_sweep(
-        model, template, one_voxel_spec(-5000.0, 0.0), q0_benchmark
-    )
-    assert adhoc.reachable_count == 0
-    assert frik.reachable_count == 0
-    assert adhoc.causes[(0, 0)] == "out_of_reach"
-    assert frik.causes[(0, 0)] == "out_of_reach"
+    # the causes are records, and they cross the worker pool unchanged
+    for jobs in (1, 2):
+        adhoc, frik = workspace_sweep(
+            model, template, one_voxel_spec(-5000.0, 0.0), q0_benchmark, jobs=jobs
+        )
+        assert adhoc.reachable_count == 0
+        assert frik.reachable_count == 0
+        assert adhoc.causes == {(0, 0): PathFailure("out_of_reach", 0)}
+        assert frik.causes == {(0, 0): PathFailure("out_of_reach", 0)}
 
 
 def test_trivial_voxel_matches_start_manipulability(model, q0_benchmark):
@@ -207,19 +209,24 @@ def test_workspace_summary_structure(model, q0_benchmark):
         frame=make_pose(rot_y(np.pi / 2), np.array([0.0, -5000.0, 0.0])),
     )
     # voxel centers y = -5000 (beyond the reach bound) and y = -2600 (inside
-    # the bound, beyond the arm: the solve fails with "not_converged@0")
+    # the bound, beyond the arm: the solve fails to converge at target 0)
     spec = SweepSpec(
         y_min_mm=-6200.0, y_max_mm=-1400.0, z_min_mm=-1200.0, z_max_mm=1200.0, voxel_mm=2400.0
     )
-    adhoc, frik = workspace_sweep(model, template, spec, q0_benchmark)
-    summary = workspace_summary(adhoc, frik)
-    assert summary["adhoc"]["reachable_voxels"] == 0
-    assert summary["frik"]["reachable_voxels"] == 0
-    assert summary["adhoc"]["mean_w"] is None
-    for wmap in (adhoc, frik):
-        causes = summary[wmap.mode]["causes"]
-        assert sum(causes.values()) == wmap.reachable.size - wmap.reachable_count
-        assert causes == {"not_converged": 1, "out_of_reach": 1}
+    for jobs in (1, 2):
+        adhoc, frik = workspace_sweep(model, template, spec, q0_benchmark, jobs=jobs)
+        summary = workspace_summary(adhoc, frik)
+        assert summary["adhoc"]["reachable_voxels"] == 0
+        assert summary["frik"]["reachable_voxels"] == 0
+        assert summary["adhoc"]["mean_w"] is None
+        for wmap in (adhoc, frik):
+            causes = summary[wmap.mode]["causes"]
+            assert sum(causes.values()) == wmap.reachable.size - wmap.reachable_count
+            assert causes == {"not_converged": 1, "out_of_reach": 1}
+            assert wmap.causes == {
+                (0, 0): PathFailure("out_of_reach", 0),
+                (1, 0): PathFailure("not_converged", 0),
+            }
 
 
 def test_first_solve_keeps_start_wrist_branch(model, q0_benchmark, workpiece_frame):

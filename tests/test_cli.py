@@ -10,12 +10,13 @@ import pytest
 import frik
 from frik.cli import main
 from frik.config import DEFAULT_Q0_DEG, load_config, resolved_dict
-from frik.liegroup import pose_inverse
+from frik.liegroup import make_pose, pose_inverse, rot_x
 from frik.robot import forward_kinematics
 from frik.toolpath import Toolpath, ToolpathTarget, load_toolpath, save_toolpath
 
 SMALL_CONE = ["--cone-samples-per-rev", "8", "--cone-pitch-mm", "25"]
 GOLDEN = Path(__file__).parent / "data" / "small_cone"
+ROBOT_FILE = Path(__file__).parents[1] / "configs" / "irb4600.json"
 
 
 def write_config(tmp_path, **overrides):
@@ -100,8 +101,15 @@ def test_config_with_unknown_top_level_key_rejected(tmp_path, capsys):
         ({"q0": {"deg": list(DEFAULT_Q0_DEG), "rad": [0.0] * 6}}, "exactly one of"),
         ({"cone": 5}, "cone block must be a JSON object"),
         ({"solver": 3}, "solver block must be a JSON object"),
+        ({"cone": {"samples_per_rev": 16.9}}, "samples_per_rev must be an integer, got 16.9"),
+        ({"solver": {"task_dof": 5.5}}, "task_dof must be an integer, got 5.5"),
+        ({"jobs": 2.5}, "jobs must be an integer, got 2.5"),
+        ({"jobs": True}, "jobs must be an integer, got True"),
     ],
-    ids=["cone-typo", "sweep-typo", "workpiece-typo", "q0-both", "cone-scalar", "solver-scalar"],
+    ids=[
+        "cone-typo", "sweep-typo", "workpiece-typo", "q0-both", "cone-scalar", "solver-scalar",
+        "cone-fraction", "task-dof-fraction", "jobs-fraction", "jobs-bool",
+    ],
 )
 def test_malformed_config_block_rejected(tmp_path, capsys, block, message):
     config = write_config(tmp_path, **block)
@@ -121,7 +129,7 @@ def test_malformed_config_block_rejected(tmp_path, capsys, block, message):
     ],
 )
 def test_usage_error_exits_one(argv, capsys):
-    # exit 2 is kept for convergence failures
+    # exit 2 is kept for a target the robot cannot take
     assert main(argv) == 1
     assert "error:" in capsys.readouterr().err
 
@@ -193,23 +201,31 @@ def test_solve_small_cone_matches_golden_rows(tmp_path):
 
 
 def test_audit_header_loads_back(tmp_path):
+    # with the bundled robot (written as null) and with a robot file, the
+    # header loads back to the same config and runs as one
     q0_deg = [-110.0, -5.0, 55.0, -80.0, -34.0, 9.0]
-    config = write_config(
-        tmp_path,
-        solver={"lambda": 0.03, "method": "newton", "task_dof": 5},
-        workpiece={"pos_mm": [0.0, -1100.0, 900.0], "quat": [0.0, 0.0, 0.6, 0.8]},
-        q0={"rad": np.radians(q0_deg).tolist()},
-        sweep={"voxel_mm": 400.0},
-    )
-    assert main(["solve", "--config", str(config), "--no-timing"]) == 0
-    line = (tmp_path / "out" / "trajectory_frik.csv").read_text().splitlines()[0]
-    audit = json.loads(line.removeprefix("# config: "))
-    assert (audit.pop("command"), audit.pop("mode")) == ("solve", "frik")
-    header_file = tmp_path / "header.json"
-    header_file.write_text(json.dumps(audit))
-    again = resolved_dict(load_config(header_file))
-    assert np.abs(np.array(again.pop("q0")["deg"]) - audit.pop("q0")["deg"]).max() < 1e-12
-    assert again == audit
+    for robot in (None, str(ROBOT_FILE)):
+        config = write_config(
+            tmp_path,
+            robot=robot,
+            solver={"lambda": 0.03, "method": "newton", "task_dof": 5},
+            workpiece={"pos_mm": [0.0, -1100.0, 900.0], "quat": [0.0, 0.0, 0.6, 0.8]},
+            q0={"rad": np.radians(q0_deg).tolist()},
+            sweep={"voxel_mm": 400.0},
+        )
+        assert main(["solve", "--config", str(config), "--no-timing"]) == 0
+        trajectory = tmp_path / "out" / "trajectory_frik.csv"
+        lines = trajectory.read_text().splitlines()
+        audit = json.loads(lines[0].removeprefix("# config: "))
+        assert (audit.pop("command"), audit.pop("mode")) == ("solve", "frik")
+        assert audit["robot"] == robot
+        header_file = tmp_path / "header.json"
+        header_file.write_text(json.dumps(audit))
+        assert main(["solve", "--config", str(header_file), "--no-timing"]) == 0
+        assert trajectory.read_text().splitlines()[1:] == lines[1:]
+        again = resolved_dict(load_config(header_file))
+        assert np.abs(np.array(again.pop("q0")["deg"]) - audit.pop("q0")["deg"]).max() < 1e-12
+        assert again == audit
 
 
 def test_workspace_single_voxel(tmp_path, model, q0_benchmark):
@@ -262,6 +278,26 @@ def test_solve_exit_code_two_on_unreachable(tmp_path, capsys):
     code = main(["solve", "--config", str(config)])
     assert code == 2
     assert "did not converge" in capsys.readouterr().err
+
+
+def test_solve_stops_at_joint_limit(tmp_path, capsys):
+    # at this placement of the benchmark cone J5 passes its -125 deg limit at
+    # target 68; the solve ends there and writes no trajectory
+    config = write_config(tmp_path, cone={}, workpiece={"pos_mm": [0.0, -1400.0, 1400.0]})
+    assert main(["solve", "--config", str(config), "--mode", "frik"]) == 2
+    assert "frik: joint_limit at target 68: J5 " in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_solve_half_turn_target_exits_two(tmp_path, capsys, model, q0_benchmark):
+    # the q0 TCP pose turned by pi about its x-axis: a 6-DOF task's
+    # orientation error is a half-turn, where the log map is not unique
+    pose = forward_kinematics(model, q0_benchmark) @ make_pose(rot_x(np.pi), np.zeros(3))
+    path_file = tmp_path / "path.json"
+    save_toolpath(Toolpath(targets=(ToolpathTarget(0, pose),)), path_file)
+    out = str(tmp_path / "out")
+    assert main(["solve", "--toolpath", str(path_file), "--task-dof", "6", "--out", out]) == 2
+    assert "frik: rotation_near_pi at target 0" in capsys.readouterr().err
 
 
 def test_import_loads_numpy_only():

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from frik.errors import NotConverged
+from frik.errors import PathFailed, PathFailure
 from frik.liegroup import make_pose, rot_z, se3_exp, so3_exp, twist_rotation
 from frik.robot import forward_kinematics, geometric_jacobian, kinematic_hessian
 from frik.solver import (
@@ -363,9 +363,23 @@ def test_solve_toolpath_warm_starts_from_previous(model, q0_benchmark):
 def test_solve_toolpath_reports_failing_index(model, q0_benchmark):
     good = forward_kinematics(model, q0_benchmark)
     bad = make_pose(np.eye(3), np.array([10_000.0, 0.0, 0.0]))
-    with pytest.raises(NotConverged) as excinfo:
+    with pytest.raises(PathFailed) as excinfo:
         solve_toolpath(model, path_of([good, bad]), q0_benchmark, TaskProjector(6), SETTINGS)
-    assert excinfo.value.index == 1
+    assert excinfo.value.failure == PathFailure("not_converged", 1)
+
+
+def test_solve_toolpath_stops_at_first_limit_breach(model, q0_benchmark):
+    # target 1 is reached with J5 at -130 deg, 5 deg past its -125 deg limit;
+    # the path ends there, before the unreachable target 2 is tried
+    past = q0_benchmark.copy()
+    past[4] = np.radians(-130.0)
+    poses = [forward_kinematics(model, q0_benchmark), forward_kinematics(model, past)]
+    far = make_pose(np.eye(3), np.array([10_000.0, 0.0, 0.0]))
+    with pytest.raises(PathFailed) as excinfo:
+        solve_toolpath(model, path_of([*poses, far]), q0_benchmark, TaskProjector(6), SETTINGS)
+    failure = excinfo.value.failure
+    assert (failure.kind, failure.k, failure.joint) == ("joint_limit", 1, 5)
+    assert failure.margin_deg == pytest.approx(-5.0, abs=1e-6)
 
 
 def test_monotone_residual_on_benchmark_path(model, q0_benchmark, workpiece_frame):
