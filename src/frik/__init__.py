@@ -14,7 +14,6 @@ from .analysis import (
 )
 from .config import RunConfig, load_config
 from .errors import (
-    DegenerateProjection,
     DimensionMismatch,
     FrikError,
     InvalidRotation,
@@ -62,7 +61,6 @@ from .solver import (
 from .toolpath import (
     ConeSpec,
     Toolpath,
-    ToolpathTarget,
     assign_adhoc_orientation,
     generate_cone_spiral,
     load_toolpath,

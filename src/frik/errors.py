@@ -54,7 +54,3 @@ class ParseError(FrikError):
 
 class InvalidRotation(FrikError):
     """An orientation record is not a valid rotation (e.g. non-unit quaternion)."""
-
-
-class DegenerateProjection(FrikError):
-    """No usable reference axis survives projection onto the tool plane."""

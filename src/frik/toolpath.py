@@ -1,9 +1,10 @@
 """Toolpath data model, cone-spiral generation, and file round-tripping.
 
-A toolpath is an ordered list of target poses expressed relative to a
-workpiece frame; each target's z-axis is the required tool-approach
-direction (pointing into the surface). Targets transform to the robot base
-on demand via ``base_poses``.
+A toolpath is one (N, 4, 4) array of target poses in path order, expressed
+relative to a workpiece frame; a target's index is its position in the
+array. Each target's z-axis is the required tool-approach direction
+(pointing into the surface). ``base_poses`` maps the whole path to the
+robot base with one broadcast product.
 """
 
 from __future__ import annotations
@@ -16,54 +17,55 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DegenerateProjection, InvalidRotation, ParseError
+from .errors import InvalidRotation, ParseError
 from .liegroup import is_rotation, make_pose, quat_to_rot, rot_to_quat
 
 
 @dataclass(frozen=True)
-class ToolpathTarget:
-    k: int
-    pose: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "pose", np.asarray(self.pose, dtype=float))
-        if self.pose.shape != (4, 4):
-            raise ValueError(f"target {self.k}: pose must be 4x4")
-
-
-@dataclass(frozen=True)
 class Toolpath:
-    """Targets in workpiece coordinates plus the workpiece placement frame."""
+    """Target poses (N, 4, 4) in workpiece coordinates, in path order, plus
+    the workpiece placement frame."""
 
-    targets: tuple[ToolpathTarget, ...]
+    poses: np.ndarray
     frame: np.ndarray = field(default_factory=lambda: np.eye(4))
-    orientation_fallbacks: tuple[int, ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "targets", tuple(self.targets))
+        object.__setattr__(self, "poses", np.asarray(self.poses, dtype=float))
         object.__setattr__(self, "frame", np.asarray(self.frame, dtype=float))
-        if not self.targets:
-            raise ValueError("toolpath must contain at least one target")
-        for expected, target in enumerate(self.targets):
-            if target.k != expected:
-                raise ValueError(
-                    f"target indices must be contiguous from 0, got {target.k} at position {expected}"
-                )
+        if self.poses.ndim != 3 or self.poses.shape[1:] != (4, 4) or not len(self.poses):
+            raise ValueError(f"poses must be a non-empty (N, 4, 4) array, got {self.poses.shape}")
 
     def __len__(self) -> int:
-        return len(self.targets)
+        return len(self.poses)
 
-    def base_poses(self) -> list[np.ndarray]:
-        """Target poses in the robot base frame."""
-        return [self.frame @ t.pose for t in self.targets]
+    def base_poses(self) -> np.ndarray:
+        """(N, 4, 4) target poses in the robot base frame."""
+        return self.frame @ self.poses
 
     def base_positions(self) -> np.ndarray:
         """(N, 3) target positions in the base frame; cheap reach screening."""
-        local = np.stack([t.pose[:3, 3] for t in self.targets])
-        return local @ self.frame[:3, :3].T + self.frame[:3, 3]
+        return self.poses[:, :3, 3] @ self.frame[:3, :3].T + self.frame[:3, 3]
 
     def with_frame(self, frame: np.ndarray) -> "Toolpath":
         return replace(self, frame=np.asarray(frame, dtype=float))
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot products over the last axis, each rounded as ``np.dot`` of one row
+    (``np.linalg.norm(v, axis=-1)`` is not)."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
+def _unit(v: np.ndarray) -> np.ndarray:
+    return v / np.sqrt(_dot(v, v))[..., None]
+
+
+def _pose_stack(x_axis: np.ndarray, z_axis: np.ndarray, position: np.ndarray) -> np.ndarray:
+    """(N, 4, 4) poses from unit x and z axes (y = z x x) and positions."""
+    poses = np.tile(np.eye(4), (len(position), 1, 1))
+    poses[:, :3, :3] = np.stack([x_axis, np.cross(z_axis, x_axis), z_axis], -1)
+    poses[:, :3, 3] = position
+    return poses
 
 
 @dataclass(frozen=True)
@@ -87,16 +89,17 @@ class ConeSpec:
             raise ValueError("samples_per_rev must be at least 8")
 
 
-def cone_surface_point(spec: ConeSpec, azimuth: float, z: float) -> np.ndarray:
+def cone_surface_point(spec: ConeSpec, azimuth, z) -> np.ndarray:
+    """Surface point(s) at ``azimuth`` and height ``z``: scalars or arrays of
+    equal shape, stacked along a last axis of 3."""
     radius = 0.5 * spec.diameter * (1.0 - z / spec.height)
-    return np.array([radius * math.cos(azimuth), radius * math.sin(azimuth), z])
+    return np.stack([radius * np.cos(azimuth), radius * np.sin(azimuth), z], -1)
 
 
-def cone_outward_normal(spec: ConeSpec, azimuth: float) -> np.ndarray:
-    """Unit outward surface normal; independent of height along a ruling."""
+def cone_outward_normal(spec: ConeSpec, azimuth) -> np.ndarray:
+    """Unit outward surface normal(s); independent of height along a ruling."""
     slope = 0.5 * spec.diameter / spec.height
-    n = np.array([math.cos(azimuth), math.sin(azimuth), slope])
-    return n / np.linalg.norm(n)
+    return _unit(np.stack(np.broadcast_arrays(np.cos(azimuth), np.sin(azimuth), slope), -1))
 
 
 def generate_cone_spiral(spec: ConeSpec) -> Toolpath:
@@ -109,22 +112,15 @@ def generate_cone_spiral(spec: ConeSpec) -> Toolpath:
     """
     slope = 0.5 * spec.diameter / spec.height
     climb = spec.pitch / spec.samples_per_rev
-    steps = math.ceil(spec.height / climb)
-    targets = []
-    for k in range(steps + 1):
-        azimuth = 2.0 * math.pi * k / spec.samples_per_rev
-        z = min(k * climb, spec.height)
-        normal = cone_outward_normal(spec, azimuth)
-        position = cone_surface_point(spec, azimuth, z) + spec.standoff * normal
-        tangent_up = np.array(
-            [-slope * math.cos(azimuth), -slope * math.sin(azimuth), 1.0]
-        )
-        tangent_up /= np.linalg.norm(tangent_up)
-        rotation = np.column_stack(
-            [tangent_up, np.cross(-normal, tangent_up), -normal]
-        )
-        targets.append(ToolpathTarget(k=k, pose=make_pose(rotation, position)))
-    return Toolpath(targets=tuple(targets))
+    k = np.arange(math.ceil(spec.height / climb) + 1)
+    azimuth = 2.0 * math.pi * k / spec.samples_per_rev
+    z = np.minimum(k * climb, spec.height)
+    normal = cone_outward_normal(spec, azimuth)
+    position = cone_surface_point(spec, azimuth, z) + spec.standoff * normal
+    tangent_up = _unit(
+        np.stack([-slope * np.cos(azimuth), -slope * np.sin(azimuth), np.ones_like(azimuth)], -1)
+    )
+    return Toolpath(poses=_pose_stack(tangent_up, -normal, position))
 
 
 def assign_adhoc_orientation(path: Toolpath) -> Toolpath:
@@ -133,35 +129,19 @@ def assign_adhoc_orientation(path: Toolpath) -> Toolpath:
     The workpiece-frame x-axis is projected onto the plane perpendicular to
     the target's approach direction (which is preserved exactly); y completes
     the right-handed frame. Targets whose approach direction is parallel to
-    the workpiece x fall back to projecting the workpiece y-axis instead, and
-    their indices are recorded on the returned path.
+    the workpiece x project the workpiece y-axis instead, which is then
+    perpendicular to it.
     """
-    new_targets = []
-    fallbacks = []
-    for target in path.targets:
-        z_axis = target.pose[:3, 2]
-        x_ref = np.array([1.0, 0.0, 0.0])
-        projected = x_ref - np.dot(x_ref, z_axis) * z_axis
-        norm = np.linalg.norm(projected)
-        if norm < 1e-9:
-            y_ref = np.array([0.0, 1.0, 0.0])
-            projected = y_ref - np.dot(y_ref, z_axis) * z_axis
-            norm = np.linalg.norm(projected)
-            if norm < 1e-9:
-                raise DegenerateProjection(
-                    f"target {target.k}: no workpiece axis projects onto the tool plane"
-                )
-            fallbacks.append(target.k)
-        x_axis = projected / norm
-        rotation = np.column_stack([x_axis, np.cross(z_axis, x_axis), z_axis])
-        new_targets.append(
-            ToolpathTarget(k=target.k, pose=make_pose(rotation, target.pose[:3, 3]))
-        )
-    return Toolpath(
-        targets=tuple(new_targets),
-        frame=path.frame,
-        orientation_fallbacks=tuple(fallbacks),
-    )
+    z_axis = path.poses[:, :3, 2]
+
+    def reject(ref: np.ndarray, z: np.ndarray) -> np.ndarray:
+        return ref - _dot(ref, z)[:, None] * z
+
+    projected = reject(np.array([1.0, 0.0, 0.0]), z_axis)
+    fallback = np.sqrt(_dot(projected, projected)) < 1e-9
+    projected[fallback] = reject(np.array([0.0, 1.0, 0.0]), z_axis[fallback])
+    poses = _pose_stack(_unit(projected), z_axis, path.poses[:, :3, 3])
+    return Toolpath(poses=poses, frame=path.frame)
 
 
 def _pose_from_record(record: dict, where: str) -> np.ndarray:
@@ -190,6 +170,15 @@ def _pose_from_record(record: dict, where: str) -> np.ndarray:
     return make_pose(rotation, position)
 
 
+def _target_pose(record: dict, i: int, where: str) -> np.ndarray:
+    """Pose of a file's ``i``-th target record, whose ``k`` (if given) must be ``i``."""
+    pose = _pose_from_record(record, where)
+    k = record.get("k", i)
+    if type(k) is not int or k != i:
+        raise ParseError(f"{where}: k must be {i} (integers 0, 1, 2, ... in file order), got {k!r}")
+    return pose
+
+
 def _load_json(path: Path) -> Toolpath:
     text = path.read_text()
     try:
@@ -199,26 +188,19 @@ def _load_json(path: Path) -> Toolpath:
     if not isinstance(raw, dict):
         raise ParseError(f"{path}: top level must be an object")
     records = raw.get("targets")
-    if not records:
-        raise ParseError(f"{path}: no targets")
-    targets = []
-    for i, record in enumerate(records):
-        pose = _pose_from_record(record, f"{path}: target record {i}")
-        k = record.get("k", i)
-        targets.append(ToolpathTarget(k=int(k), pose=pose))
+    if not isinstance(records, list) or not records:
+        raise ParseError(f"{path}: targets must be a non-empty list of records")
+    poses = [_target_pose(rec, i, f"{path}: target record {i}") for i, rec in enumerate(records)]
     frame_rec = raw.get("frame")
     frame = _pose_from_record(frame_rec, f"{path}: frame") if frame_rec else np.eye(4)
-    try:
-        return Toolpath(targets=tuple(targets), frame=frame)
-    except ValueError as exc:
-        raise ParseError(f"{path}: {exc}") from exc
+    return Toolpath(poses=np.stack(poses), frame=frame)
 
 
 _CSV_COLUMNS = ["k", "x_mm", "y_mm", "z_mm", "qx", "qy", "qz", "qw"]
 
 
 def _load_csv(path: Path) -> Toolpath:
-    targets = []
+    poses = []
     with path.open(newline="") as handle:
         reader = csv.DictReader(handle)
         if reader.fieldnames is None:
@@ -226,23 +208,20 @@ def _load_csv(path: Path) -> Toolpath:
         missing = [c for c in _CSV_COLUMNS if c not in reader.fieldnames]
         if missing:
             raise ParseError(f"{path}: missing columns {missing}")
-        for line_no, row in enumerate(reader, start=2):
-            where = f"{path}: line {line_no}"
+        for i, row in enumerate(reader):
+            where = f"{path}: line {i + 2}"
             try:
                 record = {
+                    "k": int(row["k"]),
                     "pos_mm": [row["x_mm"], row["y_mm"], row["z_mm"]],
                     "quat": [row["qx"], row["qy"], row["qz"], row["qw"]],
                 }
-                k = int(row["k"])
             except (TypeError, ValueError) as exc:
                 raise ParseError(f"{where}: {exc}") from exc
-            targets.append(ToolpathTarget(k=k, pose=_pose_from_record(record, where)))
-    if not targets:
+            poses.append(_target_pose(record, i, where))
+    if not poses:
         raise ParseError(f"{path}: no targets")
-    try:
-        return Toolpath(targets=tuple(targets))
-    except ValueError as exc:
-        raise ParseError(f"{path}: {exc}") from exc
+    return Toolpath(poses=np.stack(poses))
 
 
 def load_toolpath(path: str | Path) -> Toolpath:
@@ -254,23 +233,20 @@ def load_toolpath(path: str | Path) -> Toolpath:
 
 
 def toolpath_to_dict(path: Toolpath) -> dict:
-    out = {
+    return {
         "frame": {
             "pos_mm": path.frame[:3, 3].tolist(),
             "quat": rot_to_quat(path.frame[:3, :3]).tolist(),
         },
         "targets": [
             {
-                "k": t.k,
-                "pos_mm": t.pose[:3, 3].tolist(),
-                "quat": rot_to_quat(t.pose[:3, :3]).tolist(),
+                "k": k,
+                "pos_mm": pose[:3, 3].tolist(),
+                "quat": rot_to_quat(pose[:3, :3]).tolist(),
             }
-            for t in path.targets
+            for k, pose in enumerate(path.poses)
         ],
     }
-    if path.orientation_fallbacks:
-        out["orientation_fallbacks"] = list(path.orientation_fallbacks)
-    return out
 
 
 def save_toolpath(path: Toolpath, file: str | Path) -> None:

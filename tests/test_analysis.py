@@ -17,7 +17,7 @@ from frik.errors import DimensionMismatch, OutOfLimits, PathFailure
 from frik.liegroup import make_pose, pose_inverse, rot_y
 from frik.robot import forward_kinematics, geometric_jacobian
 from frik.solver import SolveResult, TaskProjector, solve_toolpath
-from frik.toolpath import ConeSpec, Toolpath, ToolpathTarget, generate_cone_spiral
+from frik.toolpath import ConeSpec, Toolpath, generate_cone_spiral
 
 
 def svd_manipulability_oracle(model, q):
@@ -177,7 +177,7 @@ def one_voxel_spec(y_mm, z_mm, voxel=100.0):
 
 def test_far_voxel_unreachable_in_both_modes(model, q0_benchmark):
     template = Toolpath(
-        targets=(ToolpathTarget(0, np.eye(4)),),
+        poses=np.eye(4)[None],
         frame=make_pose(rot_y(np.pi / 2), np.array([0.0, -5000.0, 0.0])),
     )
     # the causes are records, and they cross the worker pool unchanged
@@ -196,7 +196,7 @@ def test_trivial_voxel_matches_start_manipulability(model, q0_benchmark):
     frame = make_pose(rot_y(np.pi / 2), np.array([0.0, y_c, z_c]))
     # one target constructed so the re-framed pose is exactly the start pose
     local = pose_inverse(frame) @ forward_kinematics(model, q0_benchmark)
-    template = Toolpath(targets=(ToolpathTarget(0, local),), frame=frame)
+    template = Toolpath(poses=local[None], frame=frame)
     adhoc, frik = workspace_sweep(model, template, one_voxel_spec(y_c, z_c), q0_benchmark)
     assert frik.reachable[0, 0]
     assert abs(frik.mean_w[0, 0] - manipulability_jl(model, q0_benchmark)) < 1e-6
@@ -205,7 +205,7 @@ def test_trivial_voxel_matches_start_manipulability(model, q0_benchmark):
 
 def test_workspace_summary_structure(model, q0_benchmark):
     template = Toolpath(
-        targets=(ToolpathTarget(0, np.eye(4)),),
+        poses=np.eye(4)[None],
         frame=make_pose(rot_y(np.pi / 2), np.array([0.0, -5000.0, 0.0])),
     )
     # voxel centers y = -5000 (beyond the reach bound) and y = -2600 (inside

@@ -12,7 +12,7 @@ from frik.cli import main
 from frik.config import DEFAULT_Q0_DEG, load_config, resolved_dict
 from frik.liegroup import make_pose, pose_inverse, rot_x
 from frik.robot import forward_kinematics
-from frik.toolpath import Toolpath, ToolpathTarget, load_toolpath, save_toolpath
+from frik.toolpath import Toolpath, load_toolpath, save_toolpath
 
 SMALL_CONE = ["--cone-samples-per-rev", "8", "--cone-pitch-mm", "25"]
 GOLDEN = Path(__file__).parent / "data" / "small_cone"
@@ -39,8 +39,7 @@ def test_generate_default_round_trips(tmp_path, capsys):
     assert len(path) == 17
     save_toolpath(path, out / "again.json")
     again = load_toolpath(out / "again.json")
-    for a, b in zip(path.targets, again.targets):
-        assert np.abs(a.pose - b.pose).max() < 1e-12
+    assert np.abs(path.poses - again.poses).max() < 1e-12
 
 
 def test_generate_rejects_negative_diameter(tmp_path, capsys):
@@ -51,7 +50,7 @@ def test_generate_rejects_negative_diameter(tmp_path, capsys):
 
 def test_solve_single_trivial_target(tmp_path, model, q0_benchmark):
     pose = forward_kinematics(model, q0_benchmark)
-    path = Toolpath(targets=(ToolpathTarget(0, pose),))
+    path = Toolpath(poses=pose[None])
     path_file = tmp_path / "path.json"
     save_toolpath(path, path_file)
     out = tmp_path / "out"
@@ -294,7 +293,7 @@ def test_solve_half_turn_target_exits_two(tmp_path, capsys, model, q0_benchmark)
     # orientation error is a half-turn, where the log map is not unique
     pose = forward_kinematics(model, q0_benchmark) @ make_pose(rot_x(np.pi), np.zeros(3))
     path_file = tmp_path / "path.json"
-    save_toolpath(Toolpath(targets=(ToolpathTarget(0, pose),)), path_file)
+    save_toolpath(Toolpath(poses=pose[None]), path_file)
     out = str(tmp_path / "out")
     assert main(["solve", "--toolpath", str(path_file), "--task-dof", "6", "--out", out]) == 2
     assert "frik: rotation_near_pi at target 0" in capsys.readouterr().err

@@ -16,13 +16,13 @@ from frik.solver import (
     task_error,
     task_step,
 )
-from frik.toolpath import Toolpath, ToolpathTarget
+from frik.toolpath import Toolpath
 
 SETTINGS = SolverSettings()
 
 
 def path_of(poses):
-    return Toolpath(targets=tuple(ToolpathTarget(k=i, pose=p) for i, p in enumerate(poses)))
+    return Toolpath(poses=np.stack(poses))
 
 
 # ---------------------------------------------------------------------------
