@@ -2,13 +2,11 @@
 
 from .analysis import (
     SweepSpec,
-    TimingSummary,
     TravelReport,
     WorkspaceMap,
     joint_limit_weights,
     joint_travel,
     manipulability_jl,
-    summarize_timing,
     workspace_summary,
     workspace_sweep,
 )

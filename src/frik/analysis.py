@@ -1,6 +1,5 @@
 """Kinematic performance metrics: joint-limit-weighted manipulability,
-joint-travel accounting, workpiece-placement sweeps over a wall grid, and
-per-step timing statistics."""
+joint-travel accounting and workpiece-placement sweeps over a wall grid."""
 
 from __future__ import annotations
 
@@ -12,9 +11,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatch, OutOfLimits, PathFailed, PathFailure
-from .liegroup import make_pose
 from .robot import RobotModel, geometric_jacobian
-from .solver import SolveResult, SolverSettings, TaskProjector, solve_toolpath
+from .solver import SolverSettings, TaskProjector, solve_toolpath
 from .toolpath import Toolpath, assign_adhoc_orientation
 
 
@@ -45,20 +43,6 @@ def manipulability_jl(model: RobotModel, q: np.ndarray) -> float:
     jac = geometric_jacobian(model, q)
     gram = (jac * weights) @ jac.T
     return math.sqrt(max(np.linalg.det(gram), 0.0))
-
-
-@dataclass(frozen=True)
-class TimingSummary:
-    mean_us: float
-    total_us: float
-
-
-def summarize_timing(results: list[SolveResult]) -> TimingSummary:
-    """Mean and total per-step wall time over a batch of solve results."""
-    if not results:
-        raise ValueError("no results to summarize")
-    times = np.array([r.wall_time_us for r in results])
-    return TimingSummary(mean_us=float(times.mean()), total_us=float(times.sum()))
 
 
 @dataclass(frozen=True)
@@ -171,12 +155,9 @@ def _init_worker(payload: dict) -> None:
     _WORKER.update(payload)
 
 
-def _evaluate_voxel(task: tuple[int, int, float, float]):
-    iy, iz, y_mm, z_mm = task
+def _evaluate_voxel(frame: np.ndarray) -> list[tuple[float, PathFailure | None]]:
     ctx = _WORKER
-    frame = make_pose(ctx["frame_rot"], np.array([ctx["frame_x"], y_mm, z_mm]))
-    cells = [_evaluate_mode(ctx, path.with_frame(frame), proj) for path, proj in ctx["problems"]]
-    return iy, iz, cells
+    return [_evaluate_mode(ctx, path.with_frame(frame), proj) for path, proj in ctx["problems"]]
 
 
 def workspace_sweep(
@@ -200,46 +181,35 @@ def workspace_sweep(
     voxel's cause, not raised. Returns ``(adhoc_map, frik_map)``.
     """
     y_centers, z_centers = sweep.centers()
+    shape = (len(y_centers), len(z_centers))
+    # one placement frame per voxel, (n_y, n_z, 4, 4), flattened y-major
+    frames = np.tile(path_template.frame, (*shape, 1, 1))
+    frames[..., 1, 3] = y_centers[:, None]
+    frames[..., 2, 3] = z_centers
+    frames = frames.reshape(-1, 4, 4)
     payload = {
         "model": model,
         "problems": [mode_problem(path_template, mode, frik_task_dof) for mode in MODES],
         "q0": np.asarray(q0, dtype=float),
         "settings": settings,
         "reach": model.reach_bound(),
-        "frame_rot": path_template.frame[:3, :3].copy(),
-        "frame_x": float(path_template.frame[0, 3]),
     }
-    tasks = [
-        (iy, iz, float(y), float(z))
-        for iy, y in enumerate(y_centers)
-        for iz, z in enumerate(z_centers)
-    ]
     if jobs > 1:
-        chunk = max(1, len(tasks) // (jobs * 8))
+        chunk = max(1, len(frames) // (jobs * 8))
         with multiprocessing.Pool(jobs, initializer=_init_worker, initargs=(payload,)) as pool:
-            rows = pool.map(_evaluate_voxel, tasks, chunksize=chunk)
+            cells = pool.map(_evaluate_voxel, frames, chunksize=chunk)
     else:
         _init_worker(payload)
-        rows = [_evaluate_voxel(t) for t in tasks]
+        cells = [_evaluate_voxel(frame) for frame in frames]
 
-    shape = (len(y_centers), len(z_centers))
-    maps = {
-        mode: WorkspaceMap(
-            mode=mode,
-            y_centers=y_centers,
-            z_centers=z_centers,
-            reachable=np.zeros(shape, dtype=bool),
-            mean_w=np.full(shape, math.nan),
-        )
-        for mode in MODES
-    }
-    for iy, iz, cells in rows:
-        for mode, (mean_w, cause) in zip(MODES, cells):
-            maps[mode].reachable[iy, iz] = cause is None
-            maps[mode].mean_w[iy, iz] = mean_w
-            if cause is not None:
-                maps[mode].causes[(iy, iz)] = cause
-    return maps["adhoc"], maps["frik"]
+    maps = []
+    for mode, mode_cells in zip(MODES, zip(*cells)):
+        mean_w, causes = zip(*mode_cells)
+        failed = {divmod(v, shape[1]): cause for v, cause in enumerate(causes) if cause is not None}
+        reachable = np.array([cause is None for cause in causes]).reshape(shape)
+        mean_w = np.array(mean_w).reshape(shape)
+        maps.append(WorkspaceMap(mode, y_centers, z_centers, reachable, mean_w, failed))
+    return tuple(maps)
 
 
 def _mode_stats(wmap: WorkspaceMap) -> dict:

@@ -26,7 +26,6 @@ from .analysis import (
     WorkspaceMap,
     joint_travel,
     mode_problem,
-    summarize_timing,
     workspace_summary,
     workspace_sweep,
 )
@@ -40,7 +39,7 @@ from .config import (
 )
 from .errors import FrikError, PathFailed
 from .robot import RobotModel, irb4600, load_robot
-from .solver import SolveResult, solve_toolpath
+from .solver import TASK_DOFS, SolveResult, solve_toolpath
 from .toolpath import ConeSpec, Toolpath, generate_cone_spiral, load_toolpath, toolpath_to_dict
 
 # Reference figures printed beside the measured ones. They came with the
@@ -201,10 +200,10 @@ def _solve_and_report(config: RunConfig, args, command: str, modes: tuple[str, .
 
     _write_travel_csv(out_dir / "travel_report.csv", _audit_header(config, command), reports)
     if with_timing:
-        timing = {
-            mode: {"mean_us": t.mean_us, "total_us": t.total_us}
-            for mode, t in ((m, summarize_timing(r)) for m, r in runs.items())
-        }
+        timing = {}
+        for mode, results in runs.items():
+            times = np.array([r.wall_time_us for r in results])
+            timing[mode] = {"mean_us": float(times.mean()), "total_us": float(times.sum())}
         payload = {"config": resolved_dict(config), "timing": timing}
         (out_dir / "timing_summary.json").write_text(
             json.dumps(payload, indent=1, sort_keys=True)
@@ -274,7 +273,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--config", help="JSON run-configuration file")
     common.add_argument("--robot", help="robot description JSON file")
     common.add_argument("--toolpath", help="toolpath file (JSON or CSV)")
-    common.add_argument("--task-dof", type=int, choices=(3, 5, 6), dest="task_dof")
+    common.add_argument("--task-dof", type=int, choices=TASK_DOFS, dest="task_dof")
     common.add_argument("--out", help="output directory")
     common.add_argument("--jobs", type=int, help="parallel workers for sweeps")
     common.add_argument(

@@ -17,7 +17,7 @@ import numpy as np
 from .analysis import SweepSpec
 from .errors import FrikError
 from .liegroup import make_pose, quat_to_rot, rot_to_quat
-from .solver import SolverSettings
+from .solver import TASK_DOFS, SolverSettings
 from .toolpath import ConeSpec
 
 DEFAULT_Q0_DEG = (-112.0, -7.0, 57.0, -80.0, -34.0, 9.0)
@@ -58,7 +58,7 @@ class RunConfig:
             raise ConfigError(
                 "exactly one toolpath source required: a toolpath file or a cone block"
             )
-        if self.task_dof not in (3, 5, 6):
+        if self.task_dof not in TASK_DOFS:
             raise ConfigError(f"task_dof must be 3, 5 or 6, got {self.task_dof}")
         if self.jobs < 1:
             raise ConfigError("jobs must be at least 1")

@@ -8,15 +8,14 @@ linear part taken about the TCP point. The kinematic Hessian is the
 cross products of the Jacobian's own column data rather than by finite
 differences.
 
-Cross products are spelled out component-wise here: solver iterations call
-these functions in a tight loop and ``np.cross`` spends more time shuffling
-axes than multiplying at this size.
+Cross products are spelled out component-wise in ``_cross_rows``: solver
+iterations call these functions in a tight loop and ``np.cross`` spends more
+time shuffling axes than multiplying at this size.
 """
 
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -38,7 +37,9 @@ class DHRow:
 
 @dataclass(frozen=True)
 class RobotModel:
-    """Immutable serial-chain description: DH rows, joint limits, tool transform."""
+    """Immutable serial-chain description: DH rows, joint limits, tool transform.
+
+    The limit and tool arrays are read-only copies of the arrays given."""
 
     dh: tuple[DHRow, ...]
     joint_min: np.ndarray
@@ -48,9 +49,10 @@ class RobotModel:
 
     def __post_init__(self):
         object.__setattr__(self, "dh", tuple(self.dh))
-        object.__setattr__(self, "joint_min", np.asarray(self.joint_min, dtype=float))
-        object.__setattr__(self, "joint_max", np.asarray(self.joint_max, dtype=float))
-        object.__setattr__(self, "tool", np.asarray(self.tool, dtype=float))
+        for name in ("joint_min", "joint_max", "tool"):
+            value = np.array(getattr(self, name), dtype=float)
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
         n = len(self.dh)
         if n < 1:
             raise ValueError("model needs at least one joint")
@@ -60,14 +62,13 @@ class RobotModel:
             raise ValueError("joint_min must be strictly below joint_max elementwise")
         if self.tool.shape != (4, 4):
             raise DimensionMismatch("tool transform must be 4x4")
-        object.__setattr__(
-            self,
-            "_row_constants",
-            tuple(
-                (r.a, r.d, r.theta_offset, math.cos(r.alpha), math.sin(r.alpha))
-                for r in self.dh
-            ),
-        )
+        a, alpha, d, offset = np.array([(r.a, r.alpha, r.d, r.theta_offset) for r in self.dh]).T
+        ca, sa = np.cos(alpha), np.sin(alpha)
+        # each link's last two rows, [0, sa, ca, d] and [0, 0, 0, 1], do not depend on q
+        bottom = np.zeros((n, 2, 4))
+        bottom[:, 0, 1:] = np.stack([sa, ca, d], -1)
+        bottom[:, 1, 3] = 1.0
+        object.__setattr__(self, "_link_constants", (a, offset, ca, sa, bottom))
 
     @property
     def n(self) -> int:
@@ -85,21 +86,7 @@ class RobotModel:
         return 0.5 * (self.joint_min + self.joint_max)
 
 
-def _fill_standard_dh(out: np.ndarray, a, d, ca, sa, theta: float) -> None:
-    """Write Rz(theta) Tz(d) Tx(a) Rx(alpha) into a preallocated 4x4."""
-    ct = math.cos(theta)
-    st = math.sin(theta)
-    out[0, 0] = ct
-    out[0, 1] = -st * ca
-    out[0, 2] = st * sa
-    out[0, 3] = a * ct
-    out[1, 0] = st
-    out[1, 1] = ct * ca
-    out[1, 2] = -ct * sa
-    out[1, 3] = a * st
-    out[2, 1] = sa
-    out[2, 2] = ca
-    out[2, 3] = d
+_EYE4 = np.eye(4)
 
 
 def chain_frames(model: RobotModel, q: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -107,29 +94,24 @@ def chain_frames(model: RobotModel, q: np.ndarray) -> tuple[np.ndarray, np.ndarr
 
     Returns ``(tcp, axes, origins)`` with ``axes``/``origins`` of shape (n, 3).
     This single chain walk backs forward_kinematics, the Jacobian and the
-    Hessian, so solver iterations pay for it once.
+    Hessian, so solver iterations pay for it once. The n links are built as
+    one (n, 4, 4) stack, and their running products down the chain fill an
+    (n + 1, 4, 4) frame stack whose first n frames give the axes and origins.
     """
     q = np.asarray(q, dtype=float)
     n = model.n
     if q.shape != (n,):
         raise DimensionMismatch(f"expected q of length {n}, got shape {q.shape}")
-    axes = np.empty((n, 3))
-    origins = np.empty((n, 3))
-    t = np.eye(4)
-    spare = np.empty((4, 4))
-    link = np.zeros((4, 4))
-    link[3, 3] = 1.0
-    for i, (a, d, offset, ca, sa) in enumerate(model._row_constants):
-        axes[i, 0] = t[0, 2]
-        axes[i, 1] = t[1, 2]
-        axes[i, 2] = t[2, 2]
-        origins[i, 0] = t[0, 3]
-        origins[i, 1] = t[1, 3]
-        origins[i, 2] = t[2, 3]
-        _fill_standard_dh(link, a, d, ca, sa, q[i] + offset)
-        np.matmul(t, link, out=spare)
-        t, spare = spare, t
-    return t @ model.tool, axes, origins
+    a, offset, ca, sa, bottom = model._link_constants
+    theta = q + offset
+    ct, st = np.cos(theta), np.sin(theta)
+    top = np.array([ct, -st * ca, st * sa, a * ct, st, ct * ca, -ct * sa, a * st])
+    links = np.concatenate((top.T.reshape(n, 2, 4), bottom), axis=1)
+    frames = np.empty((n + 1, 4, 4))
+    frames[0] = _EYE4
+    for i in range(n):
+        np.matmul(frames[i], links[i], out=frames[i + 1])
+    return frames[n] @ model.tool, frames[:n, :3, 2], frames[:n, :3, 3]
 
 
 def forward_kinematics(model: RobotModel, q: np.ndarray) -> np.ndarray:

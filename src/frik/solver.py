@@ -31,7 +31,7 @@ from .errors import DimensionMismatch, PathFailed, PathFailure, RotationNearPi
 from .liegroup import so3_log
 from .robot import RobotModel, chain_frames, hessian_from_frames, jacobian_from_frames
 
-_TASK_DOFS = (3, 5, 6)
+TASK_DOFS = (3, 5, 6)
 
 
 @dataclass(frozen=True)
@@ -41,8 +41,8 @@ class TaskProjector:
     r: int
 
     def __post_init__(self):
-        if self.r not in _TASK_DOFS:
-            raise ValueError(f"task dimension must be one of {_TASK_DOFS}, got {self.r}")
+        if self.r not in TASK_DOFS:
+            raise ValueError(f"task dimension must be one of {TASK_DOFS}, got {self.r}")
 
 
 @dataclass(frozen=True)

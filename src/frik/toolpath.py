@@ -24,14 +24,17 @@ from .liegroup import is_rotation, make_pose, quat_to_rot, rot_to_quat
 @dataclass(frozen=True)
 class Toolpath:
     """Target poses (N, 4, 4) in workpiece coordinates, in path order, plus
-    the workpiece placement frame."""
+    the workpiece placement frame. Both are read-only copies of the arrays
+    given."""
 
     poses: np.ndarray
     frame: np.ndarray = field(default_factory=lambda: np.eye(4))
 
     def __post_init__(self):
-        object.__setattr__(self, "poses", np.asarray(self.poses, dtype=float))
-        object.__setattr__(self, "frame", np.asarray(self.frame, dtype=float))
+        for name in ("poses", "frame"):
+            value = np.array(getattr(self, name), dtype=float)
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
         if self.poses.ndim != 3 or self.poses.shape[1:] != (4, 4) or not len(self.poses):
             raise ValueError(f"poses must be a non-empty (N, 4, 4) array, got {self.poses.shape}")
 
@@ -47,7 +50,7 @@ class Toolpath:
         return self.poses[:, :3, 3] @ self.frame[:3, :3].T + self.frame[:3, 3]
 
     def with_frame(self, frame: np.ndarray) -> "Toolpath":
-        return replace(self, frame=np.asarray(frame, dtype=float))
+        return replace(self, frame=frame)
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -192,7 +195,7 @@ def _load_json(path: Path) -> Toolpath:
         raise ParseError(f"{path}: targets must be a non-empty list of records")
     poses = [_target_pose(rec, i, f"{path}: target record {i}") for i, rec in enumerate(records)]
     frame_rec = raw.get("frame")
-    frame = _pose_from_record(frame_rec, f"{path}: frame") if frame_rec else np.eye(4)
+    frame = np.eye(4) if frame_rec is None else _pose_from_record(frame_rec, f"{path}: frame")
     return Toolpath(poses=np.stack(poses), frame=frame)
 
 

@@ -17,7 +17,6 @@ import frik
 from frik.analysis import (
     SweepSpec,
     joint_travel,
-    summarize_timing,
     workspace_summary,
     workspace_sweep,
 )
@@ -285,11 +284,11 @@ def test_c09_workspace_expansion(model, q0_benchmark, workpiece_frame):
 
 def test_c10_throughput(cone_benchmark):
     runs, _ = cone_benchmark
-    timing = summarize_timing(runs["frik"])
-    assert timing.mean_us <= 1000.0
+    mean_us = float(np.mean([res.wall_time_us for res in runs["frik"]]))
+    assert mean_us <= 1000.0
     report(
         "criterion 10 throughput: "
-        f"mean {timing.mean_us:.1f} us/target (gate 1000 us; measured baseline in bench/README.md)"
+        f"mean {mean_us:.1f} us/target (gate 1000 us; measured baseline in bench/README.md)"
     )
 
 

@@ -5,18 +5,16 @@ import pytest
 
 from frik.analysis import (
     SweepSpec,
-    TimingSummary,
     joint_limit_weights,
     joint_travel,
     manipulability_jl,
-    summarize_timing,
     workspace_summary,
     workspace_sweep,
 )
 from frik.errors import DimensionMismatch, OutOfLimits, PathFailure
 from frik.liegroup import make_pose, pose_inverse, rot_y
 from frik.robot import forward_kinematics, geometric_jacobian
-from frik.solver import SolveResult, TaskProjector, solve_toolpath
+from frik.solver import TaskProjector, solve_toolpath
 from frik.toolpath import ConeSpec, Toolpath, generate_cone_spiral
 
 
@@ -25,10 +23,6 @@ def svd_manipulability_oracle(model, q):
     weights = joint_limit_weights(model, q)
     jac = geometric_jacobian(model, q)
     return float(np.prod(np.linalg.svd(jac * np.sqrt(weights), compute_uv=False)))
-
-
-def fake_result(q, us):
-    return SolveResult(q=q, converged=True, iterations=1, residual=np.zeros(5), wall_time_us=us)
 
 
 # ---------------------------------------------------------------------------
@@ -145,22 +139,6 @@ def test_travel_rejects_ragged_input():
 
 
 # ---------------------------------------------------------------------------
-# timing
-# ---------------------------------------------------------------------------
-
-
-def test_timing_single_result():
-    timing = summarize_timing([fake_result(np.zeros(6), 100.0)])
-    assert timing == TimingSummary(mean_us=100.0, total_us=100.0)
-
-
-def test_timing_two_results():
-    timing = summarize_timing([fake_result(np.zeros(6), 100.0), fake_result(np.zeros(6), 300.0)])
-    assert timing.mean_us == 200.0
-    assert timing.total_us == 400.0
-
-
-# ---------------------------------------------------------------------------
 # workspace sweep (single-voxel cases; the full sweep runs in acceptance)
 # ---------------------------------------------------------------------------
 
@@ -227,6 +205,37 @@ def test_workspace_summary_structure(model, q0_benchmark):
                 (0, 0): PathFailure("out_of_reach", 0),
                 (1, 0): PathFailure("not_converged", 0),
             }
+
+
+def test_sweep_grid_matches_one_voxel_sweeps(model, q0_benchmark):
+    # a 3 x 2 grid whose voxels end four ways (not_converged, out_of_reach,
+    # reachable, joint_limit): each voxel's result must sit where a sweep of
+    # its centre alone puts it, so a transposed or shuffled grid shows
+    frame = make_pose(rot_y(np.pi / 2), np.array([0.0, -600.0, 800.0]))
+    local = pose_inverse(frame) @ forward_kinematics(model, q0_benchmark)
+    template = Toolpath(poses=local[None], frame=frame)
+    spec = SweepSpec(
+        y_min_mm=-2850.0, y_max_mm=1650.0, z_min_mm=-700.0, z_max_mm=2300.0, voxel_mm=1500.0
+    )
+    y_centers, z_centers = spec.centers()
+    alone = {
+        (iy, iz): workspace_sweep(model, template, one_voxel_spec(y, z), q0_benchmark)
+        for iy, y in enumerate(y_centers)
+        for iz, z in enumerate(z_centers)
+    }
+    for jobs in (1, 2):
+        maps = workspace_sweep(model, template, spec, q0_benchmark, jobs=jobs)
+        for m, wmap in enumerate(maps):
+            assert wmap.reachable.shape == wmap.mean_w.shape == (3, 2)
+            assert 0 < wmap.reachable_count < wmap.reachable.size
+            assert {cause.kind for cause in wmap.causes.values()} == {
+                "not_converged", "out_of_reach", "joint_limit"
+            }
+            assert all(type(i) is int for key in wmap.causes for i in key)
+            for (iy, iz), voxel in alone.items():
+                assert wmap.reachable[iy, iz] == voxel[m].reachable[0, 0]
+                assert np.array_equal(wmap.mean_w[iy, iz], voxel[m].mean_w[0, 0], equal_nan=True)
+                assert wmap.causes.get((iy, iz)) == voxel[m].causes.get((0, 0))
 
 
 def test_first_solve_keeps_start_wrist_branch(model, q0_benchmark, workpiece_frame):

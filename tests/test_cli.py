@@ -102,12 +102,13 @@ def test_config_with_unknown_top_level_key_rejected(tmp_path, capsys):
         ({"solver": 3}, "solver block must be a JSON object"),
         ({"cone": {"samples_per_rev": 16.9}}, "samples_per_rev must be an integer, got 16.9"),
         ({"solver": {"task_dof": 5.5}}, "task_dof must be an integer, got 5.5"),
+        ({"solver": {"task_dof": 4}}, "task_dof must be 3, 5 or 6, got 4"),
         ({"jobs": 2.5}, "jobs must be an integer, got 2.5"),
         ({"jobs": True}, "jobs must be an integer, got True"),
     ],
     ids=[
         "cone-typo", "sweep-typo", "workpiece-typo", "q0-both", "cone-scalar", "solver-scalar",
-        "cone-fraction", "task-dof-fraction", "jobs-fraction", "jobs-bool",
+        "cone-fraction", "task-dof-fraction", "task-dof-choice", "jobs-fraction", "jobs-bool",
     ],
 )
 def test_malformed_config_block_rejected(tmp_path, capsys, block, message):
@@ -163,8 +164,16 @@ def test_compare_small_cone_writes_delta_report(tmp_path, capsys):
     assert adhoc_total > 0 and frik_total > 0
     out = capsys.readouterr().out
     assert "reference" in out
-    assert (tmp_path / "out" / "trajectory_adhoc.csv").exists()
-    assert (tmp_path / "out" / "timing_summary.json").exists()
+    # each mode's timing is the mean and sum of its trajectory's per-target times
+    timing = json.loads((tmp_path / "out" / "timing_summary.json").read_text())["timing"]
+    assert sorted(timing) == ["adhoc", "frik"]
+    for mode, summary in timing.items():
+        lines = (tmp_path / "out" / f"trajectory_{mode}.csv").read_text().splitlines()
+        column = lines[1].split(",").index("us")
+        us = np.array([float(line.split(",")[column]) for line in lines[2:]])
+        assert len(us) == 17
+        assert summary["mean_us"] == pytest.approx(us.mean(), rel=1e-12)
+        assert summary["total_us"] == pytest.approx(us.sum(), rel=1e-12)
 
 
 def test_solve_runs_are_deterministic(tmp_path):

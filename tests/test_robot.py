@@ -1,4 +1,5 @@
 from functools import reduce
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from frik.liegroup import unskew
 from frik.robot import (
     DHRow,
     RobotModel,
+    chain_frames,
     forward_kinematics,
     geometric_jacobian,
     irb4600,
@@ -43,13 +45,16 @@ def _tx4(a):
     return out
 
 
+def link_oracle(row: DHRow, qi: float) -> np.ndarray:
+    """One link, Rz(theta) Tz(d) Tx(a) Rx(alpha), as a product of elementary transforms."""
+    theta = qi + row.theta_offset
+    return reduce(np.matmul, [_rz4(theta), _tz4(row.d), _tx4(row.a), _rx4(row.alpha)])
+
+
 def chain_product_oracle(model: RobotModel, q: np.ndarray) -> np.ndarray:
     """Per-matrix DH chain product assembled from elementary transforms."""
-    mats = []
-    for row, qi in zip(model.dh, q):
-        theta = qi + row.theta_offset
-        mats.extend([_rz4(theta), _tz4(row.d), _tx4(row.a), _rx4(row.alpha)])
-    return reduce(np.matmul, mats, np.eye(4)) @ model.tool
+    links = [link_oracle(row, qi) for row, qi in zip(model.dh, q)]
+    return reduce(np.matmul, links, np.eye(4)) @ model.tool
 
 
 def fd_jacobian(model: RobotModel, q: np.ndarray, h: float = 1e-6) -> np.ndarray:
@@ -114,6 +119,20 @@ def test_fk_matches_chain_oracle_random(model):
     rng = np.random.default_rng(5)
     for q in random_in_limits(model, rng, 25):
         assert np.abs(forward_kinematics(model, q) - chain_product_oracle(model, q)).max() < 1e-8
+
+
+def test_chain_axes_and_origins_match_link_products(model):
+    # frame i-1 of the chain (the base for i = 1) carries joint i's axis as its
+    # z-column and the joint's origin as its translation
+    rng = np.random.default_rng(7)
+    for q in random_in_limits(model, rng, 25):
+        links = [link_oracle(row, qi) for row, qi in zip(model.dh, q)]
+        frames = list(accumulate(links, np.matmul, initial=np.eye(4)))
+        _, axes, origins = chain_frames(model, q)
+        assert axes.shape == origins.shape == (model.n, 3)
+        for i in range(model.n):
+            assert np.abs(axes[i] - frames[i][:3, 2]).max() < 1e-9
+            assert np.abs(origins[i] - frames[i][:3, 3]).max() < 1e-9
 
 
 def test_fk_rejects_wrong_length(model):
@@ -199,6 +218,21 @@ def test_limits_must_be_ordered():
             joint_min=np.array([1.0]),
             joint_max=np.array([-1.0]),
         )
+
+
+def test_model_holds_read_only_copies():
+    joint_min = np.array([-1.0])
+    joint_max = np.array([1.0])
+    tool = np.eye(4)
+    model = RobotModel(dh=(DHRow(0, 0, 0),), joint_min=joint_min, joint_max=joint_max, tool=tool)
+    joint_min[0] = 2.0
+    joint_max[0] = -2.0
+    tool[0, 3] = 5.0
+    assert model.joint_min[0] == -1.0 and model.joint_max[0] == 1.0
+    assert np.array_equal(model.tool, np.eye(4))
+    for value in (model.joint_min, model.joint_max, model.tool):
+        with pytest.raises(ValueError):
+            value[0] = 0.5
 
 
 def test_robot_json_round_trip(tmp_path, model, q0_benchmark):

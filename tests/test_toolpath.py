@@ -254,6 +254,35 @@ def test_load_rejects_bad_index_or_target_list(tmp_path, name, text, record):
     assert record in str(info.value)
 
 
+@pytest.mark.parametrize("frame", [[], {}, 0, ""], ids=["list", "object", "zero", "string"])
+def test_load_rejects_falsy_frame(tmp_path, frame):
+    # only an absent or null frame places the path at the base origin
+    file = tmp_path / "framed.json"
+    file.write_text(json.dumps({**json.loads(json_targets(0)), "frame": frame}))
+    with pytest.raises(ParseError) as info:
+        load_toolpath(file)
+    assert str(file) in str(info.value)
+
+
+def test_load_null_frame_is_identity(tmp_path):
+    file = tmp_path / "null.json"
+    file.write_text(json.dumps({**json.loads(json_targets(0)), "frame": None}))
+    assert np.array_equal(load_toolpath(file).frame, np.eye(4))
+
+
+def test_toolpath_holds_read_only_copies():
+    poses = np.tile(np.eye(4), (2, 1, 1))
+    frame = make_pose(rot_z(0.3), np.array([1.0, 2.0, 3.0]))
+    path = Toolpath(poses=poses, frame=frame)
+    poses[0, 0, 3] = 5.0
+    frame[0, 3] = 7.0
+    assert np.array_equal(path.poses, np.tile(np.eye(4), (2, 1, 1)))
+    assert path.frame[0, 3] == 1.0
+    for value in (path.poses, path.frame, path.with_frame(frame).frame):
+        with pytest.raises(ValueError):
+            value[0, 0] = 9.0
+
+
 @pytest.mark.parametrize(
     "poses", [np.zeros((0, 4, 4)), np.eye(4), np.zeros((2, 3, 4))], ids=["empty", "2d", "3x4"]
 )
