@@ -10,9 +10,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatch, OutOfLimits, PathFailed, PathFailure
-from .robot import RobotModel, geometric_jacobian
-from .solver import SolverSettings, TaskProjector, solve_toolpath
+from .errors import DimensionMismatch, OutOfLimits, PathFailure
+from .robot import RobotModel, chain_frames_lanes, jacobian_from_frames_lanes
+from .solver import (
+    SolverSettings,
+    TaskProjector,
+    joint_limit_failures,
+    solve_lanes,
+    wrist_flip,
+)
 from .toolpath import Toolpath, assign_adhoc_orientation
 
 
@@ -21,10 +27,10 @@ def joint_limit_weights(model: RobotModel, q: np.ndarray) -> np.ndarray:
 
     Each s_i is a downward parabola in q_i: zero exactly at either limit and
     maximal (1/4) at midrange. Raises OutOfLimits outside [min, max], where
-    the penalty would turn negative.
+    the penalty would turn negative. ``q`` is (n,) or a (V, n) lane stack.
     """
     q = np.asarray(q, dtype=float)
-    if q.shape != model.joint_min.shape:
+    if q.shape[-1:] != model.joint_min.shape:
         raise DimensionMismatch(f"expected q of length {model.n}, got shape {q.shape}")
     if np.any(q < model.joint_min) or np.any(q > model.joint_max):
         raise OutOfLimits(f"q {np.round(q, 4)} outside joint limits")
@@ -32,17 +38,19 @@ def joint_limit_weights(model: RobotModel, q: np.ndarray) -> np.ndarray:
     return (model.joint_max - q) * (q - model.joint_min) / (span * span)
 
 
-def manipulability_jl(model: RobotModel, q: np.ndarray) -> float:
+def manipulability_jl(model: RobotModel, q: np.ndarray) -> float | np.ndarray:
     """Joint-limit-weighted manipulability sqrt(det(J W J^T)).
 
     W is the diagonal of ``joint_limit_weights``; the Jacobian carries mm
     linear rows, so magnitudes are mm^3-scaled. Zero when any joint sits at a
-    limit or the Jacobian is rank-deficient.
+    limit or the Jacobian is rank-deficient. A (V, n) lane stack of ``q``
+    gives (V,) values, each rounded as its lane's own call.
     """
-    weights = joint_limit_weights(model, q)
-    jac = geometric_jacobian(model, q)
-    gram = (jac * weights) @ jac.T
-    return math.sqrt(max(np.linalg.det(gram), 0.0))
+    weights = np.atleast_2d(joint_limit_weights(model, q))
+    tcp, axes, origins = chain_frames_lanes(model, np.atleast_2d(q))
+    jac = jacobian_from_frames_lanes(tcp[:, :3, 3], axes, origins)
+    w = np.sqrt(np.maximum(np.linalg.det((jac * weights[:, None]) @ jac.swapaxes(1, 2)), 0.0))
+    return float(w[0]) if np.ndim(q) == 1 else w
 
 
 @dataclass(frozen=True)
@@ -132,32 +140,64 @@ def mode_problem(path: Toolpath, mode: str, task_dof: int) -> tuple[Toolpath, Ta
     raise ValueError(f"unknown solve mode {mode!r}")
 
 
-def _evaluate_mode(
-    ctx: dict, path: Toolpath, proj: TaskProjector
-) -> tuple[float, PathFailure | None]:
-    """Mean manipulability along ``path`` solved from the sweep's q0, or NaN
-    and the failure that ended the path."""
-    model = ctx["model"]
-    beyond = np.linalg.norm(path.base_positions(), axis=1) > ctx["reach"]
-    if beyond.any():
-        return math.nan, PathFailure("out_of_reach", int(beyond.argmax()))
-    try:
-        results = solve_toolpath(model, path, ctx["q0"], proj, ctx["settings"])
-    except PathFailed as exc:
-        return math.nan, exc.failure
-    return float(np.mean([manipulability_jl(model, res.q) for res in results])), None
+def _sweep_mode(
+    model: RobotModel,
+    path: Toolpath,
+    proj: TaskProjector,
+    frames: np.ndarray,
+    q0: np.ndarray,
+    settings: SolverSettings,
+) -> tuple[np.ndarray, np.ndarray, dict[int, PathFailure]]:
+    """Solve ``path`` placed at each of the (V, 4, 4) ``frames`` from ``q0``,
+    all placements in lockstep, one lane per voxel.
 
-
-_WORKER: dict = {}
-
-
-def _init_worker(payload: dict) -> None:
-    _WORKER.update(payload)
-
-
-def _evaluate_voxel(frame: np.ndarray) -> list[tuple[float, PathFailure | None]]:
-    ctx = _WORKER
-    return [_evaluate_mode(ctx, path.with_frame(frame), proj) for path, proj in ctx["problems"]]
+    Each lane meets the same targets, failures and wrist-branch step as
+    ``solve_toolpath`` of its placement, and rounds as it does, so the
+    results are that call's: whether the voxel is reachable, its mean
+    manipulability (NaN when not) and the PathFailure of each voxel that is
+    not, keyed by voxel. A voxel with a target beyond the reach bound fails
+    as ``out_of_reach`` before any solve. Targets are re-framed one at a
+    time, for the live lanes only.
+    """
+    reach = model.reach_bound()
+    causes: dict[int, PathFailure] = {}
+    for v, frame in enumerate(frames):
+        beyond = np.linalg.norm(path.with_frame(frame).base_positions(), axis=1) > reach
+        if beyond.any():
+            causes[v] = PathFailure("out_of_reach", int(beyond.argmax()))
+    live = np.array([v for v in range(len(frames)) if v not in causes], dtype=int)
+    q = np.tile(q0, (len(live), 1))
+    w = np.empty((len(frames), len(path)))
+    for k, pose in enumerate(path.poses):
+        if not live.size:
+            break
+        t_d = frames[live] @ pose
+        lanes = solve_lanes(model, t_d, q, proj, settings)
+        q, converged, half_turn = lanes.q, lanes.converged, lanes.half_turn
+        if k == 0:
+            left, flipped = wrist_flip(model, q0, q)
+            picked = np.flatnonzero(converged & left)
+            check = solve_lanes(model, t_d[picked], flipped[picked], proj, settings)
+            kept = check.converged & (check.iterations == 0)
+            q[picked[kept]] = check.q[kept]
+            half_turn[picked[check.half_turn]] = True
+        # later records override earlier ones, in solve_toolpath's order of checks
+        failures = joint_limit_failures(model, q, k)
+        for kind, lanes_out in (("not_converged", ~converged), ("rotation_near_pi", half_turn)):
+            failures.update((lane, PathFailure(kind, k)) for lane in np.flatnonzero(lanes_out))
+        for lane, failure in failures.items():
+            causes[int(live[lane])] = failure
+        ok = np.ones(len(live), dtype=bool)
+        ok[list(failures)] = False
+        live, q = live[ok], q[ok]
+        if live.size:
+            w[live, k] = manipulability_jl(model, q)
+    mean_w = np.full(len(frames), math.nan)
+    for v in live:
+        mean_w[v] = np.mean(w[v])
+    reachable = np.zeros(len(frames), dtype=bool)
+    reachable[live] = True
+    return reachable, mean_w, causes
 
 
 def workspace_sweep(
@@ -178,7 +218,9 @@ def workspace_sweep(
     converges with all joints inside their limits; otherwise the
     PathFailure that ended its path (``solve_toolpath``'s, or
     ``out_of_reach`` for a target beyond the reach bound) is recorded as the
-    voxel's cause, not raised. Returns ``(adhoc_map, frik_map)``.
+    voxel's cause, not raised. Each mode solves all voxels as one lane stack
+    (``_sweep_mode``); with ``jobs`` >= 2 the modes run in worker processes,
+    at most one per mode. Returns ``(adhoc_map, frik_map)``.
     """
     y_centers, z_centers = sweep.centers()
     shape = (len(y_centers), len(z_centers))
@@ -187,28 +229,23 @@ def workspace_sweep(
     frames[..., 1, 3] = y_centers[:, None]
     frames[..., 2, 3] = z_centers
     frames = frames.reshape(-1, 4, 4)
-    payload = {
-        "model": model,
-        "problems": [mode_problem(path_template, mode, frik_task_dof) for mode in MODES],
-        "q0": np.asarray(q0, dtype=float),
-        "settings": settings,
-        "reach": model.reach_bound(),
-    }
+    q0 = np.asarray(q0, dtype=float)
+    tasks = [
+        (model, *mode_problem(path_template, mode, frik_task_dof), frames, q0, settings)
+        for mode in MODES
+    ]
     if jobs > 1:
-        chunk = max(1, len(frames) // (jobs * 8))
-        with multiprocessing.Pool(jobs, initializer=_init_worker, initargs=(payload,)) as pool:
-            cells = pool.map(_evaluate_voxel, frames, chunksize=chunk)
+        with multiprocessing.Pool(min(jobs, len(tasks))) as pool:
+            results = pool.starmap(_sweep_mode, tasks)
     else:
-        _init_worker(payload)
-        cells = [_evaluate_voxel(frame) for frame in frames]
+        results = [_sweep_mode(*task) for task in tasks]
 
     maps = []
-    for mode, mode_cells in zip(MODES, zip(*cells)):
-        mean_w, causes = zip(*mode_cells)
-        failed = {divmod(v, shape[1]): cause for v, cause in enumerate(causes) if cause is not None}
-        reachable = np.array([cause is None for cause in causes]).reshape(shape)
-        mean_w = np.array(mean_w).reshape(shape)
-        maps.append(WorkspaceMap(mode, y_centers, z_centers, reachable, mean_w, failed))
+    for mode, (reachable, mean_w, causes) in zip(MODES, results):
+        failed = {divmod(v, shape[1]): causes[v] for v in sorted(causes)}
+        maps.append(WorkspaceMap(
+            mode, y_centers, z_centers, reachable.reshape(shape), mean_w.reshape(shape), failed
+        ))
     return tuple(maps)
 
 

@@ -275,7 +275,9 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--toolpath", help="toolpath file (JSON or CSV)")
     common.add_argument("--task-dof", type=int, choices=TASK_DOFS, dest="task_dof")
     common.add_argument("--out", help="output directory")
-    common.add_argument("--jobs", type=int, help="parallel workers for sweeps")
+    common.add_argument(
+        "--jobs", type=int, help="worker processes for the sweep, at most one per solve mode"
+    )
     common.add_argument(
         "--no-timing",
         action="store_true",

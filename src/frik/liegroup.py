@@ -21,6 +21,13 @@ SMALL_ANGLE = 1e-6
 PI_MARGIN = 1e-6
 
 
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot products over the last axis, each rounded as ``np.dot`` of one row
+    (``(a * b).sum(-1)`` and ``np.linalg.norm(v, axis=-1)`` are not): the
+    form that lets a stack of vectors round as each vector does alone."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
 def skew(v: np.ndarray) -> np.ndarray:
     """Skew-symmetric cross-product matrix of a 3-vector."""
     x, y, z = v

@@ -6,7 +6,10 @@ twist ``[tcp linear velocity; angular velocity]`` in the base frame, with the
 linear part taken about the TCP point. The kinematic Hessian is the
 6 x n x n tensor of Jacobian partials, ``H[:, :, j] = dJ/dq_j``, built from
 cross products of the Jacobian's own column data rather than by finite
-differences.
+differences. The ``*_lanes`` functions beside them walk a (V, n) stack of
+configurations, one lane each, and round every lane exactly as the (n,)
+function does; they are separate because a lane axis slows the (n,) walk
+that every ``solve`` iteration takes.
 
 Cross products are spelled out component-wise in ``_cross_rows``: solver
 iterations call these functions in a tight loop and ``np.cross`` spends more
@@ -114,6 +117,37 @@ def chain_frames(model: RobotModel, q: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return frames[n] @ model.tool, frames[:n, :3, 2], frames[:n, :3, 3]
 
 
+def chain_frames_lanes(
+    model: RobotModel, q: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``chain_frames`` of each configuration in a (V, n) stack.
+
+    Returns (V, 4, 4) TCP poses and (V, n, 3) axes and origins, each lane
+    rounded exactly as its own ``chain_frames`` call: the link and frame
+    stacks gain a lane axis after the link index, so every running product
+    is still one 4 x 4 matmul per lane.
+    """
+    q = np.asarray(q, dtype=float)
+    n = model.n
+    if q.ndim != 2 or q.shape[1] != n:
+        raise DimensionMismatch(f"expected q of shape (V, {n}), got {q.shape}")
+    lanes = len(q)
+    a, offset, ca, sa, bottom = model._link_constants
+    theta = q + offset
+    ct, st = np.cos(theta), np.sin(theta)
+    top = np.array([ct, -st * ca, st * sa, a * ct, st, ct * ca, -ct * sa, a * st])
+    links = np.empty((n, lanes, 4, 4))
+    links[:, :, :2] = top.T.reshape(n, lanes, 2, 4)
+    links[:, :, 2:] = bottom[:, None]
+    frames = np.empty((n + 1, lanes, 4, 4))
+    frames[0] = _EYE4
+    for i in range(n):
+        np.matmul(frames[i], links[i], out=frames[i + 1])
+    axes = frames[:n, :, :3, 2].swapaxes(0, 1)
+    origins = frames[:n, :, :3, 3].swapaxes(0, 1)
+    return frames[n] @ model.tool, axes, origins
+
+
 def forward_kinematics(model: RobotModel, q: np.ndarray) -> np.ndarray:
     """Base-to-TCP pose: the DH chain product composed with the tool transform."""
     tcp, _, _ = chain_frames(model, q)
@@ -136,6 +170,17 @@ def jacobian_from_frames(p_tcp: np.ndarray, axes: np.ndarray, origins: np.ndarra
     j = np.empty((6, n))
     _cross_rows(axes, lever, j[:3].T)
     j[3:] = axes.T
+    return j
+
+
+def jacobian_from_frames_lanes(
+    p_tcp: np.ndarray, axes: np.ndarray, origins: np.ndarray
+) -> np.ndarray:
+    """``jacobian_from_frames`` of each lane of ``chain_frames_lanes``' output: (V, 6, n)."""
+    lanes, n = axes.shape[:2]
+    j = np.empty((lanes, 6, n))
+    _cross_rows(axes, p_tcp[:, None] - origins, j[:, :3].swapaxes(1, 2))
+    j[:, 3:] = axes.swapaxes(1, 2)
     return j
 
 
@@ -164,6 +209,27 @@ def hessian_from_frames(p_tcp: np.ndarray, axes: np.ndarray, origins: np.ndarray
     _cross_rows(axes[lo], v[hi], lin)
     _cross_rows(axes[der], axes[col], ang)
     ang[der > col] = 0.0
+    return h
+
+
+def hessian_from_frames_lanes(
+    p_tcp: np.ndarray, axes: np.ndarray, origins: np.ndarray
+) -> np.ndarray:
+    """``hessian_from_frames`` of each lane of ``chain_frames_lanes``' output: (V, 6, n, n)."""
+    lanes, n = axes.shape[:2]
+    v = np.empty((lanes, n, 3))
+    _cross_rows(axes, p_tcp[:, None] - origins, v)
+    idx = np.arange(n)
+    col = idx[:, None]
+    der = idx[None, :]
+    lo = np.minimum(col, der)
+    hi = np.maximum(col, der)
+    h = np.empty((lanes, 6, n, n))
+    lin = h[:, :3].transpose(0, 2, 3, 1)
+    ang = h[:, 3:].transpose(0, 2, 3, 1)
+    _cross_rows(axes[:, lo], v[:, hi], lin)
+    _cross_rows(axes[:, der], axes[:, col], ang)
+    ang[:, der > col] = 0.0
     return h
 
 

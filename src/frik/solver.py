@@ -18,18 +18,32 @@ depends on the target only through its z-axis. That makes every solver
 iterate exactly invariant to re-spinning the target about its own z-axis, and
 a converged r = 5 solve places the TCP position on the target exactly (within
 tolerance).
+
+``solve_lanes`` iterates ``solve`` for a stack of problems in lockstep, each
+lane rounding exactly as its own ``solve`` (the workspace sweep's kernel);
+``solve_toolpath`` and the sweep share ``wrist_flip`` and
+``joint_limit_failures``, the rules that end or adjust a path.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import DimensionMismatch, PathFailed, PathFailure, RotationNearPi
-from .liegroup import so3_log
-from .robot import RobotModel, chain_frames, hessian_from_frames, jacobian_from_frames
+from .liegroup import PI_MARGIN, SMALL_ANGLE, _dot, so3_log
+from .robot import (
+    RobotModel,
+    chain_frames,
+    chain_frames_lanes,
+    hessian_from_frames,
+    hessian_from_frames_lanes,
+    jacobian_from_frames,
+    jacobian_from_frames_lanes,
+)
 
 TASK_DOFS = (3, 5, 6)
 
@@ -268,6 +282,190 @@ def solve(
     )
 
 
+class LaneSolves(NamedTuple):
+    """Outcome of ``solve_lanes``, one entry per lane: the joints (L, n),
+    whether the lane converged, its iteration count, and whether it stopped
+    on a half-turn orientation error, where ``solve`` raises RotationNearPi."""
+
+    q: np.ndarray
+    converged: np.ndarray
+    iterations: np.ndarray
+    half_turn: np.ndarray
+
+
+def _lane_rotation_vector(rotation: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``so3_log`` of each rotation in an (L, 3, 3) stack, and which lanes it
+    would refuse as within PI_MARGIN of a half-turn."""
+    trace = rotation[:, 0, 0] + rotation[:, 1, 1] + rotation[:, 2, 2]
+    theta = np.arccos(np.clip(0.5 * (trace - 1.0), -1.0, 1.0))
+    skew2 = rotation - rotation.swapaxes(-1, -2)
+    vee = np.stack([skew2[:, 2, 1], skew2[:, 0, 2], skew2[:, 1, 0]], -1) * 0.5
+    turned = theta >= SMALL_ANGLE
+    vee[turned] *= (theta[turned] / np.sin(theta[turned]))[:, None]
+    return vee, theta >= np.pi - PI_MARGIN
+
+
+def _lane_axis_alignment(z_e: np.ndarray, z_d: np.ndarray) -> np.ndarray:
+    """``axis_alignment_error`` of each lane of two (L, 3) axis stacks."""
+    cos_a = _dot(z_e, z_d)
+    e0, e1, e2 = z_e[:, 0], z_e[:, 1], z_e[:, 2]
+    d0, d1, d2 = z_d[:, 0], z_d[:, 1], z_d[:, 2]
+    perp = np.stack([e1 * d2 - e2 * d1, e2 * d0 - e0 * d2, e0 * d1 - e1 * d0], -1)
+    sin_a = np.sqrt(_dot(perp, perp))
+    out = np.empty_like(perp)
+    bent = sin_a >= 1e-12
+    out[bent] = np.arctan2(sin_a[bent], cos_a[bent])[:, None] * (perp[bent] / sin_a[bent, None])
+    # (anti)parallel axes take the scalar rule's branches
+    for lane in np.flatnonzero(~bent):
+        out[lane] = axis_alignment_error(z_e[lane], z_d[lane])
+    return out
+
+
+def _lane_task_error(t_e: np.ndarray, t_d: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray]:
+    """``task_error`` of each lane of two (L, 4, 4) pose stacks, and the lanes
+    whose 6-DOF error is a half-turn."""
+    linear = t_d[:, :3, 3] - t_e[:, :3, 3]
+    half_turn = np.zeros(len(t_e), dtype=bool)
+    if r == 6:
+        angular, half_turn = _lane_rotation_vector(
+            t_d[:, :3, :3] @ t_e[:, :3, :3].swapaxes(-1, -2)
+        )
+    elif r == 5:
+        angular = _lane_axis_alignment(t_e[:, :3, 2], t_d[:, :3, 2])
+    else:
+        angular = np.zeros((len(t_e), 3))
+    return np.concatenate([linear, angular], -1), half_turn
+
+
+def _lane_project(m: np.ndarray, rd_t: np.ndarray, r: int) -> np.ndarray:
+    """``project`` of each lane: ``m`` is (L, 6, k), twists as k = 1 columns."""
+    top = rd_t @ m[:, :3]
+    if r == 3:
+        return top
+    bottom = rd_t @ m[:, 3:]
+    if r == 6:
+        return np.concatenate([top, bottom], 1)
+    return np.concatenate([top, bottom[:, :2]], 1)
+
+
+def _lane_damped_step(j_hat: np.ndarray, dx_hat: np.ndarray, lam: float) -> np.ndarray:
+    """``damped_step`` of each lane: ``j_hat`` (L, r, n), ``dx_hat`` (L, r)."""
+    gram = j_hat @ j_hat.swapaxes(-1, -2)
+    diagonal = np.arange(gram.shape[-1])
+    gram[:, diagonal, diagonal] += lam * lam
+    return (j_hat.swapaxes(-1, -2) @ np.linalg.solve(gram, dx_hat[..., None]))[..., 0]
+
+
+def _lane_task_step(j6, h6, err_hat, rd_t, r, settings: SolverSettings) -> np.ndarray:
+    """``task_step`` of each lane: ``j6`` (L, 6, n), ``h6`` (L, 6, n, n) or
+    None, ``err_hat`` (L, r)."""
+    err_norm = np.sqrt(_dot(err_hat, err_hat))
+    clamp = np.where(err_norm > settings.e_max, settings.e_max / err_norm, 1.0)
+    step_err = err_hat * clamp[:, None]
+    dq = _lane_damped_step(_lane_project(j6, rd_t, r), step_err, settings.lam)
+    if h6 is not None:
+        halley = j6 + 0.5 * (h6 @ dq[:, None, :, None])[..., 0]
+        dq = _lane_damped_step(_lane_project(halley, rd_t, r), step_err, settings.lam)
+    return dq
+
+
+def solve_lanes(
+    model: RobotModel,
+    t_d: np.ndarray,
+    q0: np.ndarray,
+    proj: TaskProjector,
+    settings: SolverSettings = SolverSettings(),
+) -> LaneSolves:
+    """``solve`` for a stack of L problems at once: targets ``t_d``
+    (L, 4, 4) from starts ``q0`` (L, n), iterated in lockstep.
+
+    Each lane takes exactly the steps, and rounds exactly as, ``solve`` of
+    its own target and start: the chain, Jacobian and Hessian are walked on
+    (L, ...) stacks, the damped systems are solved on (L, r, r) stacks, and
+    dot products and norms use ``_dot``. A lane leaves the iteration when it
+    converges, when its error is a half-turn (``solve`` would raise
+    RotationNearPi) or at the iteration cap; the rest go on.
+    """
+    q = np.array(q0, dtype=float)
+    lanes = len(q)
+    if q.shape != (lanes, model.n) or t_d.shape != (lanes, 4, 4):
+        raise DimensionMismatch(
+            f"expected (L, {model.n}) starts and (L, 4, 4) targets, got {q.shape} and {t_d.shape}"
+        )
+    r = proj.r
+    use_halley = settings.method == "halley"
+    bound_factor = 1.0 / (2.0 * settings.lam)
+    converged = np.zeros(lanes, dtype=bool)
+    half_turn = np.zeros(lanes, dtype=bool)
+    iterations = np.zeros(lanes, dtype=int)
+    active = np.arange(lanes)
+    targets = t_d
+    for it in range(settings.max_iterations + 1):
+        tcp, axes, origins = chain_frames_lanes(model, q[active])
+        err, turned = _lane_task_error(tcp, targets, r)
+        rd_t = targets[:, :3, :3].swapaxes(-1, -2)
+        dx_hat = _lane_project(err[..., None], rd_t, r)[..., 0]
+        res_norm = np.sqrt(_dot(dx_hat, dx_hat))
+        half_turn[active[turned]] = True
+        iterations[active] = it
+        done = res_norm < settings.epsilon
+        converged[active[done & ~turned]] = True
+        go = ~(done | turned)
+        if it == settings.max_iterations or not go.any():
+            break
+        if not go.all():
+            active, targets = active[go], targets[go]
+            # a view of the kept targets, so its strides stay those of solve's
+            rd_t = targets[:, :3, :3].swapaxes(-1, -2)
+            tcp, axes, origins = tcp[go], axes[go], origins[go]
+            dx_hat, res_norm = dx_hat[go], res_norm[go]
+
+        p_tcp = tcp[:, :3, 3]
+        j6 = jacobian_from_frames_lanes(p_tcp, axes, origins)
+        h6 = hessian_from_frames_lanes(p_tcp, axes, origins) if use_halley else None
+        dq = _lane_task_step(j6, h6, dx_hat, rd_t, r, settings)
+        # the damping bound of solve, lane by lane
+        limit = bound_factor * np.minimum(1.0, settings.e_max / res_norm) * res_norm
+        step_norm = np.sqrt(_dot(dq, dq))
+        assert np.all(step_norm <= limit * (1.0 + 1e-9)) and np.isfinite(step_norm).all(), (
+            f"damped step {step_norm.max()} exceeds bound"
+        )
+        q[active] = q[active] + dq
+    return LaneSolves(q=q, converged=converged, iterations=iterations, half_turn=half_turn)
+
+
+def wrist_flip(
+    model: RobotModel, q_start: np.ndarray, q: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(left, flipped)`` for joints ``q`` (n,) or (V, n): whether each sits
+    on the other wrist branch than ``q_start`` (q5 of the opposite sign; only
+    six-axis arms have the branch), and ``q`` moved onto ``q_start``'s
+    branch, (q4 + pi * s, -q5, q6 + pi) with s moving q4 toward the middle of
+    its range."""
+    if model.n != 6:
+        return np.zeros(q.shape[:-1], dtype=bool), q
+    left = ~(q_start[4] * q[..., 4] >= 0.0)
+    flipped = np.array(q, dtype=float)
+    flipped[..., 3] += np.where(q[..., 3] < model.midrange()[3], np.pi, -np.pi)
+    flipped[..., 4] = -q[..., 4]
+    flipped[..., 5] += np.pi
+    return left, flipped
+
+
+def joint_limit_failures(model: RobotModel, q: np.ndarray, k: int) -> dict[int, PathFailure]:
+    """The ``joint_limit`` record at target ``k`` of each row of joints ``q``
+    (V, n) that lies outside the limits, keyed by row; an (n,) ``q`` is row
+    0. The record names the 1-based joint with the smallest margin and that
+    margin in degrees (< 0)."""
+    q = np.atleast_2d(q)
+    rows = np.flatnonzero(~((q >= model.joint_min) & (q <= model.joint_max)).all(-1))
+    margin = np.degrees(np.minimum(q[rows] - model.joint_min, model.joint_max - q[rows]))
+    return {
+        int(row): PathFailure("joint_limit", k, int(m.argmin()) + 1, m.min())
+        for row, m in zip(rows, margin)
+    }
+
+
 def _start_wrist_branch(
     model: RobotModel,
     t_d: np.ndarray,
@@ -278,13 +476,9 @@ def _start_wrist_branch(
 ) -> SolveResult:
     """Flip a first solution whose q5 sign differs from ``q_start``'s back
     onto the start wrist branch, as ``solve_toolpath`` describes."""
-    q = result.q
-    if model.n != 6 or q_start[4] * q[4] >= 0.0:
+    left, flipped = wrist_flip(model, q_start, result.q)
+    if not left:
         return result
-    flipped = q.copy()
-    flipped[3] += np.pi if q[3] < model.midrange()[3] else -np.pi
-    flipped[4] = -q[4]
-    flipped[5] += np.pi
     check = solve(model, t_d, flipped, proj, settings)
     if not (check.converged and check.iterations == 0):
         return result
@@ -331,8 +525,7 @@ def solve_toolpath(
         if not result.converged:
             raise PathFailed(PathFailure("not_converged", k))
         if not model.within_limits(result.q):
-            margin = np.degrees(np.minimum(result.q - model.joint_min, model.joint_max - result.q))
-            raise PathFailed(PathFailure("joint_limit", k, int(margin.argmin()) + 1, margin.min()))
+            raise PathFailed(joint_limit_failures(model, result.q, k)[0])
         results.append(result)
         q = result.q
     return results

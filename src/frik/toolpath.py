@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import InvalidRotation, ParseError
-from .liegroup import is_rotation, make_pose, quat_to_rot, rot_to_quat
+from .liegroup import _dot, is_rotation, make_pose, quat_to_rot, rot_to_quat
 
 
 @dataclass(frozen=True)
@@ -51,12 +51,6 @@ class Toolpath:
 
     def with_frame(self, frame: np.ndarray) -> "Toolpath":
         return replace(self, frame=frame)
-
-
-def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Dot products over the last axis, each rounded as ``np.dot`` of one row
-    (``np.linalg.norm(v, axis=-1)`` is not)."""
-    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
 
 
 def _unit(v: np.ndarray) -> np.ndarray:

@@ -4,17 +4,19 @@ import numpy as np
 import pytest
 
 from frik.analysis import (
+    MODES,
     SweepSpec,
     joint_limit_weights,
     joint_travel,
     manipulability_jl,
+    mode_problem,
     workspace_summary,
     workspace_sweep,
 )
-from frik.errors import DimensionMismatch, OutOfLimits, PathFailure
-from frik.liegroup import make_pose, pose_inverse, rot_y
+from frik.errors import DimensionMismatch, OutOfLimits, PathFailed, PathFailure
+from frik.liegroup import make_pose, pose_inverse, rot_x, rot_y
 from frik.robot import forward_kinematics, geometric_jacobian
-from frik.solver import TaskProjector, solve_toolpath
+from frik.solver import SolverSettings, TaskProjector, solve_toolpath
 from frik.toolpath import ConeSpec, Toolpath, generate_cone_spiral
 
 
@@ -249,3 +251,85 @@ def test_first_solve_keeps_start_wrist_branch(model, q0_benchmark, workpiece_fra
     frame = make_pose(workpiece_frame[:3, :3], np.array([workpiece_frame[0, 3], y_c, z_c]))
     results = solve_toolpath(model, template.with_frame(frame), q0_benchmark, TaskProjector(5))
     assert all(np.sign(res.q[4]) == np.sign(q0_benchmark[4]) for res in results)
+
+
+def scalar_voxel_oracle(model, path, q0, proj, settings):
+    """One voxel as the sweep defines it, from the scalar solver: the reach
+    screen, then ``solve_toolpath`` and the mean of ``manipulability_jl``."""
+    beyond = np.linalg.norm(path.base_positions(), axis=1) > model.reach_bound()
+    if beyond.any():
+        return False, math.nan, PathFailure("out_of_reach", int(beyond.argmax()))
+    try:
+        results = solve_toolpath(model, path, q0, proj, settings)
+    except PathFailed as exc:
+        return False, math.nan, exc.failure
+    return True, float(np.mean([manipulability_jl(model, res.q) for res in results])), None
+
+
+@pytest.mark.parametrize("task_dof", (3, 5, 6))
+@pytest.mark.parametrize("method", ("halley", "newton"))
+def test_lane_sweep_matches_scalar_solves(model, q0_benchmark, workpiece_frame, method, task_dof):
+    # every voxel of the lockstep sweep must equal the scalar solver's own
+    # result bit for bit, on a grid whose voxels end all four ways
+    template = generate_cone_spiral(ConeSpec(pitch=10.0, samples_per_rev=16)).with_frame(
+        workpiece_frame
+    )
+    spec = SweepSpec(
+        y_min_mm=-3000.0, y_max_mm=600.0, z_min_mm=-600.0, z_max_mm=3000.0, voxel_mm=900.0
+    )
+    settings = SolverSettings(method=method)
+    y_centers, z_centers = spec.centers()
+    oracle = {}
+    for mode in MODES:
+        path, proj = mode_problem(template, mode, task_dof)
+        for iy, y in enumerate(y_centers):
+            for iz, z in enumerate(z_centers):
+                frame = workpiece_frame.copy()
+                frame[1, 3], frame[2, 3] = y, z
+                oracle[mode, iy, iz] = scalar_voxel_oracle(
+                    model, path.with_frame(frame), q0_benchmark, proj, settings
+                )
+    kinds = {cause.kind for _, _, cause in oracle.values() if cause is not None}
+    assert kinds == {"out_of_reach", "not_converged", "joint_limit"}
+    assert any(ok for ok, _, _ in oracle.values())
+    for jobs in (1, 2):
+        maps = workspace_sweep(
+            model, template, spec, q0_benchmark, settings, jobs=jobs, frik_task_dof=task_dof
+        )
+        for wmap in maps:
+            for (mode, iy, iz), (ok, mean_w, cause) in oracle.items():
+                if mode != wmap.mode:
+                    continue
+                assert wmap.reachable[iy, iz] == ok
+                assert np.array_equal(wmap.mean_w[iy, iz], mean_w, equal_nan=True)
+                assert wmap.causes.get((iy, iz)) == cause
+
+
+def test_half_turn_target_fails_adhoc_lane_only(model, q0_benchmark):
+    # the q0 TCP pose turned by pi about its x-axis, on a frame with q0's TCP
+    # rotation so that the adhoc spin keeps the half-turn: the 6-DOF lane
+    # meets a log map that is not unique and records it without raising.
+    # The FRIK lanes take the antiparallel-axis branch of the 5-DOF error
+    # (the wrist then winds J5 past its limit, as the scalar solve does) or
+    # ignore orientation (3-DOF) and stay reachable
+    start = forward_kinematics(model, q0_benchmark)
+    target = start @ make_pose(rot_x(np.pi), np.zeros(3))
+    template = Toolpath(poses=(pose_inverse(start) @ target)[None], frame=start)
+    spec = one_voxel_spec(start[1, 3], start[2, 3])
+    voxel_frame = start.copy()
+    (voxel_frame[1, 3],), (voxel_frame[2, 3],) = spec.centers()
+    for task_dof in (3, 5):
+        frik_ok, frik_w, frik_cause = scalar_voxel_oracle(
+            model, template.with_frame(voxel_frame), q0_benchmark, TaskProjector(task_dof),
+            SolverSettings(),
+        )
+        assert frik_ok == (task_dof == 3)
+        for jobs in (1, 2):
+            adhoc, frik = workspace_sweep(
+                model, template, spec, q0_benchmark, jobs=jobs, frik_task_dof=task_dof
+            )
+            assert adhoc.causes == {(0, 0): PathFailure("rotation_near_pi", 0)}
+            assert not adhoc.reachable[0, 0]
+            assert frik.reachable[0, 0] == frik_ok
+            assert np.array_equal(frik.mean_w[0, 0], frik_w, equal_nan=True)
+            assert frik.causes.get((0, 0)) == frik_cause

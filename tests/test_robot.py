@@ -10,9 +10,14 @@ from frik.robot import (
     DHRow,
     RobotModel,
     chain_frames,
+    chain_frames_lanes,
     forward_kinematics,
     geometric_jacobian,
+    hessian_from_frames,
+    hessian_from_frames_lanes,
     irb4600,
+    jacobian_from_frames,
+    jacobian_from_frames_lanes,
     kinematic_hessian,
     load_robot,
     robot_to_dict,
@@ -204,6 +209,25 @@ def test_contract_matches_directional_difference(model, q0_benchmark):
         plus = geometric_jacobian(model, q0_benchmark + step * dq)
         minus = geometric_jacobian(model, q0_benchmark - step * dq)
         assert np.abs(h @ dq - (plus - minus) / (2 * step)).max() < 1e-4
+
+
+def test_lanes_round_as_one_configuration_calls(model):
+    # the lane walk is the sweep's; each lane must equal its own (n,) call
+    # bit for bit, so that the scalar solver stays the sweep's oracle
+    rng = np.random.default_rng(37)
+    q = random_in_limits(model, rng, 200)
+    tcp, axes, origins = chain_frames_lanes(model, q)
+    jac = jacobian_from_frames_lanes(tcp[:, :3, 3], axes, origins)
+    hess = hessian_from_frames_lanes(tcp[:, :3, 3], axes, origins)
+    assert tcp.shape == (200, 4, 4) and axes.shape == origins.shape == (200, 6, 3)
+    for lane, q_lane in enumerate(q):
+        one = chain_frames(model, q_lane)
+        for stacked, alone in zip((tcp, axes, origins), one):
+            assert np.array_equal(stacked[lane], alone)
+        assert np.array_equal(jac[lane], jacobian_from_frames(one[0][:3, 3], *one[1:]))
+        assert np.array_equal(hess[lane], hessian_from_frames(one[0][:3, 3], *one[1:]))
+    with pytest.raises(DimensionMismatch):
+        chain_frames_lanes(model, q[0])
 
 
 # ---------------------------------------------------------------------------

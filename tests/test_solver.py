@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from frik.errors import PathFailed, PathFailure
-from frik.liegroup import make_pose, rot_z, se3_exp, so3_exp, twist_rotation
+from frik.errors import PathFailed, PathFailure, RotationNearPi
+from frik.liegroup import make_pose, rot_x, rot_z, se3_exp, so3_exp, twist_rotation
 from frik.robot import forward_kinematics, geometric_jacobian, kinematic_hessian
 from frik.solver import (
     SolverSettings,
@@ -12,9 +12,12 @@ from frik.solver import (
     damped_step,
     project,
     solve,
+    joint_limit_failures,
+    solve_lanes,
     solve_toolpath,
     task_error,
     task_step,
+    wrist_flip,
 )
 from frik.toolpath import Toolpath
 
@@ -332,6 +335,40 @@ def test_halley_iterations_not_worse_than_newton(model, q0_benchmark):
     assert wins / total >= 0.9
 
 
+@pytest.mark.parametrize("r", [3, 5, 6])
+@pytest.mark.parametrize("method", ["halley", "newton"])
+def test_solve_lanes_round_as_solve(model, q0_benchmark, method, r):
+    # cold solves from varied starts, one target beyond the arm (the lane
+    # runs to the cap) and one a half-turn from q0's pose, 1 mm off (the
+    # 6-DOF lane stops where solve raises, though its error is not zero):
+    # every lane must take solve's steps bit for bit
+    rng = np.random.default_rng(61)
+    lo, hi = model.joint_min, model.joint_max
+    near = np.clip(q0_benchmark + rng.uniform(-0.8, 0.8, (30, 6)), lo, hi)
+    starts = np.clip(q0_benchmark + rng.uniform(-0.2, 0.2, (32, 6)), lo, hi)
+    starts[-1] = q0_benchmark
+    targets = [forward_kinematics(model, q) for q in near]
+    targets.append(make_pose(np.eye(3), np.array([10_000.0, 0.0, 0.0])))
+    targets.append(
+        forward_kinematics(model, q0_benchmark) @ make_pose(rot_x(np.pi), np.array([0.0, 0.0, 1.0]))
+    )
+    settings = SolverSettings(method=method)
+    lanes = solve_lanes(model, np.stack(targets), starts, TaskProjector(r), settings)
+    assert lanes.half_turn.tolist() == [False] * 31 + [r == 6]
+    for lane, t_d in enumerate(targets):
+        try:
+            alone = solve(model, t_d, starts[lane], TaskProjector(r), settings)
+        except RotationNearPi:
+            # solve raises at its first error, as the lane stops there
+            assert lanes.half_turn[lane] and not lanes.converged[lane]
+            assert lanes.iterations[lane] == 0
+            continue
+        assert lanes.converged[lane] == alone.converged
+        assert lanes.iterations[lane] == alone.iterations
+        assert np.array_equal(lanes.q[lane], alone.q)
+    assert not lanes.converged[30] and lanes.iterations[30] == settings.max_iterations
+
+
 # ---------------------------------------------------------------------------
 # toolpath solving
 # ---------------------------------------------------------------------------
@@ -380,6 +417,33 @@ def test_solve_toolpath_stops_at_first_limit_breach(model, q0_benchmark):
     failure = excinfo.value.failure
     assert (failure.kind, failure.k, failure.joint) == ("joint_limit", 1, 5)
     assert failure.margin_deg == pytest.approx(-5.0, abs=1e-6)
+
+
+def test_path_rules_on_one_configuration_and_a_stack(model, q0_benchmark):
+    # solve_toolpath and the sweep share these two rules: each row of a
+    # stack must get what the row gets alone
+    q = np.array([q0_benchmark, -q0_benchmark, q0_benchmark])
+    q[1, 3] = np.radians(20.0)
+    q[2, 4] = np.radians(-130.0)
+    left, flipped = wrist_flip(model, q0_benchmark, q)
+    assert left.tolist() == [False, True, False]
+    # q4 moves by pi toward mid-range (0 for the IRB4600), q5 and q6 flip
+    step = np.array([np.pi, -np.pi, np.pi])
+    assert np.array_equal(flipped[:, 3], q[:, 3] + step)
+    assert np.array_equal(flipped[:, 4], -q[:, 4])
+    assert np.array_equal(flipped[:, 5], q[:, 5] + np.pi)
+    for row in range(3):
+        one_left, one_flipped = wrist_flip(model, q0_benchmark, q[row])
+        assert one_left == left[row] and np.array_equal(one_flipped, flipped[row])
+        assert np.allclose(
+            forward_kinematics(model, flipped[row]), forward_kinematics(model, q[row]), atol=1e-9
+        )
+    failures = joint_limit_failures(model, q, 7)
+    assert list(failures) == [2]
+    assert (failures[2].kind, failures[2].k, failures[2].joint) == ("joint_limit", 7, 5)
+    assert failures[2].margin_deg == pytest.approx(-5.0, abs=1e-9)
+    assert joint_limit_failures(model, q[2], 7) == {0: failures[2]}
+    assert joint_limit_failures(model, q0_benchmark, 7) == {}
 
 
 def test_monotone_residual_on_benchmark_path(model, q0_benchmark, workpiece_frame):
