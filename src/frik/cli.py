@@ -34,6 +34,7 @@ from .config import (
     ConfigError,
     RunConfig,
     apply_flag_overrides,
+    default_workpiece_frame,
     load_config,
     resolved_dict,
 )
@@ -59,35 +60,27 @@ def _fmt(value: float) -> str:
 
 
 def _load_model(config: RunConfig) -> RobotModel:
-    if config.robot_file is None:
-        model = irb4600()
-    else:
-        path = Path(config.robot_file)
-        if not path.exists():
-            raise ConfigError(f"robot file not found: {path}")
-        model = load_robot(path)
+    if config.robot_file is not None and not Path(config.robot_file).exists():
+        raise ConfigError(f"robot file not found: {config.robot_file}")
+    model = irb4600() if config.robot_file is None else load_robot(config.robot_file)
     if config.q0_rad.shape != (model.n,):
         raise ConfigError(f"q0 length {config.q0_rad.shape[0]} does not match robot n={model.n}")
     return model
 
 
 def _resolve_toolpath(config: RunConfig) -> Toolpath:
-    if config.toolpath_file is not None:
-        path = Path(config.toolpath_file)
-        if not path.exists():
-            raise ConfigError(f"toolpath file not found: {path}")
-        toolpath = load_toolpath(path)
-        if config.workpiece_explicit:
-            toolpath = toolpath.with_frame(config.workpiece)
-        return toolpath
-    return generate_cone_spiral(config.cone).with_frame(config.workpiece)
+    """The run's toolpath, placed as ``RunConfig.workpiece`` says."""
+    if isinstance(config.source, ConeSpec):
+        toolpath = generate_cone_spiral(config.source).with_frame(default_workpiece_frame())
+    elif not Path(config.source).exists():
+        raise ConfigError(f"toolpath file not found: {config.source}")
+    else:
+        toolpath = load_toolpath(config.source)
+    return toolpath if config.workpiece is None else toolpath.with_frame(config.workpiece)
 
 
 def _audit_header(config: RunConfig, command: str, mode: str | None = None) -> str:
-    audit = resolved_dict(config)
-    audit["command"] = command
-    if mode is not None:
-        audit["mode"] = mode
+    audit = {**resolved_dict(config), "command": command, **({"mode": mode} if mode else {})}
     return "# config: " + json.dumps(audit, sort_keys=True)
 
 
@@ -158,16 +151,13 @@ def _write_workspace_csv(
 
 
 def cmd_generate(config: RunConfig, args) -> int:
-    if config.cone is None:
+    if not isinstance(config.source, ConeSpec):
         raise ConfigError("generate needs a cone block (config or --cone-* flags)")
-    toolpath = generate_cone_spiral(config.cone)
-    out_dir = Path(config.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    out_file = out_dir / "toolpath.json"
-    payload = toolpath_to_dict(toolpath)
-    audit = resolved_dict(config)
-    audit["command"] = "generate"
-    payload["config"] = audit
+    toolpath = _resolve_toolpath(config)
+    out_file = Path(config.out_dir) / "toolpath.json"
+    out_file.parent.mkdir(parents=True, exist_ok=True)
+    audit = {**resolved_dict(config), "command": "generate"}
+    payload = {**toolpath_to_dict(toolpath), "config": audit}
     out_file.write_text(json.dumps(payload, indent=1, sort_keys=True))
     print(f"wrote {out_file} ({len(toolpath)} targets)")
     return 0
@@ -319,7 +309,6 @@ def main(argv: list[str] | None = None) -> int:
     try:
         config = load_config(args.config) if args.config else RunConfig()
         config = apply_flag_overrides(config, args)
-        config.validate()
         return _COMMANDS[args.command](config, args)
     except (FrikError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,7 +1,7 @@
 """Run configuration: defaults, JSON config files, CLI overrides.
 
-A run needs a robot (file or the bundled IRB4600), exactly one toolpath
-source (a file or the cone generator block), a workpiece placement, a start
+A run needs a robot (file or the bundled IRB4600), one toolpath source (a
+file or the cone generator block), a workpiece placement, a start
 configuration, solver settings, and optionally a sweep grid. Values resolve
 as: built-in defaults < config file < command-line flags.
 """
@@ -16,9 +16,9 @@ import numpy as np
 
 from .analysis import SweepSpec
 from .errors import FrikError
-from .liegroup import make_pose, quat_to_rot, rot_to_quat
+from .liegroup import make_pose, quat_to_rot
 from .solver import TASK_DOFS, SolverSettings
-from .toolpath import ConeSpec
+from .toolpath import ConeSpec, pose_record
 
 DEFAULT_Q0_DEG = (-112.0, -7.0, 57.0, -80.0, -34.0, 9.0)
 
@@ -37,15 +37,18 @@ def default_workpiece_frame() -> np.ndarray:
     return make_pose(np.eye(3), np.array(DEFAULT_WORKPIECE_POS_MM))
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
+    """One run's settings, validated on construction. ``source`` is a cone
+    spec or a toolpath file's path. ``workpiece`` is the placement frame; None
+    puts a cone at the default placement and keeps a file's own frame. The
+    arrays are read-only copies of the arrays given."""
+
     robot_file: str | None = None
     solver: SolverSettings = field(default_factory=SolverSettings)
     task_dof: int = 5
-    toolpath_file: str | None = None
-    cone: ConeSpec | None = field(default_factory=ConeSpec)
-    workpiece: np.ndarray = field(default_factory=default_workpiece_frame)
-    workpiece_explicit: bool = False
+    source: ConeSpec | str = field(default_factory=ConeSpec)
+    workpiece: np.ndarray | None = None
     q0_rad: np.ndarray = field(
         default_factory=lambda: np.radians(np.array(DEFAULT_Q0_DEG))
     )
@@ -53,11 +56,11 @@ class RunConfig:
     out_dir: str = "out"
     jobs: int = 1
 
-    def validate(self) -> None:
-        if (self.toolpath_file is None) == (self.cone is None):
-            raise ConfigError(
-                "exactly one toolpath source required: a toolpath file or a cone block"
-            )
+    def __post_init__(self):
+        for name in ("workpiece", "q0_rad"):
+            if (value := getattr(self, name)) is not None:
+                object.__setattr__(self, name, np.array(value, dtype=float))
+                getattr(self, name).setflags(write=False)
         if self.task_dof not in TASK_DOFS:
             raise ConfigError(f"task_dof must be 3, 5 or 6, got {self.task_dof}")
         if self.jobs < 1:
@@ -84,6 +87,11 @@ SWEEP_KEYS = {key: key for key in ("y_min_mm", "y_max_mm", "z_min_mm", "z_max_mm
 TOP_LEVEL_KEYS = (
     "robot", "solver", "toolpath", "cone", "workpiece", "q0", "sweep", "out_dir", "jobs"
 )
+# argparse flag (dest) -> RunConfig field; a flag left out or empty keeps the field
+FLAG_FIELDS = {
+    "robot": "robot_file", "toolpath": "source", "task_dof": "task_dof", "out": "out_dir",
+    "jobs": "jobs",
+}
 
 
 def _check_block(name: str, block, keys) -> dict:
@@ -122,10 +130,23 @@ def _dump(obj, table: dict[str, str]) -> dict:
     return {key: getattr(obj, name) for key, name in table.items()}
 
 
+def _numbers(block: dict, key: str, what: str, size: int = 0) -> np.ndarray:
+    """``block[key]`` as a list of numbers, of ``size`` entries unless 0."""
+    try:
+        values = np.asarray(block[key], dtype=float)
+        if values.ndim == 1 and len(values) == (size or len(values)):
+            return values
+    except (TypeError, ValueError):
+        pass
+    count = f"{size} numbers" if size else "a list of numbers"
+    raise ConfigError(f"bad {what} block: {key} must be {count}, got {block[key]!r}")
+
+
 def _parse_frame(block) -> np.ndarray:
     block = _check_block("workpiece", block, ("pos_mm", "quat"))
-    position = np.asarray(block.get("pos_mm", (0.0, 0.0, 0.0)), dtype=float)
-    quat = np.asarray(block.get("quat", (0.0, 0.0, 0.0, 1.0)), dtype=float)
+    block = {"pos_mm": (0.0, 0.0, 0.0), "quat": (0.0, 0.0, 0.0, 1.0), **block}
+    position = _numbers(block, "pos_mm", "workpiece", 3)
+    quat = _numbers(block, "quat", "workpiece", 4)
     norm = float(np.linalg.norm(quat))
     if abs(norm - 1.0) > 1e-6:
         raise ConfigError(f"workpiece quaternion norm {norm} deviates from 1")
@@ -136,8 +157,8 @@ def _parse_q0(block) -> np.ndarray:
     block = _check_block("q0", block, ("deg", "rad"))
     if len(block) != 1:
         raise ConfigError('q0 must hold exactly one of "deg" or "rad"')
-    ((unit, values),) = block.items()
-    q = np.asarray(values, dtype=float)
+    (unit,) = block
+    q = _numbers(block, unit, "q0")
     return np.radians(q) if unit == "deg" else q
 
 
@@ -148,27 +169,25 @@ def _from_dict(raw) -> RunConfig:
 
     config = RunConfig()
     if raw.get("robot") is not None:
-        config.robot_file = str(raw["robot"])
+        config = replace(config, robot_file=str(raw["robot"]))
     if "solver" in raw:
         block = _check_block("solver", raw["solver"], [*SOLVER_KEYS, "task_dof"])
-        config.solver = _build(config.solver, SOLVER_KEYS, block, "solver block")
+        config = replace(config, solver=_build(config.solver, SOLVER_KEYS, block, "solver block"))
         config = _build(config, {"task_dof": "task_dof"}, block, "solver block")
     if "toolpath" in raw:
-        config.toolpath_file = str(raw["toolpath"])
-        config.cone = None
+        config = replace(config, source=str(raw["toolpath"]))
     if "cone" in raw:
         block = _check_block("cone", raw["cone"], CONE_KEYS)
-        config.cone = _build(config.cone, CONE_KEYS, block, "cone block")
+        config = replace(config, source=_build(ConeSpec(), CONE_KEYS, block, "cone block"))
     if "workpiece" in raw:
-        config.workpiece = _parse_frame(raw["workpiece"])
-        config.workpiece_explicit = True
+        config = replace(config, workpiece=_parse_frame(raw["workpiece"]))
     if "q0" in raw:
-        config.q0_rad = _parse_q0(raw["q0"])
+        config = replace(config, q0_rad=_parse_q0(raw["q0"]))
     if "sweep" in raw:
         block = _check_block("sweep", raw["sweep"], SWEEP_KEYS)
-        config.sweep = _build(config.sweep, SWEEP_KEYS, block, "sweep block")
+        config = replace(config, sweep=_build(config.sweep, SWEEP_KEYS, block, "sweep block"))
     if "out_dir" in raw:
-        config.out_dir = str(raw["out_dir"])
+        config = replace(config, out_dir=str(raw["out_dir"]))
     return _build(config, {"jobs": "jobs"}, raw, "top-level block")
 
 
@@ -186,43 +205,34 @@ def load_config(path: str | Path) -> RunConfig:
 
 
 def resolved_dict(config: RunConfig) -> dict:
-    """Full resolved configuration, JSON-ready, for audit headers."""
+    """Full resolved configuration, JSON-ready, for audit headers; it loads
+    back as the same config (q0 in rad; no ``workpiece`` when it is None)."""
     out = {
         "robot": config.robot_file,
         "solver": {**_dump(config.solver, SOLVER_KEYS), "task_dof": config.task_dof},
-        "workpiece": {
-            "pos_mm": config.workpiece[:3, 3].tolist(),
-            "quat": rot_to_quat(config.workpiece[:3, :3]).tolist(),
-        },
-        "q0": {"deg": np.degrees(config.q0_rad).tolist()},
+        "q0": {"rad": config.q0_rad.tolist()},
         "sweep": _dump(config.sweep, SWEEP_KEYS),
         "out_dir": config.out_dir,
         "jobs": config.jobs,
     }
-    if config.toolpath_file is not None:
-        out["toolpath"] = config.toolpath_file
-    if config.cone is not None:
-        out["cone"] = _dump(config.cone, CONE_KEYS)
+    if isinstance(config.source, ConeSpec):
+        out["cone"] = _dump(config.source, CONE_KEYS)
+    else:
+        out["toolpath"] = config.source
+    if config.workpiece is not None:
+        out["workpiece"] = pose_record(config.workpiece)
     return out
 
 
 def apply_flag_overrides(config: RunConfig, args) -> RunConfig:
-    """Fold parsed argparse flags into a config; flags win over file values.
-    Each cone key of ``CONE_KEYS`` is read from its ``--cone-<key>`` flag."""
-    if getattr(args, "robot", None):
-        config.robot_file = args.robot
-    if getattr(args, "toolpath", None):
-        config.toolpath_file = args.toolpath
-        config.cone = None
-    if getattr(args, "task_dof", None):
-        config.task_dof = args.task_dof
-    if getattr(args, "out", None):
-        config.out_dir = args.out
-    if getattr(args, "jobs", None) is not None:
-        config.jobs = args.jobs
+    """``config`` with the parsed argparse flags folded in; flags win over file
+    values. Each cone key of ``CONE_KEYS`` is read from its ``--cone-<key>``
+    flag; over a toolpath source, cone flags start from ``ConeSpec()``."""
+    fields = {name: getattr(args, flag, None) for flag, name in FLAG_FIELDS.items()}
+    config = replace(config, **{k: v for k, v in fields.items() if v not in (None, "")})
     flags = {key: getattr(args, f"cone_{key}", None) for key in CONE_KEYS}
     updates = {key: value for key, value in flags.items() if value is not None}
     if updates:
-        config.cone = _build(config.cone or ConeSpec(), CONE_KEYS, updates, "cone flags")
-        config.toolpath_file = None
+        base = config.source if isinstance(config.source, ConeSpec) else ConeSpec()
+        config = replace(config, source=_build(base, CONE_KEYS, updates, "cone flags"))
     return config

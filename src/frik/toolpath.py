@@ -229,20 +229,16 @@ def load_toolpath(path: str | Path) -> Toolpath:
     return _load_json(path)
 
 
+def pose_record(pose: np.ndarray) -> dict:
+    """A 4x4 pose as the ``{pos_mm, quat}`` record that toolpath and run
+    config files hold."""
+    return {"pos_mm": pose[:3, 3].tolist(), "quat": rot_to_quat(pose[:3, :3]).tolist()}
+
+
 def toolpath_to_dict(path: Toolpath) -> dict:
     return {
-        "frame": {
-            "pos_mm": path.frame[:3, 3].tolist(),
-            "quat": rot_to_quat(path.frame[:3, :3]).tolist(),
-        },
-        "targets": [
-            {
-                "k": k,
-                "pos_mm": pose[:3, 3].tolist(),
-                "quat": rot_to_quat(pose[:3, :3]).tolist(),
-            }
-            for k, pose in enumerate(path.poses)
-        ],
+        "frame": pose_record(path.frame),
+        "targets": [{"k": k, **pose_record(pose)} for k, pose in enumerate(path.poses)],
     }
 
 

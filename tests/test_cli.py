@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -9,10 +10,17 @@ import pytest
 
 import frik
 from frik.cli import main
-from frik.config import DEFAULT_Q0_DEG, load_config, resolved_dict
+from frik.config import (
+    DEFAULT_Q0_DEG,
+    ConfigError,
+    RunConfig,
+    default_workpiece_frame,
+    load_config,
+    resolved_dict,
+)
 from frik.liegroup import make_pose, pose_inverse, rot_x
 from frik.robot import forward_kinematics
-from frik.toolpath import Toolpath, load_toolpath, save_toolpath
+from frik.toolpath import ConeSpec, Toolpath, generate_cone_spiral, load_toolpath, save_toolpath
 
 SMALL_CONE = ["--cone-samples-per-rev", "8", "--cone-pitch-mm", "25"]
 GOLDEN = Path(__file__).parent / "data" / "small_cone"
@@ -40,6 +48,23 @@ def test_generate_default_round_trips(tmp_path, capsys):
     save_toolpath(path, out / "again.json")
     again = load_toolpath(out / "again.json")
     assert np.abs(path.poses - again.poses).max() < 1e-12
+
+
+def test_generated_file_solves_as_the_cone(tmp_path):
+    # generate writes the run's placement, so the file solves where the
+    # cone does; its poses pass through quaternions, hence the 1e-9
+    gen, cone, again = tmp_path / "gen", tmp_path / "cone", tmp_path / "again"
+    assert main(["generate", "--out", str(gen), *SMALL_CONE]) == 0
+    assert np.array_equal(load_toolpath(gen / "toolpath.json").frame, default_workpiece_frame())
+    assert main(["solve", "--out", str(cone), "--no-timing", *SMALL_CONE]) == 0
+    toolpath = str(gen / "toolpath.json")
+    assert main(["solve", "--toolpath", toolpath, "--out", str(again), "--no-timing"]) == 0
+    want = (cone / "trajectory_frik.csv").read_text().splitlines()[2:]
+    got = (again / "trajectory_frik.csv").read_text().splitlines()[2:]
+    assert len(got) == len(want) == 17
+    for got_row, want_row in zip(got, want):
+        g, w = (np.array(row.split(","), dtype=float) for row in (got_row, want_row))
+        assert np.array_equal(g[[0, 7]], w[[0, 7]]) and np.abs(g[1:7] - w[1:7]).max() < 1e-9
 
 
 def test_generate_rejects_negative_diameter(tmp_path, capsys):
@@ -105,18 +130,42 @@ def test_config_with_unknown_top_level_key_rejected(tmp_path, capsys):
         ({"solver": {"task_dof": 4}}, "task_dof must be 3, 5 or 6, got 4"),
         ({"jobs": 2.5}, "jobs must be an integer, got 2.5"),
         ({"jobs": True}, "jobs must be an integer, got True"),
+        ({"workpiece": {"pos_mm": [1, 2]}}, "bad workpiece block: pos_mm must be 3 numbers"),
+        ({"workpiece": {"quat": [0, 0, 1]}}, "bad workpiece block: quat must be 4 numbers"),
+        ({"q0": {"deg": "abc"}}, "bad q0 block: deg must be a list of numbers, got 'abc'"),
     ],
     ids=[
         "cone-typo", "sweep-typo", "workpiece-typo", "q0-both", "cone-scalar", "solver-scalar",
         "cone-fraction", "task-dof-fraction", "task-dof-choice", "jobs-fraction", "jobs-bool",
+        "workpiece-short-position", "workpiece-short-quat", "q0-not-numbers",
     ],
 )
 def test_malformed_config_block_rejected(tmp_path, capsys, block, message):
     config = write_config(tmp_path, **block)
     assert main(["generate", "--config", str(config)]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error:") and message in err
+    assert err.startswith("error:") and str(config) in err and message in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "block, message",
+    [({"solver": {"task_dof": 4}}, "task_dof must be 3, 5 or 6, got 4"),
+     ({"jobs": 0}, "jobs must be at least 1")],
+)
+def test_load_config_validates_the_run(tmp_path, block, message):
+    # the settings the CLI rejects, load_config rejects too
+    with pytest.raises(ConfigError, match=message):
+        load_config(write_config(tmp_path, **block))
+
+
+def test_run_config_is_immutable():
+    config = RunConfig(q0_rad=[0.1] * 6)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        config.jobs = 2
+    with pytest.raises(ValueError):
+        config.q0_rad[0] = 0.0
+    assert config.workpiece is None and isinstance(config.source, ConeSpec)
 
 
 @pytest.mark.parametrize(
@@ -231,9 +280,45 @@ def test_audit_header_loads_back(tmp_path):
         header_file.write_text(json.dumps(audit))
         assert main(["solve", "--config", str(header_file), "--no-timing"]) == 0
         assert trajectory.read_text().splitlines()[1:] == lines[1:]
-        again = resolved_dict(load_config(header_file))
-        assert np.abs(np.array(again.pop("q0")["deg"]) - audit.pop("q0")["deg"]).max() < 1e-12
-        assert again == audit
+        assert resolved_dict(load_config(header_file)) == audit
+
+
+def test_compare_header_replays_every_row(tmp_path):
+    # q0 is written in rad, so 57 deg reloads as the same float and every
+    # data row of a run re-made from the header is byte-identical
+    config = write_config(tmp_path, q0={"deg": list(DEFAULT_Q0_DEG)})
+    assert main(["compare", "--config", str(config), "--no-timing"]) == 0
+    out = tmp_path / "out"
+    first = {f.name: f.read_text().splitlines() for f in sorted(out.glob("*.csv"))}
+    audit = json.loads(first["travel_report.csv"][0].removeprefix("# config: "))
+    assert audit.pop("command") == "compare"
+    header_file = tmp_path / "header.json"
+    header_file.write_text(json.dumps(audit))
+    assert np.array_equal(load_config(header_file).q0_rad, np.radians(DEFAULT_Q0_DEG))
+    assert main(["compare", "--config", str(header_file), "--no-timing"]) == 0
+    again = {f.name: f.read_text().splitlines() for f in sorted(out.glob("*.csv"))}
+    assert sorted(again) == sorted(first) and len(first) == 3
+    for name, lines in first.items():
+        assert again[name][1:] == lines[1:], name
+
+
+def test_toolpath_header_keeps_the_file_frame(tmp_path):
+    # a --toolpath run without a workpiece solves in the file's own frame,
+    # and its header, which leaves the workpiece out, re-runs it there
+    frame = make_pose(np.eye(3), np.array([0.0, -1000.0, 950.0]))
+    path = generate_cone_spiral(ConeSpec(pitch=10.0, samples_per_rev=16)).with_frame(frame)
+    path_file = tmp_path / "path.json"
+    save_toolpath(path, path_file)
+    out = tmp_path / "out"
+    assert main(["solve", "--toolpath", str(path_file), "--out", str(out), "--no-timing"]) == 0
+    lines = (out / "trajectory_frik.csv").read_text().splitlines()
+    audit = json.loads(lines[0].removeprefix("# config: "))
+    assert "workpiece" not in audit and audit["toolpath"] == str(path_file)
+    del audit["command"], audit["mode"]
+    header_file = tmp_path / "header.json"
+    header_file.write_text(json.dumps(audit))
+    assert main(["solve", "--config", str(header_file), "--no-timing"]) == 0
+    assert (out / "trajectory_frik.csv").read_text().splitlines()[1:] == lines[1:]
 
 
 def test_workspace_single_voxel(tmp_path, model, q0_benchmark):

@@ -1,11 +1,13 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from frik.errors import PathFailed, PathFailure, RotationNearPi
-from frik.liegroup import make_pose, rot_x, rot_z, se3_exp, so3_exp, twist_rotation
-from frik.robot import forward_kinematics, geometric_jacobian, kinematic_hessian
+from frik.liegroup import make_pose, rot_x, rot_y, rot_z, se3_exp, so3_exp, twist_rotation
+from frik.robot import chain_frames_lanes, forward_kinematics, geometric_jacobian, kinematic_hessian
 from frik.solver import (
     SolverSettings,
     TaskProjector,
@@ -444,6 +446,25 @@ def test_path_rules_on_one_configuration_and_a_stack(model, q0_benchmark):
     assert failures[2].margin_deg == pytest.approx(-5.0, abs=1e-9)
     assert joint_limit_failures(model, q[2], 7) == {0: failures[2]}
     assert joint_limit_failures(model, q0_benchmark, 7) == {}
+
+
+def test_wrist_flip_keeps_tcp_pose_with_offset_tool(model, q0_benchmark):
+    # a hypothetical tool whose TCP sits 200 mm off joint 6's axis, tilted by
+    # 30 deg: the flip keeps the flange pose, so it keeps the TCP pose too
+    tool = make_pose(rot_y(np.radians(30.0)), np.array([200.0, 0.0, 0.0]))
+    offset = replace(model, tool=tool)
+    rng = np.random.default_rng(6)
+    q = q0_benchmark + rng.uniform(-0.5, 0.5, (8, 6))
+    q[::2, 4] *= -1.0
+    left, flipped = wrist_flip(offset, q0_benchmark, q)
+    assert left.tolist() == [True, False] * 4
+    tcp, _, _ = chain_frames_lanes(offset, q)
+    assert np.abs(chain_frames_lanes(offset, flipped)[0] - tcp).max() < 1e-9
+    one_left, one_flipped = wrist_flip(offset, q0_benchmark, q[0])
+    assert one_left and np.abs(forward_kinematics(offset, one_flipped) - tcp[0]).max() < 1e-9
+    # the TCP is off joint 6's axis: half a turn of joint 6 alone moves it
+    spun = q[0] + np.array([0.0, 0.0, 0.0, 0.0, 0.0, np.pi])
+    assert np.linalg.norm(forward_kinematics(offset, spun)[:3, 3] - tcp[0, :3, 3]) > 300.0
 
 
 def test_monotone_residual_on_benchmark_path(model, q0_benchmark, workpiece_frame):
