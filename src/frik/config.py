@@ -16,9 +16,9 @@ import numpy as np
 
 from .analysis import SweepSpec
 from .errors import FrikError
-from .liegroup import make_pose, quat_to_rot
+from .liegroup import is_rotation, make_pose, quat_to_rot
 from .solver import TASK_DOFS, SolverSettings
-from .toolpath import ConeSpec, pose_record
+from .toolpath import ConeSpec, _ValueEquality
 
 DEFAULT_Q0_DEG = (-112.0, -7.0, 57.0, -80.0, -34.0, 9.0)
 
@@ -37,12 +37,13 @@ def default_workpiece_frame() -> np.ndarray:
     return make_pose(np.eye(3), np.array(DEFAULT_WORKPIECE_POS_MM))
 
 
-@dataclass(frozen=True)
-class RunConfig:
+@dataclass(frozen=True, eq=False)
+class RunConfig(_ValueEquality):
     """One run's settings, validated on construction. ``source`` is a cone
     spec or a toolpath file's path. ``workpiece`` is the placement frame; None
     puts a cone at the default placement and keeps a file's own frame. The
-    arrays are read-only copies of the arrays given."""
+    arrays are read-only copies of the arrays given; configs compare and
+    hash by value."""
 
     robot_file: str | None = None
     solver: SolverSettings = field(default_factory=SolverSettings)
@@ -130,23 +131,31 @@ def _dump(obj, table: dict[str, str]) -> dict:
     return {key: getattr(obj, name) for key, name in table.items()}
 
 
-def _numbers(block: dict, key: str, what: str, size: int = 0) -> np.ndarray:
-    """``block[key]`` as a list of numbers, of ``size`` entries unless 0."""
+def _numbers(block: dict, key: str, what: str, shape: tuple[int, ...] | None = None) -> np.ndarray:
+    """``block[key]`` as an array of numbers of ``shape``, or a list of any length."""
     try:
         values = np.asarray(block[key], dtype=float)
-        if values.ndim == 1 and len(values) == (size or len(values)):
+        if values.shape == shape or (shape is None and values.ndim == 1):
             return values
     except (TypeError, ValueError):
         pass
-    count = f"{size} numbers" if size else "a list of numbers"
+    count = "a list of numbers" if shape is None else " x ".join(map(str, shape)) + " numbers"
     raise ConfigError(f"bad {what} block: {key} must be {count}, got {block[key]!r}")
 
 
 def _parse_frame(block) -> np.ndarray:
-    block = _check_block("workpiece", block, ("pos_mm", "quat"))
+    """A ``{pos_mm, quat}`` or ``{pos_mm, rot}`` (3 x 3) record as a pose."""
+    block = _check_block("workpiece", block, ("pos_mm", "quat", "rot"))
+    if "quat" in block and "rot" in block:
+        raise ConfigError("workpiece block takes quat or rot, not both")
     block = {"pos_mm": (0.0, 0.0, 0.0), "quat": (0.0, 0.0, 0.0, 1.0), **block}
-    position = _numbers(block, "pos_mm", "workpiece", 3)
-    quat = _numbers(block, "quat", "workpiece", 4)
+    position = _numbers(block, "pos_mm", "workpiece", (3,))
+    if "rot" in block:
+        rotation = _numbers(block, "rot", "workpiece", (3, 3))
+        if not is_rotation(rotation, tol=1e-6):
+            raise ConfigError("workpiece rot is not orthonormal with det +1")
+        return make_pose(rotation, position)
+    quat = _numbers(block, "quat", "workpiece", (4,))
     norm = float(np.linalg.norm(quat))
     if abs(norm - 1.0) > 1e-6:
         raise ConfigError(f"workpiece quaternion norm {norm} deviates from 1")
@@ -206,7 +215,8 @@ def load_config(path: str | Path) -> RunConfig:
 
 def resolved_dict(config: RunConfig) -> dict:
     """Full resolved configuration, JSON-ready, for audit headers; it loads
-    back as the same config (q0 in rad; no ``workpiece`` when it is None)."""
+    back as the same config (q0 in rad; ``workpiece`` as its rotation matrix,
+    which a quaternion does not give back bit for bit, or left out when None)."""
     out = {
         "robot": config.robot_file,
         "solver": {**_dump(config.solver, SOLVER_KEYS), "task_dof": config.task_dof},
@@ -220,7 +230,8 @@ def resolved_dict(config: RunConfig) -> dict:
     else:
         out["toolpath"] = config.source
     if config.workpiece is not None:
-        out["workpiece"] = pose_record(config.workpiece)
+        frame = config.workpiece
+        out["workpiece"] = {"pos_mm": frame[:3, 3].tolist(), "rot": frame[:3, :3].tolist()}
     return out
 
 

@@ -6,10 +6,14 @@ twist ``[tcp linear velocity; angular velocity]`` in the base frame, with the
 linear part taken about the TCP point. The kinematic Hessian is the
 6 x n x n tensor of Jacobian partials, ``H[:, :, j] = dJ/dq_j``, built from
 cross products of the Jacobian's own column data rather than by finite
-differences. The ``*_lanes`` functions beside them walk a (V, n) stack of
-configurations, one lane each, and round every lane exactly as the (n,)
-function does; they are separate because a lane axis slows the (n,) walk
-that every ``solve`` iteration takes.
+differences. The Halley step needs only its product ``H dq`` with one joint
+step, which ``hessian_product`` forms in O(n) from the same column data
+without building the tensor; ``kinematic_hessian`` stays as its reference.
+The ``*_lanes`` functions walk a (V, n) stack of configurations, one lane
+each, and round every lane exactly as the (n,) function does; they are
+separate because a lane axis slows the (n,) walk that every ``solve``
+iteration takes. ``hessian_product`` takes any leading stack axes as they
+are.
 
 Cross products are spelled out component-wise in ``_cross_rows``: solver
 iterations call these functions in a tight loop and ``np.cross`` spends more
@@ -212,25 +216,33 @@ def hessian_from_frames(p_tcp: np.ndarray, axes: np.ndarray, origins: np.ndarray
     return h
 
 
-def hessian_from_frames_lanes(
-    p_tcp: np.ndarray, axes: np.ndarray, origins: np.ndarray
-) -> np.ndarray:
-    """``hessian_from_frames`` of each lane of ``chain_frames_lanes``' output: (V, 6, n, n)."""
-    lanes, n = axes.shape[:2]
-    v = np.empty((lanes, n, 3))
-    _cross_rows(axes, p_tcp[:, None] - origins, v)
-    idx = np.arange(n)
-    col = idx[:, None]
-    der = idx[None, :]
-    lo = np.minimum(col, der)
-    hi = np.maximum(col, der)
-    h = np.empty((lanes, 6, n, n))
-    lin = h[:, :3].transpose(0, 2, 3, 1)
-    ang = h[:, 3:].transpose(0, 2, 3, 1)
-    _cross_rows(axes[:, lo], v[:, hi], lin)
-    _cross_rows(axes[:, der], axes[:, col], ang)
-    ang[:, der > col] = 0.0
-    return h
+def hessian_product(axes: np.ndarray, jac: np.ndarray, dq: np.ndarray) -> np.ndarray:
+    """``H dq``, the Jacobian's derivative along the joint step ``dq``,
+    without building the n x n Hessian.
+
+    Takes (..., n, 3) joint axes w_i, the (..., 6, n) Jacobian, whose linear
+    column halves are v_i, and (..., n) ``dq``; returns (..., 6, n). Summing
+    ``kinematic_hessian``'s cells along dq gives column i as
+    ``[W_i x v_i + w_i x S_i; W_i x w_i]`` with ``W_i = sum_{j<=i} dq_j w_j``
+    and ``S_i = sum_{j>i} dq_j v_j``. Every w_i comes from ``axes``, so zero
+    axes give exact zeros. Each leading index rounds as its own call.
+    """
+    n = dq.shape[-1]
+    w = axes.swapaxes(-1, -2)
+    v = jac[..., :3, :]
+    step = dq[..., None, :]
+    w_sum = np.cumsum(w * step, axis=-1)
+    v_rest = np.empty(v.shape)
+    np.cumsum((v * step)[..., :0:-1], axis=-1, out=v_rest[..., -2::-1])
+    v_rest[..., -1] = 0.0
+    # W x w, W x v and w x S as one cross product over 3n rows
+    left = np.concatenate((w_sum, w_sum, w), -1).swapaxes(-1, -2)
+    right = np.concatenate((w, v, v_rest), -1).swapaxes(-1, -2)
+    cross = _cross_rows(left, right, np.empty(left.shape))
+    out = np.empty(jac.shape)
+    out[..., 3:, :] = cross[..., :n, :].swapaxes(-1, -2)
+    np.add(cross[..., n : 2 * n, :], cross[..., 2 * n :, :], out=out[..., :3, :].swapaxes(-1, -2))
+    return out
 
 
 def kinematic_hessian(model: RobotModel, q: np.ndarray) -> np.ndarray:

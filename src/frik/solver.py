@@ -8,7 +8,17 @@ rotation about the target z-axis, r = 3 keeps position only). The step clamps
 the projected error to ``e_max``, takes the damped step, and for the "halley"
 method solves again with the Jacobian augmented by half the Hessian
 contracted along that first step, J + H dq / 2, giving third-order
-convergence.
+convergence. ``H dq`` comes from ``robot.hessian_product`` in O(n), without
+the n x n tensor.
+
+Every iteration walks the chain once, at its joints; the last walk is the
+one whose error ends the solve. ``solve`` keeps that final walk, keyed by
+the model and the returned joints, and a solve that starts from exactly
+those joints on the same model begins from it instead of walking again. So
+every warm-started target of ``solve_toolpath`` after the first walks once
+less (after a kept k = 0 wrist flip, from the check solve's walk). A walk is
+a pure function of model and joints, so no result changes, and every walk is
+still computed inside some solve's timer.
 
 The error, ``task_error``, is the position difference plus an orientation
 error tuned to the task. For r = 6 the orientation error is the rotation
@@ -39,8 +49,7 @@ from .robot import (
     RobotModel,
     chain_frames,
     chain_frames_lanes,
-    hessian_from_frames,
-    hessian_from_frames_lanes,
+    hessian_product,
     jacobian_from_frames,
     jacobian_from_frames_lanes,
 )
@@ -183,7 +192,7 @@ def damped_step(j_hat: np.ndarray, dx_hat: np.ndarray, lam: float) -> np.ndarray
 
 def task_step(
     j6: np.ndarray,
-    h6: np.ndarray | None,
+    axes: np.ndarray | None,
     err_hat: np.ndarray,
     rd_t: np.ndarray,
     r: int,
@@ -193,10 +202,10 @@ def task_step(
 
     ``err_hat`` is the r-row task error (``project`` of ``task_error``). It
     is clamped to ``settings.e_max``, then the damped step is taken on the
-    projected Jacobian. With the kinematic Hessian ``h6`` (6 x n x n) the
-    step is re-solved on the projected J + H dq / 2 (Halley); with ``None``
-    the damped Newton step is returned. The result is bounded by the clamped
-    error's norm over 2 lam.
+    projected Jacobian. With the (n, 3) joint ``axes`` of the chain walk the
+    step is re-solved on the projected J + H dq / 2 (Halley), ``H dq`` from
+    ``hessian_product``; with ``None`` the damped Newton step is returned.
+    The result is bounded by the clamped error's norm over 2 lam.
     """
     err_norm = float(np.linalg.norm(err_hat))
     if err_norm > settings.e_max:
@@ -204,9 +213,14 @@ def task_step(
     else:
         step_err = err_hat
     dq = damped_step(project(j6, rd_t, r), step_err, settings.lam)
-    if h6 is not None:
-        dq = damped_step(project(j6 + 0.5 * (h6 @ dq), rd_t, r), step_err, settings.lam)
+    if axes is not None:
+        halley = j6 + 0.5 * hessian_product(axes, j6, dq)
+        dq = damped_step(project(halley, rd_t, r), step_err, settings.lam)
     return dq
+
+
+# (model, joints as bytes, chain walk) of the last solve's final iterate
+_last_walk: tuple = (None, b"", None)
 
 
 def solve(
@@ -224,7 +238,10 @@ def solve(
     epsilon and the step bound ||dq|| <= ||e|| / (2 lam) on every step, not
     a fall of the residual norm on every step: that norm adds mm to rad, and
     it can rise on an unsaturated step when the orientation error dominates.
+    A start at the joints the last solve returned, on the same model, reuses
+    that solve's final chain walk (see the module docstring).
     """
+    global _last_walk
     q = np.array(q0, dtype=float)
     if q.shape != (model.n,):
         raise DimensionMismatch(f"expected q0 of length {model.n}, got shape {q.shape}")
@@ -237,11 +254,16 @@ def solve(
     sats: list[bool] | None = [] if record else None
 
     start = time.perf_counter()
+    walked_model, walked_q, walk = _last_walk
+    if walked_model is not model or walked_q != q.tobytes():
+        walk = None
     converged = False
     iterations = 0
     residual = np.zeros(r)
     for it in range(settings.max_iterations + 1):
-        tcp, axes, origins = chain_frames(model, q)
+        if it or walk is None:
+            walk = chain_frames(model, q)
+        tcp, axes, origins = walk
         dx_hat = project(task_error(tcp, t_d, r), rd_t, r)
         res_norm = float(np.linalg.norm(dx_hat))
         if record:
@@ -258,8 +280,7 @@ def solve(
 
         p_tcp = tcp[:3, 3]
         j6 = jacobian_from_frames(p_tcp, axes, origins)
-        h6 = hessian_from_frames(p_tcp, axes, origins) if use_halley else None
-        dq = task_step(j6, h6, dx_hat, rd_t, r, settings)
+        dq = task_step(j6, axes if use_halley else None, dx_hat, rd_t, r, settings)
         # Damping guarantee sigma/(sigma^2 + lam^2) <= 1/(2 lam) on the
         # clamped error; a violation means the step math is broken, not that
         # the pose is hard.
@@ -270,6 +291,7 @@ def solve(
         )
         q = q + dq
 
+    _last_walk = (model, q.tobytes(), walk)
     wall_us = (time.perf_counter() - start) * 1e6
     return SolveResult(
         q=q,
@@ -356,15 +378,15 @@ def _lane_damped_step(j_hat: np.ndarray, dx_hat: np.ndarray, lam: float) -> np.n
     return (j_hat.swapaxes(-1, -2) @ np.linalg.solve(gram, dx_hat[..., None]))[..., 0]
 
 
-def _lane_task_step(j6, h6, err_hat, rd_t, r, settings: SolverSettings) -> np.ndarray:
-    """``task_step`` of each lane: ``j6`` (L, 6, n), ``h6`` (L, 6, n, n) or
+def _lane_task_step(j6, axes, err_hat, rd_t, r, settings: SolverSettings) -> np.ndarray:
+    """``task_step`` of each lane: ``j6`` (L, 6, n), ``axes`` (L, n, 3) or
     None, ``err_hat`` (L, r)."""
     err_norm = np.sqrt(_dot(err_hat, err_hat))
     clamp = np.where(err_norm > settings.e_max, settings.e_max / err_norm, 1.0)
     step_err = err_hat * clamp[:, None]
     dq = _lane_damped_step(_lane_project(j6, rd_t, r), step_err, settings.lam)
-    if h6 is not None:
-        halley = j6 + 0.5 * (h6 @ dq[:, None, :, None])[..., 0]
+    if axes is not None:
+        halley = j6 + 0.5 * hessian_product(axes, j6, dq)
         dq = _lane_damped_step(_lane_project(halley, rd_t, r), step_err, settings.lam)
     return dq
 
@@ -380,7 +402,7 @@ def solve_lanes(
     (L, 4, 4) from starts ``q0`` (L, n), iterated in lockstep.
 
     Each lane takes exactly the steps, and rounds exactly as, ``solve`` of
-    its own target and start: the chain, Jacobian and Hessian are walked on
+    its own target and start: the chain, Jacobian and Halley product are taken on
     (L, ...) stacks, the damped systems are solved on (L, r, r) stacks, and
     dot products and norms use ``_dot``. A lane leaves the iteration when it
     converges, when its error is a half-turn (``solve`` would raise
@@ -422,8 +444,7 @@ def solve_lanes(
 
         p_tcp = tcp[:, :3, 3]
         j6 = jacobian_from_frames_lanes(p_tcp, axes, origins)
-        h6 = hessian_from_frames_lanes(p_tcp, axes, origins) if use_halley else None
-        dq = _lane_task_step(j6, h6, dx_hat, rd_t, r, settings)
+        dq = _lane_task_step(j6, axes if use_halley else None, dx_hat, rd_t, r, settings)
         # the damping bound of solve, lane by lane
         limit = bound_factor * np.minimum(1.0, settings.e_max / res_norm) * res_norm
         step_norm = np.sqrt(_dot(dq, dq))

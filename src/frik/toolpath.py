@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -21,11 +21,33 @@ from .errors import InvalidRotation, ParseError
 from .liegroup import _dot, is_rotation, make_pose, quat_to_rot, rot_to_quat
 
 
-@dataclass(frozen=True)
-class Toolpath:
+class _ValueEquality:
+    """``==`` and ``hash`` by value for a frozen dataclass declared with
+    ``eq=False`` whose fields may hold arrays: an array field counts as its
+    shape and values, where the generated methods would compare or hash the
+    array object and raise."""
+
+    def _key(self) -> tuple:
+        values = (getattr(self, f.name) for f in fields(self))
+        return tuple(
+            (v.shape, tuple(v.ravel().tolist())) if isinstance(v, np.ndarray) else v
+            for v in values
+        )
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+
+@dataclass(frozen=True, eq=False)
+class Toolpath(_ValueEquality):
     """Target poses (N, 4, 4) in workpiece coordinates, in path order, plus
     the workpiece placement frame. Both are read-only copies of the arrays
-    given."""
+    given, and toolpaths compare and hash by their values."""
 
     poses: np.ndarray
     frame: np.ndarray = field(default_factory=lambda: np.eye(4))

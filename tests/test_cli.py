@@ -18,7 +18,7 @@ from frik.config import (
     load_config,
     resolved_dict,
 )
-from frik.liegroup import make_pose, pose_inverse, rot_x
+from frik.liegroup import make_pose, pose_inverse, quat_to_rot, rot_x
 from frik.robot import forward_kinematics
 from frik.toolpath import ConeSpec, Toolpath, generate_cone_spiral, load_toolpath, save_toolpath
 
@@ -132,12 +132,16 @@ def test_config_with_unknown_top_level_key_rejected(tmp_path, capsys):
         ({"jobs": True}, "jobs must be an integer, got True"),
         ({"workpiece": {"pos_mm": [1, 2]}}, "bad workpiece block: pos_mm must be 3 numbers"),
         ({"workpiece": {"quat": [0, 0, 1]}}, "bad workpiece block: quat must be 4 numbers"),
+        ({"workpiece": {"rot": [[1, 0, 0], [0, 1, 0]]}}, "rot must be 3 x 3 numbers"),
+        ({"workpiece": {"rot": [[1, 0, 0], [0, 1, 0], [0, 0, -1]]}}, "rot is not orthonormal"),
+        ({"workpiece": {"quat": [0, 0, 0, 1], "rot": np.eye(3).tolist()}}, "quat or rot, not both"),
         ({"q0": {"deg": "abc"}}, "bad q0 block: deg must be a list of numbers, got 'abc'"),
     ],
     ids=[
         "cone-typo", "sweep-typo", "workpiece-typo", "q0-both", "cone-scalar", "solver-scalar",
         "cone-fraction", "task-dof-fraction", "task-dof-choice", "jobs-fraction", "jobs-bool",
-        "workpiece-short-position", "workpiece-short-quat", "q0-not-numbers",
+        "workpiece-short-position", "workpiece-short-quat", "workpiece-short-rot",
+        "workpiece-reflection", "workpiece-quat-and-rot", "q0-not-numbers",
     ],
 )
 def test_malformed_config_block_rejected(tmp_path, capsys, block, message):
@@ -157,6 +161,30 @@ def test_load_config_validates_the_run(tmp_path, block, message):
     # the settings the CLI rejects, load_config rejects too
     with pytest.raises(ConfigError, match=message):
         load_config(write_config(tmp_path, **block))
+
+
+def test_run_config_compares_by_value():
+    assert RunConfig() == RunConfig() and hash(RunConfig()) == hash(RunConfig())
+    frame = default_workpiece_frame()
+    placed = RunConfig(workpiece=frame)
+    assert placed == RunConfig(workpiece=frame.copy())
+    assert hash(placed) == hash(RunConfig(workpiece=frame.copy()))
+    assert placed != RunConfig() and RunConfig(q0_rad=[0.1] * 6) != RunConfig()
+    assert len({RunConfig(), RunConfig(), placed}) == 2
+
+
+def test_rotated_workpiece_header_replays_exactly(tmp_path):
+    # the header writes the frame's matrix, so every rotation loads back bit
+    # for bit; written as a quaternion, most did not
+    rng = np.random.default_rng(71)
+    header_file = tmp_path / "header.json"
+    for _ in range(200):
+        quat = rng.normal(size=4)
+        frame = make_pose(quat_to_rot(quat / np.linalg.norm(quat)), rng.uniform(-2e3, 2e3, 3))
+        config = RunConfig(workpiece=frame)
+        header_file.write_text(json.dumps(resolved_dict(config)))
+        loaded = load_config(header_file)
+        assert np.array_equal(loaded.workpiece, frame) and loaded == config
 
 
 def test_run_config_is_immutable():

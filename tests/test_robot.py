@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from frik.errors import DimensionMismatch, ParseError
-from frik.liegroup import unskew
+from frik.liegroup import make_pose, rot_y, unskew
 from frik.robot import (
     DHRow,
     RobotModel,
@@ -13,8 +13,7 @@ from frik.robot import (
     chain_frames_lanes,
     forward_kinematics,
     geometric_jacobian,
-    hessian_from_frames,
-    hessian_from_frames_lanes,
+    hessian_product,
     irb4600,
     jacobian_from_frames,
     jacobian_from_frames_lanes,
@@ -211,6 +210,64 @@ def test_contract_matches_directional_difference(model, q0_benchmark):
         assert np.abs(h @ dq - (plus - minus) / (2 * step)).max() < 1e-4
 
 
+def _contraction_models(model):
+    """The bundled robot, the same arm with a tool 200 mm off joint 6's axis
+    and tilted by 30 deg, and a 1-link and a 2-link chain."""
+    tool = make_pose(rot_y(np.radians(30.0)), np.array([200.0, 0.0, 150.0]))
+    two_links = RobotModel(
+        dh=(
+            DHRow(a=300.0, alpha=np.pi / 2, d=120.0),
+            DHRow(a=250.0, alpha=-0.4, d=-60.0, theta_offset=0.3),
+        ),
+        joint_min=np.full(2, -np.pi),
+        joint_max=np.full(2, np.pi),
+    )
+    return {
+        "irb4600": model,
+        "offset-tool": RobotModel(model.dh, model.joint_min, model.joint_max, tool=tool),
+        "one-link": one_link(a=500.0, alpha=0.7, d=80.0, theta=0.2),
+        "two-link": two_links,
+    }
+
+
+@pytest.mark.parametrize("name", ["irb4600", "offset-tool", "one-link", "two-link"])
+def test_hessian_product_matches_tensor_contraction(model, name):
+    # the O(n) product the Halley step takes equals kinematic_hessian(q) @ dq
+    # to round-off, over 200 seeded configurations and steps
+    chain = _contraction_models(model)[name]
+    rng = np.random.default_rng(41)
+    for q in random_in_limits(chain, rng, 200):
+        dq = rng.normal(size=chain.n) * rng.choice([1e-3, 0.1, 1.0])
+        tcp, axes, origins = chain_frames(chain, q)
+        jac = jacobian_from_frames(tcp[:3, 3], axes, origins)
+        reference = kinematic_hessian(chain, q) @ dq
+        product = hessian_product(axes, jac, dq)
+        assert product.shape == (6, chain.n)
+        assert np.abs(product - reference).max() <= 1e-12 * np.abs(reference).max()
+
+
+def test_hessian_product_of_zero_step_or_axes_is_zero(model, q0_benchmark):
+    tcp, axes, origins = chain_frames(model, q0_benchmark)
+    jac = jacobian_from_frames(tcp[:3, 3], axes, origins)
+    zero = np.zeros((6, 6))
+    assert np.array_equal(hessian_product(axes, jac, np.zeros(6)), zero)
+    assert np.array_equal(hessian_product(np.zeros((6, 3)), jac, np.full(6, 0.3)), zero)
+
+
+def test_hessian_product_lanes_round_as_one_call(model):
+    # the sweep takes the product on (L, ...) stacks; each lane must equal
+    # its own (n,) call bit for bit, so that the scalar solver stays its oracle
+    rng = np.random.default_rng(43)
+    q = random_in_limits(model, rng, 200)
+    tcp, axes, origins = chain_frames_lanes(model, q)
+    jac = jacobian_from_frames_lanes(tcp[:, :3, 3], axes, origins)
+    dq = rng.normal(size=(200, 6))
+    product = hessian_product(axes, jac, dq)
+    assert product.shape == (200, 6, 6)
+    for lane in range(200):
+        assert np.array_equal(product[lane], hessian_product(axes[lane], jac[lane], dq[lane]))
+
+
 def test_lanes_round_as_one_configuration_calls(model):
     # the lane walk is the sweep's; each lane must equal its own (n,) call
     # bit for bit, so that the scalar solver stays the sweep's oracle
@@ -218,14 +275,12 @@ def test_lanes_round_as_one_configuration_calls(model):
     q = random_in_limits(model, rng, 200)
     tcp, axes, origins = chain_frames_lanes(model, q)
     jac = jacobian_from_frames_lanes(tcp[:, :3, 3], axes, origins)
-    hess = hessian_from_frames_lanes(tcp[:, :3, 3], axes, origins)
     assert tcp.shape == (200, 4, 4) and axes.shape == origins.shape == (200, 6, 3)
     for lane, q_lane in enumerate(q):
         one = chain_frames(model, q_lane)
         for stacked, alone in zip((tcp, axes, origins), one):
             assert np.array_equal(stacked[lane], alone)
         assert np.array_equal(jac[lane], jacobian_from_frames(one[0][:3, 3], *one[1:]))
-        assert np.array_equal(hess[lane], hessian_from_frames(one[0][:3, 3], *one[1:]))
     with pytest.raises(DimensionMismatch):
         chain_frames_lanes(model, q[0])
 

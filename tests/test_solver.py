@@ -5,9 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import frik.solver as solver_module
+from frik.analysis import mode_problem
 from frik.errors import PathFailed, PathFailure, RotationNearPi
 from frik.liegroup import make_pose, rot_x, rot_y, rot_z, se3_exp, so3_exp, twist_rotation
-from frik.robot import chain_frames_lanes, forward_kinematics, geometric_jacobian, kinematic_hessian
+from frik.robot import (
+    chain_frames,
+    chain_frames_lanes,
+    forward_kinematics,
+    geometric_jacobian,
+    kinematic_hessian,
+)
 from frik.solver import (
     SolverSettings,
     TaskProjector,
@@ -21,7 +29,7 @@ from frik.solver import (
     task_step,
     wrist_flip,
 )
-from frik.toolpath import Toolpath
+from frik.toolpath import ConeSpec, Toolpath, generate_cone_spiral
 
 SETTINGS = SolverSettings()
 
@@ -190,17 +198,19 @@ def test_full_task_step_unchanged_by_twist_rotation(model, q0_benchmark):
 
 def test_task_step_zero_error(model, q0_benchmark):
     j = geometric_jacobian(model, q0_benchmark)
-    h = kinematic_hessian(model, q0_benchmark)
-    for h6 in (None, h):
-        assert np.array_equal(task_step(j, h6, np.zeros(5), np.eye(3), 5, SETTINGS), np.zeros(6))
+    axes = chain_frames(model, q0_benchmark)[1]
+    for halley_axes in (None, axes):
+        step = task_step(j, halley_axes, np.zeros(5), np.eye(3), 5, SETTINGS)
+        assert np.array_equal(step, np.zeros(6))
 
 
 def test_task_step_with_zero_hessian_equals_newton(model, q0_benchmark):
+    # zero axes make the Hessian, and so the Halley product H dq, exactly zero
     j = geometric_jacobian(model, q0_benchmark)
     rd = so3_exp(np.array([0.2, -0.4, 0.1]))
     dx_hat = np.array([5.0, -2.0, 1.0, 0.05, -0.02])
     newton = task_step(j, None, dx_hat, rd.T, 5, SETTINGS)
-    halley = task_step(j, np.zeros((6, 6, 6)), dx_hat, rd.T, 5, SETTINGS)
+    halley = task_step(j, np.zeros((6, 3)), dx_hat, rd.T, 5, SETTINGS)
     assert np.array_equal(newton, halley)
     reference = damped_step(twist_rotation(rd)[:5] @ j, dx_hat, SETTINGS.lam)
     assert np.abs(newton - reference).max() < 1e-10
@@ -228,14 +238,14 @@ def test_one_solve_iteration_is_task_step(model, q0_benchmark):
     near = forward_kinematics(model, q0 + 0.01)
     far = near.copy()
     far[:3, 3] += np.array([150.0, -80.0, 60.0])
-    for method, h6 in (("newton", None), ("halley", kinematic_hessian(model, q0))):
+    for method, axes in (("newton", None), ("halley", chain_frames(model, q0)[1])):
         for r in (3, 5, 6):
             settings = SolverSettings(method=method, max_iterations=1)
             for t_d in (near, far):
                 rd_t = t_d[:3, :3].T
                 err_hat = project(task_error(t_e, t_d, r), rd_t, r)
                 assert (np.linalg.norm(err_hat) > settings.e_max) == (t_d is far)
-                dq = task_step(j6, h6, err_hat, rd_t, r, settings)
+                dq = task_step(j6, axes, err_hat, rd_t, r, settings)
                 res = solve(model, t_d, q0, TaskProjector(r), settings)
                 assert np.array_equal(res.q, q0 + dq)
 
@@ -397,6 +407,46 @@ def test_solve_toolpath_warm_starts_from_previous(model, q0_benchmark):
     qs = np.array([r.q for r in results])
     # warm-started steps stay close to the generating configurations
     assert np.abs(np.diff(qs, axis=0)).max() < 0.05
+
+
+@pytest.mark.parametrize("method", ["halley", "newton"])
+@pytest.mark.parametrize("mode", ["adhoc", "frik"])
+def test_solve_toolpath_is_solve_chained(model, q0_benchmark, workpiece_frame, monkeypatch, mode, method):
+    # solve_toolpath starts each warm solve from the chain walk the last
+    # solve ended on, which saves one walk per target after the first; it
+    # must equal public solve chained target by target with the k = 0 wrist
+    # rule, each solve walking its own start, bit for bit
+    def forget_last_walk():
+        monkeypatch.setattr(solver_module, "_last_walk", (None, b"", None))
+
+    walks = []
+    walk = solver_module.chain_frames
+    monkeypatch.setattr(solver_module, "chain_frames", lambda m, q: walks.append(1) or walk(m, q))
+    cone = generate_cone_spiral(ConeSpec(samples_per_rev=16, pitch=10.0)).with_frame(workpiece_frame)
+    path, proj = mode_problem(cone, mode, 5)
+    settings = SolverSettings(method=method)
+    forget_last_walk()
+    results = solve_toolpath(model, path, q0_benchmark, proj, settings)
+    carried_walks = len(walks)
+    walks.clear()
+
+    def solve_alone(t_d, q):
+        forget_last_walk()
+        return solve(model, t_d, q, proj, settings)
+
+    q = q0_benchmark
+    for k, t_d in enumerate(path.base_poses()):
+        alone = solve_alone(t_d, q)
+        left, flipped = wrist_flip(model, q0_benchmark, alone.q)
+        if k == 0 and left:
+            check = solve_alone(t_d, flipped)
+            if check.converged and check.iterations == 0:
+                alone = replace(alone, q=check.q, residual=check.residual)
+        assert np.array_equal(results[k].q, alone.q)
+        assert np.array_equal(results[k].residual, alone.residual)
+        assert results[k].iterations == alone.iterations
+        q = alone.q
+    assert carried_walks == len(walks) - (len(path) - 1)
 
 
 def test_solve_toolpath_reports_failing_index(model, q0_benchmark):

@@ -270,6 +270,15 @@ def test_load_null_frame_is_identity(tmp_path):
     assert np.array_equal(load_toolpath(file).frame, np.eye(4))
 
 
+def test_toolpath_compares_by_value():
+    path = generate_cone_spiral(ConeSpec(samples_per_rev=8, pitch=25.0))
+    same = Toolpath(poses=path.poses.copy(), frame=path.frame.copy())
+    assert path == same and hash(path) == hash(same)
+    moved = path.with_frame(make_pose(np.eye(3), np.array([0.0, 1.0, 0.0])))
+    assert path != moved and path != Toolpath(poses=path.poses[:-1])
+    assert len({path, same, moved}) == 2
+
+
 def test_toolpath_holds_read_only_copies():
     poses = np.tile(np.eye(4), (2, 1, 1))
     frame = make_pose(rot_z(0.3), np.array([1.0, 2.0, 3.0]))
