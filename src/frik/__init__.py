@@ -26,7 +26,6 @@ from .liegroup import (
     make_pose,
     pose_inverse,
     quat_to_rot,
-    rot_to_quat,
     rot_x,
     rot_y,
     rot_z,

@@ -3,7 +3,10 @@
 A run needs a robot (file or the bundled IRB4600), one toolpath source (a
 file or the cone generator block), a workpiece placement, a start
 configuration, solver settings, and optionally a sweep grid. Values resolve
-as: built-in defaults < config file < command-line flags.
+as: built-in defaults < config file < command-line flags. The ``workpiece``
+block is a pose record and ``q0`` a number list, read by ``liegroup``'s
+``pose_from_record`` and ``finite_numbers`` as toolpath files are; the
+audit header writes the workpiece back with ``pose_record``.
 """
 
 from __future__ import annotations
@@ -15,10 +18,10 @@ from pathlib import Path
 import numpy as np
 
 from .analysis import SweepSpec
-from .errors import FrikError
-from .liegroup import is_rotation, make_pose, quat_to_rot
+from .errors import FrikError, ParseError
+from .liegroup import _ValueEquality, finite_numbers, make_pose, pose_from_record, pose_record
 from .solver import TASK_DOFS, SolverSettings
-from .toolpath import ConeSpec, _ValueEquality
+from .toolpath import ConeSpec
 
 DEFAULT_Q0_DEG = (-112.0, -7.0, 57.0, -80.0, -34.0, 9.0)
 
@@ -131,35 +134,17 @@ def _dump(obj, table: dict[str, str]) -> dict:
     return {key: getattr(obj, name) for key, name in table.items()}
 
 
-def _numbers(block: dict, key: str, what: str, shape: tuple[int, ...] | None = None) -> np.ndarray:
-    """``block[key]`` as an array of numbers of ``shape``, or a list of any length."""
-    try:
-        values = np.asarray(block[key], dtype=float)
-        if values.shape == shape or (shape is None and values.ndim == 1):
-            return values
-    except (TypeError, ValueError):
-        pass
-    count = "a list of numbers" if shape is None else " x ".join(map(str, shape)) + " numbers"
-    raise ConfigError(f"bad {what} block: {key} must be {count}, got {block[key]!r}")
-
-
 def _parse_frame(block) -> np.ndarray:
-    """A ``{pos_mm, quat}`` or ``{pos_mm, rot}`` (3 x 3) record as a pose."""
+    """A workpiece block as a pose: the pose record, at the origin without
+    ``pos_mm`` and unrotated without ``quat`` or ``rot``."""
     block = _check_block("workpiece", block, ("pos_mm", "quat", "rot"))
-    if "quat" in block and "rot" in block:
-        raise ConfigError("workpiece block takes quat or rot, not both")
-    block = {"pos_mm": (0.0, 0.0, 0.0), "quat": (0.0, 0.0, 0.0, 1.0), **block}
-    position = _numbers(block, "pos_mm", "workpiece", (3,))
-    if "rot" in block:
-        rotation = _numbers(block, "rot", "workpiece", (3, 3))
-        if not is_rotation(rotation, tol=1e-6):
-            raise ConfigError("workpiece rot is not orthonormal with det +1")
-        return make_pose(rotation, position)
-    quat = _numbers(block, "quat", "workpiece", (4,))
-    norm = float(np.linalg.norm(quat))
-    if abs(norm - 1.0) > 1e-6:
-        raise ConfigError(f"workpiece quaternion norm {norm} deviates from 1")
-    return make_pose(quat_to_rot(quat / norm), position)
+    record = {"pos_mm": [0.0, 0.0, 0.0], **block}
+    if "quat" not in record:
+        record.setdefault("rot", np.eye(3).tolist())
+    try:
+        return pose_from_record(record)
+    except ParseError as exc:
+        raise ConfigError(f"bad workpiece block: {exc}") from exc
 
 
 def _parse_q0(block) -> np.ndarray:
@@ -167,7 +152,10 @@ def _parse_q0(block) -> np.ndarray:
     if len(block) != 1:
         raise ConfigError('q0 must hold exactly one of "deg" or "rad"')
     (unit,) = block
-    q = _numbers(block, unit, "q0")
+    try:
+        q = finite_numbers(block, unit)
+    except ParseError as exc:
+        raise ConfigError(f"bad q0 block: {exc}") from exc
     return np.radians(q) if unit == "deg" else q
 
 
@@ -215,8 +203,8 @@ def load_config(path: str | Path) -> RunConfig:
 
 def resolved_dict(config: RunConfig) -> dict:
     """Full resolved configuration, JSON-ready, for audit headers; it loads
-    back as the same config (q0 in rad; ``workpiece`` as its rotation matrix,
-    which a quaternion does not give back bit for bit, or left out when None)."""
+    back as the same config (q0 in rad; ``workpiece`` as its pose record, or
+    left out when None)."""
     out = {
         "robot": config.robot_file,
         "solver": {**_dump(config.solver, SOLVER_KEYS), "task_dof": config.task_dof},
@@ -230,8 +218,7 @@ def resolved_dict(config: RunConfig) -> dict:
     else:
         out["toolpath"] = config.source
     if config.workpiece is not None:
-        frame = config.workpiece
-        out["workpiece"] = {"pos_mm": frame[:3, 3].tolist(), "rot": frame[:3, :3].tolist()}
+        out["workpiece"] = pose_record(config.workpiece)
     return out
 
 

@@ -52,5 +52,5 @@ class ParseError(FrikError):
     """A data file could not be parsed; the message carries record diagnostics."""
 
 
-class InvalidRotation(FrikError):
+class InvalidRotation(ParseError):
     """An orientation record is not a valid rotation (e.g. non-unit quaternion)."""

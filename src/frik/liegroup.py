@@ -1,4 +1,5 @@
-"""Rigid-body math: rotations, homogeneous transforms, twists, exp/log maps.
+"""Rigid-body math: rotations, homogeneous transforms, twists, exp/log maps;
+and the one reader and writer of the pose and number records that files hold.
 
 Conventions, fixed project-wide:
 
@@ -6,13 +7,21 @@ Conventions, fixed project-wide:
 - Twists are 6-vectors packed ``[linear; angular]`` (mm, rad).
 - ``twist_rotation(Rd)`` re-expresses base-frame twists in the frame whose
   rotation is ``Rd``, i.e. both diagonal blocks carry ``Rd.T``.
+- A pose record is ``{pos_mm, quat}`` or ``{pos_mm, rot}``: a unit
+  quaternion ``(x, y, z, w)`` or a 3x3 row-major rotation matrix, never
+  both. ``pose_record`` writes the matrix, which JSON's shortest-repr floats
+  give back bit for bit; a quaternion would not. Every number in a record,
+  and every array ``finite_numbers`` reads, must be a finite JSON number.
 """
 
 from __future__ import annotations
 
+import sys
+from dataclasses import fields
+
 import numpy as np
 
-from .errors import RotationNearPi
+from .errors import InvalidRotation, ParseError, RotationNearPi
 
 # Below this angle (rad) trig ratios switch to their Taylor expansions.
 SMALL_ANGLE = 1e-6
@@ -177,33 +186,76 @@ def quat_to_rot(quat: np.ndarray) -> np.ndarray:
     )
 
 
-def rot_to_quat(rotation: np.ndarray) -> np.ndarray:
-    """Unit quaternion ``(x, y, z, w)`` of a rotation matrix (Shepperd's method)."""
-    r = rotation
-    trace = r[0, 0] + r[1, 1] + r[2, 2]
-    if trace > 0:
-        s = 2.0 * np.sqrt(trace + 1.0)
-        w = 0.25 * s
-        x = (r[2, 1] - r[1, 2]) / s
-        y = (r[0, 2] - r[2, 0]) / s
-        z = (r[1, 0] - r[0, 1]) / s
-    elif r[0, 0] > r[1, 1] and r[0, 0] > r[2, 2]:
-        s = 2.0 * np.sqrt(1.0 + r[0, 0] - r[1, 1] - r[2, 2])
-        w = (r[2, 1] - r[1, 2]) / s
-        x = 0.25 * s
-        y = (r[0, 1] + r[1, 0]) / s
-        z = (r[0, 2] + r[2, 0]) / s
-    elif r[1, 1] > r[2, 2]:
-        s = 2.0 * np.sqrt(1.0 + r[1, 1] - r[0, 0] - r[2, 2])
-        w = (r[0, 2] - r[2, 0]) / s
-        x = (r[0, 1] + r[1, 0]) / s
-        y = 0.25 * s
-        z = (r[1, 2] + r[2, 1]) / s
+def finite_numbers(record: dict, key: str, shape: tuple[int, ...] | None = None) -> np.ndarray:
+    """``record[key]`` as a float array of ``shape`` (a list of any length
+    when None), once every entry is a finite number: not null, a string, a
+    boolean, NaN or infinite. Raises ParseError naming ``key``."""
+    if key not in record:
+        raise ParseError(f"missing {key}")
+    value = record[key]
+    items = np.array(value, dtype=object)
+    # type(), not isinstance: bool is an int; the comparison is exact for any int
+    if (items.ndim == 1 if shape is None else items.shape == shape) and all(
+        type(x) in (int, float) and abs(x) <= sys.float_info.max for x in items.flat
+    ):
+        return items.astype(float)
+    if shape is None:
+        count = "a list of numbers"
     else:
-        s = 2.0 * np.sqrt(1.0 + r[2, 2] - r[0, 0] - r[1, 1])
-        w = (r[1, 0] - r[0, 1]) / s
-        x = (r[0, 2] + r[2, 0]) / s
-        y = (r[1, 2] + r[2, 1]) / s
-        z = 0.25 * s
-    quat = np.array([x, y, z, w])
-    return quat / np.linalg.norm(quat)
+        count = " x ".join(map(str, shape)) + " numbers" if shape else "a number"
+    raise ParseError(f"{key} must be {count}, got {value!r}")
+
+
+def pose_from_record(record) -> np.ndarray:
+    """The 4x4 pose of a ``{pos_mm, quat}`` or ``{pos_mm, rot}`` record.
+
+    The quaternion must have unit norm and the matrix be a rotation, each
+    within 1e-6; the quaternion is normalised. Raises ParseError, or its
+    subclass InvalidRotation for a rotation that is not one.
+    """
+    if not isinstance(record, dict):
+        raise ParseError(f"a pose record must be an object, got {record!r}")
+    if "quat" in record and "rot" in record:
+        raise ParseError("a pose record takes quat or rot, not both")
+    position = finite_numbers(record, "pos_mm", (3,))
+    if "rot" in record:
+        rotation = finite_numbers(record, "rot", (3, 3))
+        if not is_rotation(rotation, tol=1e-6):
+            raise InvalidRotation("rot is not orthonormal with det +1")
+    elif "quat" in record:
+        quat = finite_numbers(record, "quat", (4,))
+        norm = float(np.linalg.norm(quat))
+        if abs(norm - 1.0) > 1e-6:
+            raise InvalidRotation(f"quaternion norm {norm} deviates from 1")
+        rotation = quat_to_rot(quat / norm)
+    else:
+        raise ParseError("a pose record needs a quat or rot field")
+    return make_pose(rotation, position)
+
+
+def pose_record(pose: np.ndarray) -> dict:
+    """A 4x4 pose as the ``{pos_mm, rot}`` record that ``pose_from_record``
+    reads back bit for bit."""
+    return {"pos_mm": pose[:3, 3].tolist(), "rot": pose[:3, :3].tolist()}
+
+
+class _ValueEquality:
+    """``==`` and ``hash`` by value for a frozen dataclass declared with
+    ``eq=False`` whose fields may hold arrays: an array field counts as its
+    shape and values, where the generated methods would compare or hash the
+    array object and raise."""
+
+    def _key(self) -> tuple:
+        values = (getattr(self, f.name) for f in fields(self))
+        return tuple(
+            (v.shape, tuple(v.ravel().tolist())) if isinstance(v, np.ndarray) else v
+            for v in values
+        )
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())

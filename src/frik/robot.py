@@ -28,8 +28,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DimensionMismatch, ParseError
-from .liegroup import is_rotation
+from .errors import DimensionMismatch, FrikError, ParseError
+from .liegroup import _ValueEquality, finite_numbers, is_rotation
 
 
 @dataclass(frozen=True)
@@ -42,11 +42,12 @@ class DHRow:
     theta_offset: float = 0.0
 
 
-@dataclass(frozen=True)
-class RobotModel:
+@dataclass(frozen=True, eq=False)
+class RobotModel(_ValueEquality):
     """Immutable serial-chain description: DH rows, joint limits, tool transform.
 
-    The limit and tool arrays are read-only copies of the arrays given."""
+    The limit and tool arrays are read-only copies of the arrays given, and
+    models compare and hash by value."""
 
     dh: tuple[DHRow, ...]
     joint_min: np.ndarray
@@ -272,14 +273,33 @@ def irb4600() -> RobotModel:
     return RobotModel(dh=dh, joint_min=joint_min, joint_max=joint_max, name="irb4600")
 
 
+def _dh_row(record) -> DHRow:
+    record = {"theta_rad": 0.0, **record}
+    keys = ("a_mm", "alpha_rad", "d_mm", "theta_rad")
+    return DHRow(*(float(finite_numbers(record, key, ())) for key in keys))
+
+
+def _tool(raw: dict) -> np.ndarray:
+    if raw.get("tool") is None:
+        return np.eye(4)
+    tool = finite_numbers(raw, "tool", (4, 4))
+    if tool[3].tolist() != [0.0, 0.0, 0.0, 1.0]:
+        raise ParseError(f"tool bottom row must be 0 0 0 1, got {tool[3].tolist()}")
+    if not is_rotation(tool[:3, :3], tol=1e-8):
+        raise ParseError("tool transform rotation block is not orthonormal")
+    return tool
+
+
 def load_robot(path: str | Path) -> RobotModel:
     """Read a robot description JSON file.
 
     Schema: ``dh`` (list of standard-convention rows {a_mm, alpha_rad, d_mm,
     theta_rad}), ``joint_limits_rad`` ({min: [...], max: [...]}), ``tool``
-    (4x4 row-major array or null), and optionally ``dh_convention``, which
-    must be "standard": a file in any other convention raises ParseError
-    rather than being walked as standard rows.
+    (4x4 row-major homogeneous transform, bottom row 0 0 0 1, or null), and
+    optionally ``dh_convention``, which must be "standard": a file in any
+    other convention is rejected rather than walked as standard rows. Every
+    number goes through ``liegroup.finite_numbers``, and any fault raises
+    ParseError naming the file.
     """
     path = Path(path)
     try:
@@ -287,39 +307,19 @@ def load_robot(path: str | Path) -> RobotModel:
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: invalid JSON: {exc}") from exc
     try:
-        rows = tuple(
-            DHRow(
-                a=float(r["a_mm"]),
-                alpha=float(r["alpha_rad"]),
-                d=float(r["d_mm"]),
-                theta_offset=float(r.get("theta_rad", 0.0)),
-            )
-            for r in raw["dh"]
-        )
         limits = raw["joint_limits_rad"]
-        joint_min = np.asarray(limits["min"], dtype=float)
-        joint_max = np.asarray(limits["max"], dtype=float)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"{path}: bad robot description: {exc}") from exc
-    convention = raw.get("dh_convention", "standard")
-    if convention != "standard":
-        raise ParseError(
-            f"{path}: dh_convention {convention!r} is not supported, only 'standard'"
+        convention = raw.get("dh_convention", "standard")
+        if convention != "standard":
+            raise ParseError(f"dh_convention {convention!r} is not supported, only 'standard'")
+        return RobotModel(
+            dh=tuple(_dh_row(r) for r in raw["dh"]),
+            joint_min=finite_numbers(limits, "min"),
+            joint_max=finite_numbers(limits, "max"),
+            tool=_tool(raw),
+            name=raw.get("name", path.stem),
         )
-    tool_raw = raw.get("tool")
-    if tool_raw is None:
-        tool = np.eye(4)
-    else:
-        tool = np.asarray(tool_raw, dtype=float).reshape(4, 4)
-        if not is_rotation(tool[:3, :3], tol=1e-8):
-            raise ParseError(f"{path}: tool transform rotation block is not orthonormal")
-    return RobotModel(
-        dh=rows,
-        joint_min=joint_min,
-        joint_max=joint_max,
-        tool=tool,
-        name=raw.get("name", path.stem),
-    )
+    except (KeyError, TypeError, ValueError, FrikError) as exc:
+        raise ParseError(f"{path}: bad robot description: {exc}") from exc
 
 
 def robot_to_dict(model: RobotModel) -> dict:

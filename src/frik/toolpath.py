@@ -5,6 +5,11 @@ relative to a workpiece frame; a target's index is its position in the
 array. Each target's z-axis is the required tool-approach direction
 (pointing into the surface). ``base_poses`` maps the whole path to the
 robot base with one broadcast product.
+
+A toolpath file holds its frame and every target as the pose records that
+``liegroup.pose_from_record`` reads and ``liegroup.pose_record`` writes,
+so a saved path loads back bit for bit. CSV import takes quaternion
+columns; the loaders prefix every error with the file and record.
 """
 
 from __future__ import annotations
@@ -12,35 +17,13 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
-from .errors import InvalidRotation, ParseError
-from .liegroup import _dot, is_rotation, make_pose, quat_to_rot, rot_to_quat
-
-
-class _ValueEquality:
-    """``==`` and ``hash`` by value for a frozen dataclass declared with
-    ``eq=False`` whose fields may hold arrays: an array field counts as its
-    shape and values, where the generated methods would compare or hash the
-    array object and raise."""
-
-    def _key(self) -> tuple:
-        values = (getattr(self, f.name) for f in fields(self))
-        return tuple(
-            (v.shape, tuple(v.ravel().tolist())) if isinstance(v, np.ndarray) else v
-            for v in values
-        )
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
+from .errors import ParseError
+from .liegroup import _dot, _ValueEquality, pose_from_record, pose_record
 
 
 @dataclass(frozen=True, eq=False)
@@ -163,35 +146,17 @@ def assign_adhoc_orientation(path: Toolpath) -> Toolpath:
     return Toolpath(poses=poses, frame=path.frame)
 
 
-def _pose_from_record(record: dict, where: str) -> np.ndarray:
+def _pose(record, where: str) -> np.ndarray:
+    """``pose_from_record`` with ``where`` leading its error message."""
     try:
-        position = np.asarray(record["pos_mm"], dtype=float)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"{where}: bad or missing pos_mm: {exc}") from exc
-    if position.shape != (3,):
-        raise ParseError(f"{where}: pos_mm must have 3 components")
-    if "quat" in record:
-        quat = np.asarray(record["quat"], dtype=float)
-        if quat.shape != (4,):
-            raise ParseError(f"{where}: quat must have 4 components")
-        norm = float(np.linalg.norm(quat))
-        if abs(norm - 1.0) > 1e-6:
-            raise InvalidRotation(f"{where}: quaternion norm {norm} deviates from 1")
-        rotation = quat_to_rot(quat / norm)
-    elif "rot" in record:
-        rotation = np.asarray(record["rot"], dtype=float)
-        if rotation.shape != (3, 3):
-            raise ParseError(f"{where}: rot must be a 3x3 matrix")
-        if not is_rotation(rotation, tol=1e-6):
-            raise InvalidRotation(f"{where}: rot is not orthonormal with det +1")
-    else:
-        raise ParseError(f"{where}: record needs a quat or rot field")
-    return make_pose(rotation, position)
+        return pose_from_record(record)
+    except ParseError as exc:
+        raise type(exc)(f"{where}: {exc}") from exc
 
 
 def _target_pose(record: dict, i: int, where: str) -> np.ndarray:
     """Pose of a file's ``i``-th target record, whose ``k`` (if given) must be ``i``."""
-    pose = _pose_from_record(record, where)
+    pose = _pose(record, where)
     k = record.get("k", i)
     if type(k) is not int or k != i:
         raise ParseError(f"{where}: k must be {i} (integers 0, 1, 2, ... in file order), got {k!r}")
@@ -211,7 +176,7 @@ def _load_json(path: Path) -> Toolpath:
         raise ParseError(f"{path}: targets must be a non-empty list of records")
     poses = [_target_pose(rec, i, f"{path}: target record {i}") for i, rec in enumerate(records)]
     frame_rec = raw.get("frame")
-    frame = np.eye(4) if frame_rec is None else _pose_from_record(frame_rec, f"{path}: frame")
+    frame = np.eye(4) if frame_rec is None else _pose(frame_rec, f"{path}: frame")
     return Toolpath(poses=np.stack(poses), frame=frame)
 
 
@@ -232,8 +197,8 @@ def _load_csv(path: Path) -> Toolpath:
             try:
                 record = {
                     "k": int(row["k"]),
-                    "pos_mm": [row["x_mm"], row["y_mm"], row["z_mm"]],
-                    "quat": [row["qx"], row["qy"], row["qz"], row["qw"]],
+                    "pos_mm": [float(row[c]) for c in ("x_mm", "y_mm", "z_mm")],
+                    "quat": [float(row[c]) for c in ("qx", "qy", "qz", "qw")],
                 }
             except (TypeError, ValueError) as exc:
                 raise ParseError(f"{where}: {exc}") from exc
@@ -249,12 +214,6 @@ def load_toolpath(path: str | Path) -> Toolpath:
     if path.suffix.lower() == ".csv":
         return _load_csv(path)
     return _load_json(path)
-
-
-def pose_record(pose: np.ndarray) -> dict:
-    """A 4x4 pose as the ``{pos_mm, quat}`` record that toolpath and run
-    config files hold."""
-    return {"pos_mm": pose[:3, 3].tolist(), "quat": rot_to_quat(pose[:3, :3]).tolist()}
 
 
 def toolpath_to_dict(path: Toolpath) -> dict:

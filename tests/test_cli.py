@@ -47,12 +47,12 @@ def test_generate_default_round_trips(tmp_path, capsys):
     assert len(path) == 17
     save_toolpath(path, out / "again.json")
     again = load_toolpath(out / "again.json")
-    assert np.abs(path.poses - again.poses).max() < 1e-12
+    assert np.array_equal(path.poses, again.poses) and np.array_equal(path.frame, again.frame)
 
 
 def test_generated_file_solves_as_the_cone(tmp_path):
-    # generate writes the run's placement, so the file solves where the
-    # cone does; its poses pass through quaternions, hence the 1e-9
+    # generate writes the run's placement and every pose bit for bit, so the
+    # file solves where the cone does, to the same data rows byte for byte
     gen, cone, again = tmp_path / "gen", tmp_path / "cone", tmp_path / "again"
     assert main(["generate", "--out", str(gen), *SMALL_CONE]) == 0
     assert np.array_equal(load_toolpath(gen / "toolpath.json").frame, default_workpiece_frame())
@@ -61,10 +61,7 @@ def test_generated_file_solves_as_the_cone(tmp_path):
     assert main(["solve", "--toolpath", toolpath, "--out", str(again), "--no-timing"]) == 0
     want = (cone / "trajectory_frik.csv").read_text().splitlines()[2:]
     got = (again / "trajectory_frik.csv").read_text().splitlines()[2:]
-    assert len(got) == len(want) == 17
-    for got_row, want_row in zip(got, want):
-        g, w = (np.array(row.split(","), dtype=float) for row in (got_row, want_row))
-        assert np.array_equal(g[[0, 7]], w[[0, 7]]) and np.abs(g[1:7] - w[1:7]).max() < 1e-9
+    assert len(got) == 17 and got == want
 
 
 def test_generate_rejects_negative_diameter(tmp_path, capsys):
@@ -136,12 +133,23 @@ def test_config_with_unknown_top_level_key_rejected(tmp_path, capsys):
         ({"workpiece": {"rot": [[1, 0, 0], [0, 1, 0], [0, 0, -1]]}}, "rot is not orthonormal"),
         ({"workpiece": {"quat": [0, 0, 0, 1], "rot": np.eye(3).tolist()}}, "quat or rot, not both"),
         ({"q0": {"deg": "abc"}}, "bad q0 block: deg must be a list of numbers, got 'abc'"),
+        ({"workpiece": {"pos_mm": [0, None, 900]}}, "bad workpiece block: pos_mm must be 3 numbers"),
+        ({"workpiece": {"pos_mm": ["0", 0, 900]}}, "bad workpiece block: pos_mm must be 3 numbers"),
+        ({"workpiece": {"quat": [0, 0, 0, None]}}, "bad workpiece block: quat must be 4 numbers"),
+        ({"workpiece": {"quat": [0, 0, "0", 1]}}, "bad workpiece block: quat must be 4 numbers"),
+        ({"workpiece": {"rot": [[1, 0, 0], [0, 1, 0], [0, 0, None]]}}, "rot must be 3 x 3 numbers"),
+        ({"workpiece": {"rot": [[1, 0, 0], [0, 1, 0], [0, 0, "1"]]}}, "rot must be 3 x 3 numbers"),
+        ({"q0": {"rad": [0.0, 0.0, 0.0, 0.0, 0.0, None]}}, "bad q0 block: rad must be a list of"),
+        ({"q0": {"deg": ["0", 0, 0, 0, 0, 0]}}, "bad q0 block: deg must be a list of numbers"),
     ],
     ids=[
         "cone-typo", "sweep-typo", "workpiece-typo", "q0-both", "cone-scalar", "solver-scalar",
         "cone-fraction", "task-dof-fraction", "task-dof-choice", "jobs-fraction", "jobs-bool",
         "workpiece-short-position", "workpiece-short-quat", "workpiece-short-rot",
         "workpiece-reflection", "workpiece-quat-and-rot", "q0-not-numbers",
+        "workpiece-null-position", "workpiece-string-position", "workpiece-null-quat",
+        "workpiece-string-quat", "workpiece-null-rot", "workpiece-string-rot", "q0-null",
+        "q0-string",
     ],
 )
 def test_malformed_config_block_rejected(tmp_path, capsys, block, message):

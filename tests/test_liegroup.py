@@ -9,7 +9,6 @@ from frik.liegroup import (
     make_pose,
     pose_inverse,
     quat_to_rot,
-    rot_to_quat,
     rot_x,
     rot_z,
     se3_exp,
@@ -161,12 +160,14 @@ def test_pose_inverse_round_trip():
     assert np.abs(pose @ pose_inverse(pose) - np.eye(4)).max() < 1e-9
 
 
-def test_quaternion_round_trip():
+def test_quat_to_rot_matches_so3_exp():
+    # a turn by theta about a unit axis is the quaternion
+    # (sin(theta/2) axis, cos(theta/2)), and so3_exp's matrix
     rng = np.random.default_rng(11)
     for _ in range(200):
         axis = rng.normal(size=3)
         axis /= np.linalg.norm(axis)
-        r = so3_exp(rng.uniform(0, np.pi) * axis)
-        r2 = quat_to_rot(rot_to_quat(r))
-        assert np.abs(r - r2).max() < 1e-12
-        assert is_rotation(r2, tol=1e-10)
+        angle = rng.uniform(0, np.pi)
+        r = quat_to_rot(np.append(np.sin(0.5 * angle) * axis, np.cos(0.5 * angle)))
+        assert np.abs(r - so3_exp(angle * axis)).max() < 1e-12
+        assert is_rotation(r, tol=1e-10)

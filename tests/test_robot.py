@@ -1,9 +1,11 @@
+from dataclasses import replace
 from functools import reduce
 from itertools import accumulate
 
 import numpy as np
 import pytest
 
+from frik.cli import main
 from frik.errors import DimensionMismatch, ParseError
 from frik.liegroup import make_pose, rot_y, unskew
 from frik.robot import (
@@ -299,6 +301,12 @@ def test_limits_must_be_ordered():
         )
 
 
+def test_model_compares_by_value(model):
+    assert irb4600() == model and hash(irb4600()) == hash(model)
+    tooled = replace(model, tool=make_pose(np.eye(3), np.array([0.0, 0.0, 250.0])))
+    assert tooled != model and len({model, irb4600(), tooled}) == 2
+
+
 def test_model_holds_read_only_copies():
     joint_min = np.array([-1.0])
     joint_max = np.array([1.0])
@@ -327,7 +335,9 @@ def test_robot_json_round_trip(tmp_path, model, q0_benchmark):
     ).max() < 1e-12
 
 
-def test_load_robot_rejects_garbage(tmp_path):
+def test_load_robot_rejects_garbage(tmp_path, capsys, model):
+    import json
+
     file = tmp_path / "robot.json"
     file.write_text("{not json")
     with pytest.raises(ParseError):
@@ -335,6 +345,27 @@ def test_load_robot_rejects_garbage(tmp_path):
     file.write_text('{"dh": [{"a_mm": 1.0}]}')
     with pytest.raises(ParseError):
         load_robot(file)
+    # every number is a finite number in an array of its shape, and the tool
+    # a homogeneous transform; a fault is a ParseError naming the file, on
+    # which the CLI exits 1 with an error line and no traceback
+    spec = robot_to_dict(model)
+    limits = spec["joint_limits_rad"]
+    skewed = make_pose(rot_y(1e-7) @ np.diag([1.0, 1.0 + 1e-7, 1.0]), np.zeros(3))
+    for change, message in [
+        ({"tool": np.eye(3).tolist()}, "tool must be 4 x 4 numbers"),
+        ({"tool": [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, None], [0, 0, 0, 1]]}, "tool must be 4 x"),
+        ({"tool": [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [5, 0, 0, 2]]}, "bottom row must be"),
+        ({"tool": skewed.tolist()}, "rotation block is not orthonormal"),
+        ({"joint_limits_rad": {**limits, "min": [None, *limits["min"][1:]]}}, "min must be a list"),
+        ({"dh": [{**spec["dh"][0], "a_mm": "175"}, *spec["dh"][1:]]}, "a_mm must be a number"),
+    ]:
+        file.write_text(json.dumps({**spec, **change}))
+        with pytest.raises(ParseError) as info:
+            load_robot(file)
+        assert str(file) in str(info.value) and message in str(info.value)
+        assert main(["solve", "--robot", str(file), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(file) in err and "Traceback" not in err
 
 
 def test_load_robot_rejects_modified_convention(tmp_path, model):

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from frik.cli import main
 from frik.errors import InvalidRotation, ParseError
 from frik.liegroup import is_rotation, make_pose, rot_y, rot_z, so3_exp
 from frik.toolpath import (
@@ -155,16 +156,20 @@ def test_adhoc_preserves_approach_axis_and_orthonormality():
 # ---------------------------------------------------------------------------
 
 
-def test_save_load_round_trip(tmp_path):
-    path = generate_cone_spiral(BENCH_SPEC).with_frame(
-        make_pose(rot_z(0.5), np.array([10.0, -20.0, 30.0]))
-    )
+def test_save_load_round_trip(tmp_path, workpiece_frame):
+    # files hold rotation matrices, so every pose loads back bit for bit;
+    # the bundled cone at its default placement included
     file = tmp_path / "cone.json"
-    save_toolpath(path, file)
-    loaded = load_toolpath(file)
-    assert len(loaded) == len(path)
-    assert np.abs(loaded.frame - path.frame).max() < 1e-12
-    assert np.abs(loaded.poses - path.poses).max() < 1e-12
+    for path in (
+        generate_cone_spiral(BENCH_SPEC).with_frame(
+            make_pose(rot_z(0.5), np.array([10.0, -20.0, 30.0]))
+        ),
+        generate_cone_spiral(ConeSpec()).with_frame(workpiece_frame),
+    ):
+        save_toolpath(path, file)
+        loaded = load_toolpath(file)
+        assert np.array_equal(loaded.frame, path.frame)
+        assert np.array_equal(loaded.poses, path.poses)
 
 
 def test_load_empty_file_is_parse_error(tmp_path):
@@ -227,8 +232,11 @@ def test_target_indices_must_be_contiguous(tmp_path):
         load_toolpath(file)
 
 
-def json_targets(*ks) -> str:
-    return json.dumps({"targets": [{"k": k, "pos_mm": [0, 0, 0], "quat": [0, 0, 0, 1]} for k in ks]})
+def json_targets(*ks, **fields) -> str:
+    """Target records at the origin, unrotated, with ``fields`` over them; a
+    ``rot`` field replaces the quaternion."""
+    record = {"pos_mm": [0, 0, 0], **({} if "rot" in fields else {"quat": [0, 0, 0, 1]}), **fields}
+    return json.dumps({"targets": [{"k": k, **record} for k in ks]})
 
 
 @pytest.mark.parametrize(
@@ -240,18 +248,36 @@ def json_targets(*ks) -> str:
         ("bool.json", json_targets(0, True), "target record 1"),
         ("gap.csv", "k,x_mm,y_mm,z_mm,qx,qy,qz,qw\n0,1,2,3,0,0,0,1\n2,1,2,3,0,0,0,1\n", "line 3"),
         ("scalar.json", '{"targets": 5}', "targets must be"),
+        ("pos.json", json_targets(0, pos_mm=[0, None, 0]), "target record 0: pos_mm must be"),
+        ("pos.json", json_targets(0, pos_mm=["0", 0, 0]), "target record 0: pos_mm must be"),
+        ("quat.json", json_targets(0, quat=[0, 0, None, 1]), "target record 0: quat must be"),
+        ("quat.json", json_targets(0, quat=[0, 0, 0, "1"]), "target record 0: quat must be"),
+        ("both.json", json_targets(0, quat=[0, 0, 0, 1], rot=np.eye(3).tolist()), "not both"),
+        ("rot.json", json_targets(0, rot=[[1, 0, 0], [0, 1, 0], [0, 0, None]]), "rot must be"),
+        ("rot.json", json_targets(0, rot=[[1, 0, 0], [0, 1, 0], [0, 0, "1"]]), "rot must be"),
+        ("nan.csv", "k,x_mm,y_mm,z_mm,qx,qy,qz,qw\n0,1,nan,3,0,0,0,1\n", "line 2: pos_mm must be"),
     ],
-    ids=["json-gap", "json-string", "json-fraction", "json-bool", "csv-gap", "targets-scalar"],
+    ids=[
+        "json-gap", "json-string", "json-fraction", "json-bool", "csv-gap", "targets-scalar",
+        "pos-null", "pos-string", "quat-null", "quat-string", "quat-and-rot", "rot-null",
+        "rot-string", "csv-nan",
+    ],
 )
-def test_load_rejects_bad_index_or_target_list(tmp_path, name, text, record):
-    # k is an integer counting 0, 1, 2, ... in file order; a bad one is named
-    # by its file and record, never truncated or taken as a number
+def test_load_rejects_bad_index_or_target_list(tmp_path, capsys, name, text, record):
+    # k is an integer counting 0, 1, 2, ... in file order, and every number
+    # is finite; a bad one is named by its file and record, never truncated,
+    # taken as a number or loaded as NaN. The CLI refuses the file before any
+    # solve, with an error line and no traceback
     file = tmp_path / name
     file.write_text(text)
     with pytest.raises(ParseError) as info:
         load_toolpath(file)
     assert str(file) in str(info.value)
     assert record in str(info.value)
+    assert main(["solve", "--toolpath", str(file), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(file) in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("frame", [[], {}, 0, ""], ids=["list", "object", "zero", "string"])
