@@ -33,7 +33,6 @@ from .liegroup import (
     se3_log,
     so3_exp,
     so3_log,
-    twist_rotation,
 )
 from .robot import (
     DHRow,
@@ -49,7 +48,6 @@ from .solver import (
     SolverSettings,
     TaskProjector,
     damped_step,
-    project,
     solve,
     solve_toolpath,
     task_error,

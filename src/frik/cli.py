@@ -39,6 +39,7 @@ from .config import (
     resolved_dict,
 )
 from .errors import FrikError, PathFailed
+from .liegroup import _dot
 from .robot import RobotModel, irb4600, load_robot
 from .solver import TASK_DOFS, SolveResult, solve_toolpath
 from .toolpath import ConeSpec, Toolpath, generate_cone_spiral, load_toolpath, toolpath_to_dict
@@ -90,16 +91,16 @@ def _write_trajectory_csv(
     results: list[SolveResult],
     with_timing: bool,
 ) -> None:
-    n = len(results[0].q)
-    columns = ["k"] + [f"q{i + 1}_deg" for i in range(n)] + ["iterations", "residual"]
+    # one stacked degrees and norm pass; .tolist() floats repr as _fmt does
+    q_deg = np.degrees(np.array([res.q for res in results]))
+    residuals = np.array([res.residual for res in results])
+    norms = np.sqrt(_dot(residuals, residuals)).tolist()
+    columns = ["k"] + [f"q{i + 1}_deg" for i in range(q_deg.shape[1])] + ["iterations", "residual"]
     if with_timing:
         columns.append("us")
     lines = [header, ",".join(columns)]
-    for k, res in enumerate(results):
-        q_deg = np.degrees(res.q)
-        cells = [str(k)] + [_fmt(v) for v in q_deg]
-        cells.append(str(res.iterations))
-        cells.append(_fmt(np.linalg.norm(res.residual)))
+    for k, (res, row, norm) in enumerate(zip(results, q_deg, norms)):
+        cells = [str(k), *map(repr, row.tolist()), str(res.iterations), repr(norm)]
         if with_timing:
             cells.append(_fmt(res.wall_time_us))
         lines.append(",".join(cells))

@@ -5,8 +5,6 @@ Conventions, fixed project-wide:
 
 - Poses are 4x4 homogeneous transforms (rotation matrix + translation in mm).
 - Twists are 6-vectors packed ``[linear; angular]`` (mm, rad).
-- ``twist_rotation(Rd)`` re-expresses base-frame twists in the frame whose
-  rotation is ``Rd``, i.e. both diagonal blocks carry ``Rd.T``.
 - A pose record is ``{pos_mm, quat}`` or ``{pos_mm, rot}``: a unit
   quaternion ``(x, y, z, w)`` or a 3x3 row-major rotation matrix, never
   both. ``pose_record`` writes the matrix, which JSON's shortest-repr floats
@@ -158,20 +156,6 @@ def se3_log(pose: np.ndarray) -> np.ndarray:
     angular = so3_log(pose[:3, :3])
     linear = _v_inverse(angular) @ pose[:3, 3]
     return np.concatenate([linear, angular])
-
-
-def twist_rotation(rd: np.ndarray) -> np.ndarray:
-    """6x6 block-diagonal twist transform for a target-frame rotation ``rd``.
-
-    Applying the result to a base-frame twist yields the same twist with both
-    3-vector halves expressed along the target frame's axes, hence the blocks
-    are ``rd.T``. Off-diagonal blocks are exactly zero.
-    """
-    block = rd.T
-    out = np.zeros((6, 6))
-    out[:3, :3] = block
-    out[3:, 3:] = block
-    return out
 
 
 def quat_to_rot(quat: np.ndarray) -> np.ndarray:

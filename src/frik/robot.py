@@ -22,6 +22,7 @@ time shuffling axes than multiplying at this size.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -198,22 +199,30 @@ def geometric_jacobian(model: RobotModel, q: np.ndarray) -> np.ndarray:
     return jacobian_from_frames(tcp[:3, 3], axes, origins)
 
 
+@functools.cache
+def _hessian_cells(n: int) -> tuple[np.ndarray, ...]:
+    """Read-only index arrays of the n x n Hessian cells (i, j): column i
+    (n, 1), derivative j (1, n), min(i, j), max(i, j) and the mask j > i."""
+    col = np.arange(n)[:, None]
+    der = col.T
+    cells = (col, der, np.minimum(col, der), np.maximum(col, der), der > col)
+    for cell in cells:
+        cell.setflags(write=False)
+    return cells
+
+
 def hessian_from_frames(p_tcp: np.ndarray, axes: np.ndarray, origins: np.ndarray) -> np.ndarray:
     n = axes.shape[0]
     v = np.empty((n, 3))
     _cross_rows(axes, p_tcp - origins, v)
-    idx = np.arange(n)
-    col = idx[:, None]
-    der = idx[None, :]
-    lo = np.minimum(col, der)
-    hi = np.maximum(col, der)
+    col, der, lo, hi, upper = _hessian_cells(n)
     h = np.empty((6, n, n))
     # cell (i, j): linear w_min x v_max, angular w_j x w_i (zero above diagonal)
     lin = h[:3].transpose(1, 2, 0)
     ang = h[3:].transpose(1, 2, 0)
     _cross_rows(axes[lo], v[hi], lin)
     _cross_rows(axes[der], axes[col], ang)
-    ang[der > col] = 0.0
+    ang[upper] = 0.0
     return h
 
 

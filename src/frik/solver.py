@@ -1,15 +1,19 @@
 """Functionally redundant inverse kinematics (FRIK).
 
-``solve`` iterates one joint update, ``task_step``: a damped least-squares
-step (Wampler 1986) on the task-projected error, optionally refined by
-Halley's method. ``project`` re-expresses a twist or Jacobian in the target
-frame and keeps only the first r of the six twist components (r = 5 drops
-rotation about the target z-axis, r = 3 keeps position only). The step clamps
-the projected error to ``e_max``, takes the damped step, and for the "halley"
-method solves again with the Jacobian augmented by half the Hessian
-contracted along that first step, J + H dq / 2, giving third-order
+``solve`` iterates in the target frame. Each iteration walks the chain in
+the base frame and rotates the walk once by R_d^T: the TCP pose, then (when
+a step follows) the joint axes and origins come out along the target's axes.
+There the task is the first r of the six twist rows (r = 5 drops the spin
+about the target z-axis, r = 3 keeps position only), so the error,
+``task_error``, is formed with r rows, and the Jacobian of the rotated walk
+is already the projected one: the task Jacobian is its first r rows. The
+joint update, ``task_step``, clamps the error to ``e_max``, takes a damped
+least-squares step (Wampler 1986) on those rows, and for the "halley" method
+solves again on the first r rows of the Jacobian augmented by half the
+Hessian contracted along that first step, J + H dq / 2, giving third-order
 convergence. ``H dq`` comes from ``robot.hessian_product`` in O(n), without
-the n x n tensor.
+the n x n tensor; it turns with the frame as J does, so it too is taken on
+the rotated walk.
 
 Every iteration walks the chain once, at its joints; the last walk is the
 one whose error ends the solve. ``solve`` keeps that final walk, keyed by
@@ -20,13 +24,13 @@ less (after a kept k = 0 wrist flip, from the check solve's walk). A walk is
 a pure function of model and joints, so no result changes, and every walk is
 still computed inside some solve's timer.
 
-The error, ``task_error``, is the position difference plus an orientation
-error tuned to the task. For r = 6 the orientation error is the rotation
-vector taking the TCP orientation onto the target; for r = 5 it is the
-minimal rotation aligning the TCP z-axis with the target z-axis, which
-depends on the target only through its z-axis. That makes every solver
-iterate exactly invariant to re-spinning the target about its own z-axis, and
-a converged r = 5 solve places the TCP position on the target exactly (within
+The error is the position difference plus an orientation error tuned to
+the task. For r = 6 the orientation error is the rotation vector taking the
+TCP orientation onto the target; for r = 5 it is the minimal rotation
+aligning the TCP z-axis with the target z-axis, which depends on the target
+only through its z-axis. That makes every solver iterate invariant, up to
+round-off, to re-spinning the target about its own z-axis, and a converged
+r = 5 solve places the TCP position on the target exactly (within
 tolerance).
 
 ``solve_lanes`` iterates ``solve`` for a stack of problems in lockstep, each
@@ -37,6 +41,7 @@ lane rounding exactly as its own ``solve`` (the workspace sweep's kernel);
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple
@@ -118,62 +123,35 @@ class SolveResult:
     saturation_flags: list[bool] | None = field(default=None, repr=False)
 
 
-def _perpendicular(axis: np.ndarray) -> np.ndarray:
-    """A unit vector perpendicular to ``axis``, chosen from ``axis`` alone."""
-    pick = np.zeros(3)
-    pick[np.argmin(np.abs(axis))] = 1.0
-    perp = np.cross(axis, pick)
-    return perp / np.linalg.norm(perp)
+def task_error(tcp: np.ndarray, p_d: np.ndarray, r: int) -> np.ndarray:
+    """The r-row task error of a TCP pose given in the target frame.
 
-
-def axis_alignment_error(z_e: np.ndarray, z_d: np.ndarray) -> np.ndarray:
-    """Minimal rotation vector carrying unit axis ``z_e`` onto ``z_d``.
-
-    Depends on the two axes only, so any spin of the target frame about its
-    z-axis leaves the result bitwise unchanged. For (near-)antiparallel axes
-    the half-turn axis is picked deterministically from ``z_d``.
+    ``tcp`` is the TCP's (3, 4) ``[R | p]`` along the target's axes
+    (R_d^T R_e, R_d^T p_e) and ``p_d`` the target position along them
+    (R_d^T p_d). The rows are the position difference, then the orientation
+    error the task constrains: none for r = 3; for r = 5 the x and y rows of
+    the minimal rotation carrying the TCP z-axis onto the target's (its z
+    row is zero), which depends on the target only through its z-axis; for
+    r = 6 the rotation vector taking the TCP orientation onto the target.
     """
-    cos_a = float(np.dot(z_e, z_d))
-    e0, e1, e2 = z_e.tolist()
-    d0, d1, d2 = z_d.tolist()
-    perp = np.array([e1 * d2 - e2 * d1, e2 * d0 - e0 * d2, e0 * d1 - e1 * d0])
-    sin_a = float(np.linalg.norm(perp))
-    if sin_a < 1e-12:
-        if cos_a > 0.0:
-            return np.zeros(3)
-        return np.pi * _perpendicular(z_d)
-    return np.arctan2(sin_a, cos_a) * (perp / sin_a)
-
-
-def task_error(t_e: np.ndarray, t_d: np.ndarray, task_dof: int) -> np.ndarray:
-    """Decoupled error twist: TCP position difference plus orientation error.
-
-    The orientation part matches the task: full rotation vector for a 6-DOF
-    task, tool-axis alignment for 5, zero for position-only.
-    """
-    linear = t_d[:3, 3] - t_e[:3, 3]
-    if task_dof == 6:
-        angular = so3_log(t_d[:3, :3] @ t_e[:3, :3].T)
-    elif task_dof == 5:
-        angular = axis_alignment_error(t_e[:3, 2], t_d[:3, 2])
-    else:
-        angular = np.zeros(3)
-    return np.concatenate([linear, angular])
-
-
-def project(m: np.ndarray, rd_t: np.ndarray, r: int) -> np.ndarray:
-    """Task rows of a twist (6,) or Jacobian (6, n) in the target frame.
-
-    Equals ``twist_rotation(rd)[:r] @ m`` with ``rd_t = rd.T``: both 3-row
-    halves are rotated onto the target axes and the first r rows are kept.
-    """
-    top = rd_t @ m[:3]
+    linear = p_d - tcp[:, 3]
     if r == 3:
-        return top
-    bottom = rd_t @ m[3:]
+        return linear
     if r == 6:
-        return np.concatenate([top, bottom])
-    return np.concatenate([top, bottom[:2]])
+        return np.concatenate([linear, so3_log(tcp[:, :3].T)])
+    e0, e1, e2 = tcp[:, 2].tolist()
+    s = math.sqrt(e0 * e0 + e1 * e1)
+    if s < 1e-12:
+        # (anti)parallel axes: no turn, or a half-turn about the target y-axis
+        return np.concatenate([linear, (0.0, 0.0 if e2 > 0.0 else np.pi)])
+    k = np.arctan2(s, e2) / s
+    return np.concatenate([linear, (k * e1, -k * e0)])
+
+
+def _norm(v: np.ndarray) -> float:
+    """``np.linalg.norm`` of a 1-D vector, rounded as it rounds (the square
+    root of ``v.dot(v)``) without its call overhead."""
+    return math.sqrt(v.dot(v))
 
 
 def damped_step(j_hat: np.ndarray, dx_hat: np.ndarray, lam: float) -> np.ndarray:
@@ -194,28 +172,29 @@ def task_step(
     j6: np.ndarray,
     axes: np.ndarray | None,
     err_hat: np.ndarray,
-    rd_t: np.ndarray,
     r: int,
     settings: SolverSettings,
 ) -> np.ndarray:
-    """The joint update ``solve`` takes from Jacobian ``j6`` and projected error.
+    """The joint update ``solve`` takes from a target-frame Jacobian and error.
 
-    ``err_hat`` is the r-row task error (``project`` of ``task_error``). It
-    is clamped to ``settings.e_max``, then the damped step is taken on the
-    projected Jacobian. With the (n, 3) joint ``axes`` of the chain walk the
-    step is re-solved on the projected J + H dq / 2 (Halley), ``H dq`` from
-    ``hessian_product``; with ``None`` the damped Newton step is returned.
-    The result is bounded by the clamped error's norm over 2 lam.
+    ``j6`` is the 6-row Jacobian of a chain walk rotated into the target
+    frame, and ``err_hat`` the r-row task error (``task_error``). The error is
+    clamped to ``settings.e_max``, then the damped step is taken on the first
+    r rows of ``j6``. With the walk's (n, 3) target-frame joint ``axes`` the
+    step is re-solved on the first r rows of J + H dq / 2 (Halley), ``H dq``
+    from ``hessian_product``, which turns with the frame as J does; with
+    ``None`` the damped Newton step is returned. The result is bounded by the
+    clamped error's norm over 2 lam.
     """
-    err_norm = float(np.linalg.norm(err_hat))
+    err_norm = _norm(err_hat)
     if err_norm > settings.e_max:
         step_err = err_hat * (settings.e_max / err_norm)
     else:
         step_err = err_hat
-    dq = damped_step(project(j6, rd_t, r), step_err, settings.lam)
+    dq = damped_step(j6[:r], step_err, settings.lam)
     if axes is not None:
         halley = j6 + 0.5 * hessian_product(axes, j6, dq)
-        dq = damped_step(project(halley, rd_t, r), step_err, settings.lam)
+        dq = damped_step(halley[:r], step_err, settings.lam)
     return dq
 
 
@@ -245,7 +224,6 @@ def solve(
     q = np.array(q0, dtype=float)
     if q.shape != (model.n,):
         raise DimensionMismatch(f"expected q0 of length {model.n}, got shape {q.shape}")
-    rd_t = t_d[:3, :3].T
     r = proj.r
     use_halley = settings.method == "halley"
     bound_factor = 1.0 / (2.0 * settings.lam)
@@ -254,6 +232,8 @@ def solve(
     sats: list[bool] | None = [] if record else None
 
     start = time.perf_counter()
+    rd = t_d[:3, :3]
+    p_d = (rd.T @ t_d[:3, 3:])[:, 0]
     walked_model, walked_q, walk = _last_walk
     if walked_model is not model or walked_q != q.tobytes():
         walk = None
@@ -264,8 +244,10 @@ def solve(
         if it or walk is None:
             walk = chain_frames(model, q)
         tcp, axes, origins = walk
-        dx_hat = project(task_error(tcp, t_d, r), rd_t, r)
-        res_norm = float(np.linalg.norm(dx_hat))
+        # the walk along the target's axes: one rotation per iteration
+        tcp = rd.T @ tcp[:3]
+        dx_hat = task_error(tcp, p_d, r)
+        res_norm = _norm(dx_hat)
         if record:
             norms.append(res_norm)
         residual = dx_hat
@@ -278,15 +260,15 @@ def solve(
         if record:
             sats.append(res_norm > settings.e_max)
 
-        p_tcp = tcp[:3, 3]
-        j6 = jacobian_from_frames(p_tcp, axes, origins)
-        dq = task_step(j6, axes if use_halley else None, dx_hat, rd_t, r, settings)
+        axes, origins = axes @ rd, origins @ rd
+        j6 = jacobian_from_frames(tcp[:, 3], axes, origins)
+        dq = task_step(j6, axes if use_halley else None, dx_hat, r, settings)
         # Damping guarantee sigma/(sigma^2 + lam^2) <= 1/(2 lam) on the
         # clamped error; a violation means the step math is broken, not that
         # the pose is hard.
         limit = bound_factor * min(1.0, settings.e_max / res_norm) * res_norm
-        step_norm = float(np.linalg.norm(dq))
-        assert step_norm <= limit * (1.0 + 1e-9) and np.isfinite(step_norm), (
+        step_norm = _norm(dq)
+        assert step_norm <= limit * (1.0 + 1e-9) and math.isfinite(step_norm), (
             f"damped step {step_norm} exceeds bound {limit}"
         )
         q = q + dq
@@ -327,47 +309,25 @@ def _lane_rotation_vector(rotation: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     return vee, theta >= np.pi - PI_MARGIN
 
 
-def _lane_axis_alignment(z_e: np.ndarray, z_d: np.ndarray) -> np.ndarray:
-    """``axis_alignment_error`` of each lane of two (L, 3) axis stacks."""
-    cos_a = _dot(z_e, z_d)
-    e0, e1, e2 = z_e[:, 0], z_e[:, 1], z_e[:, 2]
-    d0, d1, d2 = z_d[:, 0], z_d[:, 1], z_d[:, 2]
-    perp = np.stack([e1 * d2 - e2 * d1, e2 * d0 - e0 * d2, e0 * d1 - e1 * d0], -1)
-    sin_a = np.sqrt(_dot(perp, perp))
-    out = np.empty_like(perp)
-    bent = sin_a >= 1e-12
-    out[bent] = np.arctan2(sin_a[bent], cos_a[bent])[:, None] * (perp[bent] / sin_a[bent, None])
-    # (anti)parallel axes take the scalar rule's branches
-    for lane in np.flatnonzero(~bent):
-        out[lane] = axis_alignment_error(z_e[lane], z_d[lane])
-    return out
-
-
-def _lane_task_error(t_e: np.ndarray, t_d: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray]:
-    """``task_error`` of each lane of two (L, 4, 4) pose stacks, and the lanes
-    whose 6-DOF error is a half-turn."""
-    linear = t_d[:, :3, 3] - t_e[:, :3, 3]
-    half_turn = np.zeros(len(t_e), dtype=bool)
-    if r == 6:
-        angular, half_turn = _lane_rotation_vector(
-            t_d[:, :3, :3] @ t_e[:, :3, :3].swapaxes(-1, -2)
-        )
-    elif r == 5:
-        angular = _lane_axis_alignment(t_e[:, :3, 2], t_d[:, :3, 2])
-    else:
-        angular = np.zeros((len(t_e), 3))
-    return np.concatenate([linear, angular], -1), half_turn
-
-
-def _lane_project(m: np.ndarray, rd_t: np.ndarray, r: int) -> np.ndarray:
-    """``project`` of each lane: ``m`` is (L, 6, k), twists as k = 1 columns."""
-    top = rd_t @ m[:, :3]
+def _lane_task_error(tcp: np.ndarray, p_d: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray]:
+    """``task_error`` of each lane of an (L, 3, 4) target-frame TCP stack and
+    (L, 3) target positions, and the lanes whose 6-DOF error is a half-turn."""
+    linear = p_d - tcp[:, :, 3]
+    half_turn = np.zeros(len(tcp), dtype=bool)
     if r == 3:
-        return top
-    bottom = rd_t @ m[:, 3:]
+        return linear, half_turn
     if r == 6:
-        return np.concatenate([top, bottom], 1)
-    return np.concatenate([top, bottom[:, :2]], 1)
+        angular, half_turn = _lane_rotation_vector(tcp[:, :, :3].swapaxes(-1, -2))
+        return np.concatenate([linear, angular], -1), half_turn
+    e0, e1, e2 = tcp[:, 0, 2], tcp[:, 1, 2], tcp[:, 2, 2]
+    s = np.sqrt(e0 * e0 + e1 * e1)
+    bent = s >= 1e-12
+    k = np.arctan2(s, e2) / np.where(bent, s, 1.0)
+    angular = np.stack([k * e1, -k * e0], -1)
+    # (anti)parallel axes take the scalar rule's constants
+    angular[~bent] = 0.0
+    angular[~bent & ~(e2 > 0.0), 1] = np.pi
+    return np.concatenate([linear, angular], -1), half_turn
 
 
 def _lane_damped_step(j_hat: np.ndarray, dx_hat: np.ndarray, lam: float) -> np.ndarray:
@@ -378,16 +338,16 @@ def _lane_damped_step(j_hat: np.ndarray, dx_hat: np.ndarray, lam: float) -> np.n
     return (j_hat.swapaxes(-1, -2) @ np.linalg.solve(gram, dx_hat[..., None]))[..., 0]
 
 
-def _lane_task_step(j6, axes, err_hat, rd_t, r, settings: SolverSettings) -> np.ndarray:
+def _lane_task_step(j6, axes, err_hat, r, settings: SolverSettings) -> np.ndarray:
     """``task_step`` of each lane: ``j6`` (L, 6, n), ``axes`` (L, n, 3) or
     None, ``err_hat`` (L, r)."""
     err_norm = np.sqrt(_dot(err_hat, err_hat))
     clamp = np.where(err_norm > settings.e_max, settings.e_max / err_norm, 1.0)
     step_err = err_hat * clamp[:, None]
-    dq = _lane_damped_step(_lane_project(j6, rd_t, r), step_err, settings.lam)
+    dq = _lane_damped_step(j6[:, :r], step_err, settings.lam)
     if axes is not None:
         halley = j6 + 0.5 * hessian_product(axes, j6, dq)
-        dq = _lane_damped_step(_lane_project(halley, rd_t, r), step_err, settings.lam)
+        dq = _lane_damped_step(halley[:, :r], step_err, settings.lam)
     return dq
 
 
@@ -422,11 +382,13 @@ def solve_lanes(
     iterations = np.zeros(lanes, dtype=int)
     active = np.arange(lanes)
     targets = t_d
+    # a view of the (L, 4, 4) targets, so its strides stay those of solve's
+    rd = targets[:, :3, :3]
+    p_d = (rd.swapaxes(-1, -2) @ targets[:, :3, 3:])[..., 0]
     for it in range(settings.max_iterations + 1):
         tcp, axes, origins = chain_frames_lanes(model, q[active])
-        err, turned = _lane_task_error(tcp, targets, r)
-        rd_t = targets[:, :3, :3].swapaxes(-1, -2)
-        dx_hat = _lane_project(err[..., None], rd_t, r)[..., 0]
+        tcp = rd.swapaxes(-1, -2) @ tcp[:, :3]
+        dx_hat, turned = _lane_task_error(tcp, p_d, r)
         res_norm = np.sqrt(_dot(dx_hat, dx_hat))
         half_turn[active[turned]] = True
         iterations[active] = it
@@ -435,16 +397,16 @@ def solve_lanes(
         go = ~(done | turned)
         if it == settings.max_iterations or not go.any():
             break
+        # rotated before lanes are dropped, while they are strided as solve's walk
+        axes, origins = axes @ rd, origins @ rd
         if not go.all():
-            active, targets = active[go], targets[go]
-            # a view of the kept targets, so its strides stay those of solve's
-            rd_t = targets[:, :3, :3].swapaxes(-1, -2)
+            active, targets, p_d = active[go], targets[go], p_d[go]
+            rd = targets[:, :3, :3]
             tcp, axes, origins = tcp[go], axes[go], origins[go]
             dx_hat, res_norm = dx_hat[go], res_norm[go]
 
-        p_tcp = tcp[:, :3, 3]
-        j6 = jacobian_from_frames_lanes(p_tcp, axes, origins)
-        dq = _lane_task_step(j6, axes if use_halley else None, dx_hat, rd_t, r, settings)
+        j6 = jacobian_from_frames_lanes(tcp[:, :, 3], axes, origins)
+        dq = _lane_task_step(j6, axes if use_halley else None, dx_hat, r, settings)
         # the damping bound of solve, lane by lane
         limit = bound_factor * np.minimum(1.0, settings.e_max / res_norm) * res_norm
         step_norm = np.sqrt(_dot(dq, dq))

@@ -15,8 +15,9 @@ from frik.liegroup import (
     se3_log,
     skew,
     so3_exp,
-    twist_rotation,
 )
+
+from conftest import twist_rotation
 
 
 def series_matrix_exp(m: np.ndarray, terms: int = 30) -> np.ndarray:

@@ -8,19 +8,20 @@ from hypothesis import strategies as st
 import frik.solver as solver_module
 from frik.analysis import mode_problem
 from frik.errors import PathFailed, PathFailure, RotationNearPi
-from frik.liegroup import make_pose, rot_x, rot_y, rot_z, se3_exp, so3_exp, twist_rotation
+from frik.liegroup import make_pose, rot_x, rot_y, rot_z, se3_exp, so3_exp, so3_log
 from frik.robot import (
     chain_frames,
     chain_frames_lanes,
     forward_kinematics,
     geometric_jacobian,
+    hessian_product,
+    jacobian_from_frames,
     kinematic_hessian,
 )
 from frik.solver import (
     SolverSettings,
     TaskProjector,
     damped_step,
-    project,
     solve,
     joint_limit_failures,
     solve_lanes,
@@ -31,11 +32,41 @@ from frik.solver import (
 )
 from frik.toolpath import ConeSpec, Toolpath, generate_cone_spiral
 
+from conftest import target_frame_walk, twist_rotation
+
 SETTINGS = SolverSettings()
+# a target with the base frame's orientation
+BASE_AXES_TARGET = make_pose(np.eye(3), np.array([1500.0, -200.0, 900.0]))
 
 
 def path_of(poses):
     return Toolpath(poses=np.stack(poses))
+
+
+def base_frame_error(t_e, t_d, r):
+    """The task error as a base-frame twist: the position difference, then
+    the rotation vector onto the target (r = 6), the minimal rotation
+    aligning the TCP z-axis with the target's (r = 5, axes not parallel) or
+    zero (r = 3). ``twist_rotation(R_d)[:r]`` of it is the reference for the
+    solver's target-frame error."""
+    linear = t_d[:3, 3] - t_e[:3, 3]
+    if r == 6:
+        angular = so3_log(t_d[:3, :3] @ t_e[:3, :3].T)
+    elif r == 5:
+        z_e, z_d = t_e[:3, 2], t_d[:3, 2]
+        perp = np.cross(z_e, z_d)
+        sin_a = np.linalg.norm(perp)
+        angular = np.arctan2(sin_a, z_e @ z_d) * perp / sin_a
+    else:
+        angular = np.zeros(3)
+    return np.concatenate([linear, angular])
+
+
+def target_frame_step_terms(model, q, t_d, r):
+    """``solve``'s iteration terms at ``q``: the target-frame task error, the
+    6-row Jacobian and the joint axes of the walk rotated onto the target."""
+    tcp, axes, origins, p_d = target_frame_walk(model, q, t_d)
+    return task_error(tcp, p_d, r), jacobian_from_frames(tcp[:, 3], axes, origins), axes
 
 
 # ---------------------------------------------------------------------------
@@ -45,34 +76,40 @@ def path_of(poses):
 
 @pytest.mark.parametrize("r", [3, 5, 6])
 def test_projector_is_identity_row_submatrix(r, model, q0_benchmark):
-    # in the identity frame the projection keeps the first r rows as they are
-    j = geometric_jacobian(model, q0_benchmark)
-    dx = np.arange(6.0)
-    assert np.array_equal(project(j, np.eye(3), r), j[:r])
-    assert np.array_equal(project(dx, np.eye(3), r), dx[:r])
+    # along the axes of a target with the base orientation the walk is the
+    # base-frame walk, so the task rows are the first r rows as they are
+    err, j, _ = target_frame_step_terms(model, q0_benchmark, BASE_AXES_TARGET, r)
+    assert np.array_equal(j[:r], geometric_jacobian(model, q0_benchmark)[:r])
+    dx = base_frame_error(forward_kinematics(model, q0_benchmark), BASE_AXES_TARGET, r)
+    if r == 5:
+        # the alignment is formed along the target's axes, so it rounds otherwise
+        assert np.abs(err - dx[:r]).max() <= 1e-12 * np.abs(dx).max()
+    else:
+        assert np.array_equal(err, dx[:r])
 
 
 def test_decompose_identity_frame_full_task(model, q0_benchmark):
-    # the target-frame decomposition of J, dx and the Halley term H dq is
-    # the identity for the full task in the identity frame
-    j = geometric_jacobian(model, q0_benchmark)
-    h = kinematic_hessian(model, q0_benchmark)
-    dx = np.arange(6.0)
-    hdq = h @ np.linspace(-0.3, 0.3, j.shape[1])
-    assert np.array_equal(project(j, np.eye(3), 6), j)
-    assert np.array_equal(project(dx, np.eye(3), 6), dx)
-    assert np.array_equal(project(hdq, np.eye(3), 6), hdq)
+    # the target-frame J, error and Halley term H dq are the base-frame ones
+    # for the full task in the identity frame
+    err, j, axes = target_frame_step_terms(model, q0_benchmark, BASE_AXES_TARGET, 6)
+    dq = np.linspace(-0.3, 0.3, j.shape[1])
+    assert np.array_equal(j, geometric_jacobian(model, q0_benchmark))
+    t_e = forward_kinematics(model, q0_benchmark)
+    assert np.array_equal(err, base_frame_error(t_e, BASE_AXES_TARGET, 6))
+    hdq = hessian_product(chain_frames(model, q0_benchmark)[1], j, dq)
+    assert np.array_equal(hessian_product(axes, j, dq), hdq)
 
 
 def test_decompose_identity_frame_five_dof(model, q0_benchmark):
     # with r = 5 the same decomposition only drops the spin row
-    j = geometric_jacobian(model, q0_benchmark)
-    h = kinematic_hessian(model, q0_benchmark)
-    dx = np.arange(6.0)
-    hdq = h @ np.linspace(-0.3, 0.3, j.shape[1])
-    assert np.array_equal(project(j, np.eye(3), 5), j[:5])
-    assert np.array_equal(project(dx, np.eye(3), 5), dx[:5])
-    assert np.array_equal(project(hdq, np.eye(3), 5), hdq[:5])
+    err, j, axes = target_frame_step_terms(model, q0_benchmark, BASE_AXES_TARGET, 5)
+    dq = np.linspace(-0.3, 0.3, j.shape[1])
+    base = geometric_jacobian(model, q0_benchmark)
+    assert np.array_equal(j[:5], base[:5])
+    dx = base_frame_error(forward_kinematics(model, q0_benchmark), BASE_AXES_TARGET, 5)
+    assert np.abs(err - dx[:5]).max() <= 1e-12 * np.abs(dx).max()
+    hdq = hessian_product(chain_frames(model, q0_benchmark)[1], base, dq)
+    assert np.array_equal(hessian_product(axes, j, dq)[:5], hdq[:5])
 
 
 def test_projector_rejects_bad_dimension():
@@ -95,8 +132,8 @@ def test_one_damped_step_reduces_millimetre_error(model, q0_benchmark):
         TaskProjector(6),
         SolverSettings(method="newton", max_iterations=1),
     )
-    t_e = forward_kinematics(model, res.q)
-    assert np.linalg.norm(task_error(t_e, t_d, 6)) < 1.0
+    tcp, _, _, p_d = target_frame_walk(model, res.q, t_d)
+    assert np.linalg.norm(task_error(tcp, p_d, 6)) < 1.0
 
 
 def test_saturate_passthrough_and_clamp(model, q0_benchmark):
@@ -105,11 +142,11 @@ def test_saturate_passthrough_and_clamp(model, q0_benchmark):
     j = geometric_jacobian(model, q0_benchmark)
     e = np.array([3.0, 0.0, 0.0, 0.0, 4.0])
     loose = SolverSettings(e_max=10.0)
-    assert np.array_equal(task_step(j, None, e, np.eye(3), 5, loose), damped_step(j[:5], e, loose.lam))
+    assert np.array_equal(task_step(j, None, e, 5, loose), damped_step(j[:5], e, loose.lam))
     tight = SolverSettings(e_max=2.5)
-    clamped = task_step(j, None, e, np.eye(3), 5, tight)
+    clamped = task_step(j, None, e, 5, tight)
     assert np.array_equal(clamped, damped_step(j[:5], 0.5 * e, tight.lam))
-    assert np.array_equal(task_step(j, None, np.zeros(5), np.eye(3), 5, tight), np.zeros(6))
+    assert np.array_equal(task_step(j, None, np.zeros(5), 5, tight), np.zeros(6))
 
 
 # ---------------------------------------------------------------------------
@@ -118,21 +155,49 @@ def test_saturate_passthrough_and_clamp(model, q0_benchmark):
 
 
 def test_project_discards_target_frame_spin_component(model, q0_benchmark):
+    # the r = 5 error is the base-frame alignment along the target's axes
+    # without its spin row, which is zero: the alignment turns about an axis
+    # perpendicular to the target z-axis
     rng = np.random.default_rng(13)
+    t_e = forward_kinematics(model, q0_benchmark)
     j = geometric_jacobian(model, q0_benchmark)
     for _ in range(20):
         axis = rng.normal(size=3)
         axis /= np.linalg.norm(axis)
         rd = so3_exp(rng.uniform(0, 3) * axis)
-        dx = rng.normal(size=6) * np.array([100, 100, 100, 1, 1, 1])
-        dx_hat = project(dx, rd.T, 5)
-        # reconstruct the dropped component directly: rotation about target z
-        dropped = float(rd[:, 2] @ dx[3:])
-        full = twist_rotation(rd) @ dx
-        assert abs(full[5] - dropped) < 1e-12
+        t_d = make_pose(rd, t_e[:3, 3] + rng.normal(size=3) * 100)
+        dx_hat, j6, _ = target_frame_step_terms(model, q0_benchmark, t_d, 5)
+        full = twist_rotation(rd) @ base_frame_error(t_e, t_d, 5)
+        assert abs(full[5]) < 1e-12
         assert np.allclose(dx_hat, full[:5], atol=1e-12)
         for r in (3, 5, 6):
-            assert np.abs(project(j, rd.T, r) - twist_rotation(rd)[:r] @ j).max() < 1e-9
+            assert np.abs(j6[:r] - twist_rotation(rd)[:r] @ j).max() < 1e-9
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_target_frame_terms_match_twist_rotation_reference(model, seed):
+    # error, Jacobian and Halley Jacobian J + H dq / 2 of the walk rotated
+    # onto the target are the base-frame ones re-expressed along the
+    # target's axes, first r rows, to 1e-12 of their largest entry
+    rng = np.random.default_rng(seed)
+    for _ in range(20):
+        q = rng.uniform(model.joint_min, model.joint_max)
+        t_e = forward_kinematics(model, q)
+        turn = so3_exp(rng.uniform(0.0, 2.5) * rot_z(rng.uniform(0, 6)) @ np.array([1.0, 0.0, 0.3]))
+        t_d = t_e @ make_pose(turn, rng.normal(size=3) * 200)
+        dq = rng.normal(size=model.n) * 0.1
+        tr = twist_rotation(t_d[:3, :3])
+        base = geometric_jacobian(model, q)
+        base_halley = base + 0.5 * (kinematic_hessian(model, q) @ dq)
+        for r in (3, 5, 6):
+            err, j6, axes = target_frame_step_terms(model, q, t_d, r)
+            halley = j6 + 0.5 * hessian_product(axes, j6, dq)
+            for got, want in (
+                (err, tr[:r] @ base_frame_error(t_e, t_d, r)),
+                (j6[:r], tr[:r] @ base),
+                (halley[:r], tr[:r] @ base_halley),
+            ):
+                assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 # ---------------------------------------------------------------------------
@@ -200,7 +265,7 @@ def test_task_step_zero_error(model, q0_benchmark):
     j = geometric_jacobian(model, q0_benchmark)
     axes = chain_frames(model, q0_benchmark)[1]
     for halley_axes in (None, axes):
-        step = task_step(j, halley_axes, np.zeros(5), np.eye(3), 5, SETTINGS)
+        step = task_step(j, halley_axes, np.zeros(5), 5, SETTINGS)
         assert np.array_equal(step, np.zeros(6))
 
 
@@ -208,24 +273,26 @@ def test_task_step_with_zero_hessian_equals_newton(model, q0_benchmark):
     # zero axes make the Hessian, and so the Halley product H dq, exactly zero
     j = geometric_jacobian(model, q0_benchmark)
     rd = so3_exp(np.array([0.2, -0.4, 0.1]))
+    _, j6, _ = target_frame_step_terms(model, q0_benchmark, make_pose(rd, np.zeros(3)), 5)
     dx_hat = np.array([5.0, -2.0, 1.0, 0.05, -0.02])
-    newton = task_step(j, None, dx_hat, rd.T, 5, SETTINGS)
-    halley = task_step(j, np.zeros((6, 3)), dx_hat, rd.T, 5, SETTINGS)
+    newton = task_step(j6, None, dx_hat, 5, SETTINGS)
+    halley = task_step(j6, np.zeros((6, 3)), dx_hat, 5, SETTINGS)
     assert np.array_equal(newton, halley)
     reference = damped_step(twist_rotation(rd)[:5] @ j, dx_hat, SETTINGS.lam)
     assert np.abs(newton - reference).max() < 1e-10
 
 
 def test_halley_projection_commutes_with_augmentation(model, q0_benchmark):
-    # projecting the augmented matrix J + H dq / 2, as the Halley step does,
-    # equals augmenting the projected pieces under the reference rotation
+    # the Halley Jacobian J + H dq / 2 of the walk rotated onto the target
+    # equals augmenting the rotated pieces: H dq turns with the frame as J does
     rng = np.random.default_rng(8)
     j = geometric_jacobian(model, q0_benchmark)
     h = kinematic_hessian(model, q0_benchmark)
     rd = so3_exp(np.array([0.3, 0.1, -0.2]))
     tr = twist_rotation(rd)[:5]
     dq = rng.normal(size=6) * 0.1
-    direct = project(j + 0.5 * (h @ dq), rd.T, 5)
+    _, j6, axes = target_frame_step_terms(model, q0_benchmark, make_pose(rd, np.zeros(3)), 5)
+    direct = (j6 + 0.5 * hessian_product(axes, j6, dq))[:5]
     pieces = tr @ j + 0.5 * (np.einsum("rk,kij->rij", tr, h) @ dq)
     assert np.abs(direct - pieces).max() < 1e-12
 
@@ -233,19 +300,16 @@ def test_halley_projection_commutes_with_augmentation(model, q0_benchmark):
 def test_one_solve_iteration_is_task_step(model, q0_benchmark):
     # solve takes exactly the step task_step returns, saturated or not
     q0 = q0_benchmark
-    t_e = forward_kinematics(model, q0)
-    j6 = geometric_jacobian(model, q0)
     near = forward_kinematics(model, q0 + 0.01)
     far = near.copy()
     far[:3, 3] += np.array([150.0, -80.0, 60.0])
-    for method, axes in (("newton", None), ("halley", chain_frames(model, q0)[1])):
+    for method in ("newton", "halley"):
         for r in (3, 5, 6):
             settings = SolverSettings(method=method, max_iterations=1)
             for t_d in (near, far):
-                rd_t = t_d[:3, :3].T
-                err_hat = project(task_error(t_e, t_d, r), rd_t, r)
+                err_hat, j6, axes = target_frame_step_terms(model, q0, t_d, r)
                 assert (np.linalg.norm(err_hat) > settings.e_max) == (t_d is far)
-                dq = task_step(j6, axes, err_hat, rd_t, r, settings)
+                dq = task_step(j6, axes if method == "halley" else None, err_hat, r, settings)
                 res = solve(model, t_d, q0, TaskProjector(r), settings)
                 assert np.array_equal(res.q, q0 + dq)
 
@@ -379,6 +443,30 @@ def test_solve_lanes_round_as_solve(model, q0_benchmark, method, r):
         assert lanes.iterations[lane] == alone.iterations
         assert np.array_equal(lanes.q[lane], alone.q)
     assert not lanes.converged[30] and lanes.iterations[30] == settings.max_iterations
+
+
+@pytest.mark.parametrize("method", ["halley", "newton"])
+def test_five_dof_antiparallel_axis_steps_bounded(model, q0_benchmark, method):
+    # a target whose z-axis is exactly the reverse of the TCP's at the start:
+    # the r = 5 error is the half-turn (0, pi) about the target y-axis, the
+    # first step keeps the damping bound, the solve converges, and lanes
+    # from that start take the scalar solve's steps bit for bit
+    t_d = forward_kinematics(model, q0_benchmark) @ np.diag([1.0, -1.0, -1.0, 1.0])
+    err, _, _ = target_frame_step_terms(model, q0_benchmark, t_d, 5)
+    assert err[3:].tolist() == [0.0, np.pi]
+    settings = SolverSettings(method=method)
+    first = solve(model, t_d, q0_benchmark, TaskProjector(5), replace(settings, max_iterations=1))
+    bound = min(float(np.linalg.norm(err)), settings.e_max) / (2.0 * settings.lam)
+    assert 0.0 < np.linalg.norm(first.q - q0_benchmark) <= bound * (1.0 + 1e-9)
+    offset = t_d @ make_pose(np.eye(3), np.array([0.0, 0.0, 1.0]))
+    targets = [t_d, offset, forward_kinematics(model, q0_benchmark + 0.1)]
+    starts = np.tile(q0_benchmark, (len(targets), 1))
+    lanes = solve_lanes(model, np.stack(targets), starts, TaskProjector(5), settings)
+    for lane, target in enumerate(targets):
+        alone = solve(model, target, q0_benchmark, TaskProjector(5), settings)
+        assert alone.converged and lanes.converged[lane]
+        assert lanes.iterations[lane] == alone.iterations
+        assert np.array_equal(lanes.q[lane], alone.q)
 
 
 # ---------------------------------------------------------------------------
@@ -536,8 +624,9 @@ def test_monotone_residual_on_benchmark_path(model, q0_benchmark, workpiece_fram
     one_step = SolverSettings(max_iterations=1)
 
     def projected_error(q, t_d):
-        dx = task_error(forward_kinematics(model, q), t_d, r)
-        dx_hat = project(dx, t_d[:3, :3].T, r)
+        tcp, _, _, p_d = target_frame_walk(model, q, t_d)
+        dx_hat = task_error(tcp, p_d, r)
+        dx = base_frame_error(forward_kinematics(model, q), t_d, r)
         assert np.abs(dx_hat - twist_rotation(t_d[:3, :3])[:r] @ dx).max() < 1e-12
         return dx_hat
 
@@ -550,9 +639,9 @@ def test_monotone_residual_on_benchmark_path(model, q0_benchmark, workpiece_fram
                 break
             dx_hat = projected_error(q, t_d)
             if np.linalg.norm(dx_hat) <= SETTINGS.e_max:
-                jac, rd_t = geometric_jacobian(model, q), t_d[:3, :3].T
-                newton = task_step(jac, None, dx_hat, rd_t, r, SETTINGS)
-                simplified = task_step(jac, None, projected_error(step.q, t_d), rd_t, r, SETTINGS)
+                _, jac, _ = target_frame_step_terms(model, q, t_d, r)
+                newton = task_step(jac, None, dx_hat, r, SETTINGS)
+                simplified = task_step(jac, None, projected_error(step.q, t_d), r, SETTINGS)
                 thetas.append(np.linalg.norm(simplified) / np.linalg.norm(newton))
             q = step.q
         assert step.converged
