@@ -106,7 +106,9 @@ def so3_log(rotation: np.ndarray) -> np.ndarray:
     sign is ambiguous.
     """
     trace = rotation[0, 0] + rotation[1, 1] + rotation[2, 2]
-    theta = np.arccos(np.clip(0.5 * (trace - 1.0), -1.0, 1.0))
+    c = 0.5 * (trace - 1.0)
+    # np.clip on a scalar, without its dispatch; a NaN passes through as there
+    theta = np.arccos(-1.0 if c < -1.0 else 1.0 if c > 1.0 else c)
     if theta >= np.pi - PI_MARGIN:
         raise RotationNearPi(f"rotation angle {theta:.9f} rad is within {PI_MARGIN} of pi")
     vee = unskew(rotation - rotation.T) * 0.5

@@ -15,9 +15,19 @@ separate because a lane axis slows the (n,) walk that every ``solve``
 iteration takes. ``hessian_product`` takes any leading stack axes as they
 are.
 
-Cross products are spelled out component-wise in ``_cross_rows``: solver
-iterations call these functions in a tight loop and ``np.cross`` spends more
-time shuffling axes than multiplying at this size.
+Cross products are spelled out component-wise, in ``_cross_rows`` and, on
+row buffers, in ``hessian_product``: solver iterations call these functions
+in a tight loop and ``np.cross`` spends more time shuffling axes than
+multiplying at this size. For the same reason ``hessian_product`` writes its
+factors straight into those buffers and takes its running sums with
+``np.add.accumulate``, the ufunc method that ``np.cumsum`` wraps, and the
+chain walk skips its products with the identity: the frame stack starts
+from a copy of the first link, not the identity times it, and a model whose
+tool is the identity (checked once, when the model is built) skips the tool
+product. A product with exact ones and zeros gives back every nonzero
+entry to the bit, so the walk can differ from the identity products only in
+the sign of an exact zero (the second joint axis's x entry is -0.0, not
++0.0, when sin(q1 + offset1) is +0.0).
 """
 
 from __future__ import annotations
@@ -31,6 +41,8 @@ import numpy as np
 
 from .errors import DimensionMismatch, FrikError, ParseError
 from .liegroup import _ValueEquality, finite_numbers, is_rotation
+
+_EYE4 = np.eye(4)
 
 
 @dataclass(frozen=True)
@@ -78,6 +90,7 @@ class RobotModel(_ValueEquality):
         bottom[:, 0, 1:] = np.stack([sa, ca, d], -1)
         bottom[:, 1, 3] = 1.0
         object.__setattr__(self, "_link_constants", (a, offset, ca, sa, bottom))
+        object.__setattr__(self, "_identity_tool", np.array_equal(self.tool, _EYE4))
 
     @property
     def n(self) -> int:
@@ -93,9 +106,6 @@ class RobotModel(_ValueEquality):
 
     def midrange(self) -> np.ndarray:
         return 0.5 * (self.joint_min + self.joint_max)
-
-
-_EYE4 = np.eye(4)
 
 
 def chain_frames(model: RobotModel, q: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -118,9 +128,11 @@ def chain_frames(model: RobotModel, q: np.ndarray) -> tuple[np.ndarray, np.ndarr
     links = np.concatenate((top.T.reshape(n, 2, 4), bottom), axis=1)
     frames = np.empty((n + 1, 4, 4))
     frames[0] = _EYE4
-    for i in range(n):
+    frames[1] = links[0]
+    for i in range(1, n):
         np.matmul(frames[i], links[i], out=frames[i + 1])
-    return frames[n] @ model.tool, frames[:n, :3, 2], frames[:n, :3, 3]
+    tcp = frames[n] if model._identity_tool else frames[n] @ model.tool
+    return tcp, frames[:n, :3, 2], frames[:n, :3, 3]
 
 
 def chain_frames_lanes(
@@ -147,11 +159,13 @@ def chain_frames_lanes(
     links[:, :, 2:] = bottom[:, None]
     frames = np.empty((n + 1, lanes, 4, 4))
     frames[0] = _EYE4
-    for i in range(n):
+    frames[1] = links[0]
+    for i in range(1, n):
         np.matmul(frames[i], links[i], out=frames[i + 1])
     axes = frames[:n, :, :3, 2].swapaxes(0, 1)
     origins = frames[:n, :, :3, 3].swapaxes(0, 1)
-    return frames[n] @ model.tool, axes, origins
+    tcp = frames[n] if model._identity_tool else frames[n] @ model.tool
+    return tcp, axes, origins
 
 
 def forward_kinematics(model: RobotModel, q: np.ndarray) -> np.ndarray:
@@ -241,17 +255,27 @@ def hessian_product(axes: np.ndarray, jac: np.ndarray, dq: np.ndarray) -> np.nda
     w = axes.swapaxes(-1, -2)
     v = jac[..., :3, :]
     step = dq[..., None, :]
-    w_sum = np.cumsum(w * step, axis=-1)
-    v_rest = np.empty(v.shape)
-    np.cumsum((v * step)[..., :0:-1], axis=-1, out=v_rest[..., -2::-1])
-    v_rest[..., -1] = 0.0
-    # W x w, W x v and w x S as one cross product over 3n rows
-    left = np.concatenate((w_sum, w_sum, w), -1).swapaxes(-1, -2)
-    right = np.concatenate((w, v, v_rest), -1).swapaxes(-1, -2)
-    cross = _cross_rows(left, right, np.empty(left.shape))
+    # W x w, W x v and w x S as one cross product over 3n columns: the
+    # factors' component rows [W | W | w] and [w | v | S] go into buffers
+    # whose rows 3 and 4 repeat rows 0 and 1, so that component k is
+    # left[k+1] right[k+2] - left[k+2] right[k+1], as ``_cross_rows`` forms
+    # it, for all three k at once
+    shape = (*v.shape[:-2], 5, 3 * n)
+    left, right = np.empty(shape), np.empty(shape)
+    np.add.accumulate(w * step, -1, out=left[..., :3, :n])
+    left[..., :3, n : 2 * n] = left[..., :3, :n]
+    left[..., :3, 2 * n :] = w
+    right[..., :3, :n] = w
+    right[..., :3, n : 2 * n] = v
+    # S_i sums from the chain's far end; S_{n-1} is empty
+    np.add.accumulate((v * step)[..., :0:-1], -1, out=right[..., :3, -2 : 2 * n - 1 : -1])
+    right[..., :3, -1] = 0.0
+    left[..., 3:, :] = left[..., :2, :]
+    right[..., 3:, :] = right[..., :2, :]
+    cross = left[..., 1:4, :] * right[..., 2:, :] - left[..., 2:, :] * right[..., 1:4, :]
     out = np.empty(jac.shape)
-    out[..., 3:, :] = cross[..., :n, :].swapaxes(-1, -2)
-    np.add(cross[..., n : 2 * n, :], cross[..., 2 * n :, :], out=out[..., :3, :].swapaxes(-1, -2))
+    out[..., 3:, :] = cross[..., :n]
+    np.add(cross[..., n : 2 * n], cross[..., 2 * n :], out=out[..., :3, :])
     return out
 
 
@@ -343,5 +367,5 @@ def robot_to_dict(model: RobotModel) -> dict:
             "min": model.joint_min.tolist(),
             "max": model.joint_max.tolist(),
         },
-        "tool": None if np.array_equal(model.tool, np.eye(4)) else model.tool.tolist(),
+        "tool": None if model._identity_tool else model.tool.tolist(),
     }

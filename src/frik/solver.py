@@ -48,6 +48,10 @@ from typing import NamedTuple
 
 import numpy as np
 
+# the LAPACK gufuncs behind np.linalg.solve, called without its wrapper (see
+# damped_step)
+from numpy.linalg import _umath_linalg
+
 from .errors import DimensionMismatch, PathFailed, PathFailure, RotationNearPi
 from .liegroup import PI_MARGIN, SMALL_ANGLE, _dot, so3_log
 from .robot import (
@@ -107,10 +111,10 @@ class SolverSettings:
 class SolveResult:
     """Outcome of one ``solve``.
 
-    ``residual_norms`` (with ``record_residuals``) holds the projected error
-    norm at every iterate and ``saturation_flags`` whether each step was
-    clamped to ``e_max``. The norm adds mm to rad, so it can rise on an
-    unsaturated step when the orientation error dominates; it is not
+    ``residual_norms`` (with ``record_residuals``) holds the target-frame
+    task error norm at every iterate and ``saturation_flags`` whether each
+    step was clamped to ``e_max``. The norm adds mm to rad, so it can rise on
+    an unsaturated step when the orientation error dominates; it is not
     promised to fall on every step.
     """
 
@@ -160,12 +164,18 @@ def damped_step(j_hat: np.ndarray, dx_hat: np.ndarray, lam: float) -> np.ndarray
     Minimises ||dx - J dq||^2 + lam^2 ||dq||^2. lam > 0 keeps the r x r
     system positive definite, so the step stays bounded by ||dx|| / (2 lam)
     at any rank.
+
+    The system is solved by the LAPACK gufunc that ``np.linalg.solve``
+    wraps, with the same bits: at r <= 6 the wrapper's array conversion,
+    type dispatch and error-state handling cost about twice the solve. Its
+    singular-matrix error cannot arise with lam > 0, and a non-finite input
+    gives a non-finite step, which ``solve`` refuses at its step bound.
     """
     if lam <= 0:
         raise ValueError("lam must be positive")
     gram = j_hat @ j_hat.T
     gram.flat[:: gram.shape[0] + 1] += lam * lam
-    return j_hat.T @ np.linalg.solve(gram, dx_hat)
+    return j_hat.T @ _umath_linalg.solve1(gram, dx_hat, signature="dd->d")
 
 
 def task_step(
@@ -209,14 +219,16 @@ def solve(
     proj: TaskProjector,
     settings: SolverSettings = SolverSettings(),
 ) -> SolveResult:
-    """Iterate from ``q0`` until the projected error norm drops below epsilon.
+    """Iterate from ``q0`` until the target-frame task error norm drops
+    below epsilon.
 
     Returns a soft result: ``converged=False`` with the best-effort joints
     when the iteration cap is hit. The returned residual is the final
-    projected (unsaturated) error. What is promised is convergence below
-    epsilon and the step bound ||dq|| <= ||e|| / (2 lam) on every step, not
-    a fall of the residual norm on every step: that norm adds mm to rad, and
-    it can rise on an unsaturated step when the orientation error dominates.
+    target-frame task error (unsaturated). What is promised is convergence
+    below epsilon and the step bound ||dq|| <= ||e|| / (2 lam) on every
+    step, not a fall of the residual norm on every step: that norm adds mm
+    to rad, and it can rise on an unsaturated step when the orientation
+    error dominates.
     A start at the joints the last solve returned, on the same model, reuses
     that solve's final chain walk (see the module docstring).
     """
@@ -335,7 +347,8 @@ def _lane_damped_step(j_hat: np.ndarray, dx_hat: np.ndarray, lam: float) -> np.n
     gram = j_hat @ j_hat.swapaxes(-1, -2)
     diagonal = np.arange(gram.shape[-1])
     gram[:, diagonal, diagonal] += lam * lam
-    return (j_hat.swapaxes(-1, -2) @ np.linalg.solve(gram, dx_hat[..., None]))[..., 0]
+    y = _umath_linalg.solve(gram, dx_hat[..., None], signature="dd->d")
+    return (j_hat.swapaxes(-1, -2) @ y)[..., 0]
 
 
 def _lane_task_step(j6, axes, err_hat, r, settings: SolverSettings) -> np.ndarray:

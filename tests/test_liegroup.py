@@ -15,6 +15,7 @@ from frik.liegroup import (
     se3_log,
     skew,
     so3_exp,
+    so3_log,
 )
 
 from conftest import twist_rotation
@@ -104,6 +105,20 @@ def test_log_raises_near_pi():
     pose = make_pose(rot_x(np.pi - 1e-8), np.zeros(3))
     with pytest.raises(RotationNearPi):
         se3_log(pose)
+
+
+def test_so3_log_clamps_the_cosine_and_passes_nan():
+    # 0.5 (trace - 1) one ulp beyond +-1 is round-off: a zero turn, or a
+    # half-turn, which is refused
+    ulp_above = np.diag([1.0 + 2.0**-51, 1.0, 1.0])
+    assert 0.5 * (ulp_above[0, 0] + ulp_above[1, 1] + ulp_above[2, 2] - 1.0) == 1.0 + 2.0**-52
+    assert np.array_equal(so3_log(ulp_above), np.zeros(3))
+    ulp_below = np.diag([-1.0, -1.0, 1.0 - 2.0**-51])
+    assert 0.5 * (ulp_below[0, 0] + ulp_below[1, 1] + ulp_below[2, 2] - 1.0) == -1.0 - 2.0**-52
+    with pytest.raises(RotationNearPi):
+        so3_log(ulp_below)
+    # a NaN cosine is not clamped: NaN comes out, not RotationNearPi
+    assert np.isnan(so3_log(np.full((3, 3), np.nan))).all()
 
 
 @settings(max_examples=300, deadline=None)

@@ -141,6 +141,32 @@ def test_chain_axes_and_origins_match_link_products(model):
             assert np.abs(origins[i] - frames[i][:3, 3]).max() < 1e-9
 
 
+def _identity_product_walk(model: RobotModel, q: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The chain walk with its identity products: frames from the identity,
+    TCP times the tool even when it is the identity."""
+    a, offset, ca, sa, bottom = model._link_constants
+    ct, st = np.cos(q + offset), np.sin(q + offset)
+    top = np.array([ct, -st * ca, st * sa, a * ct, st, ct * ca, -ct * sa, a * st])
+    links = np.concatenate((top.T.reshape(model.n, 2, 4), bottom), axis=1)
+    frames = np.array(list(accumulate(links, np.matmul, initial=np.eye(4))))
+    return frames[-1] @ model.tool, frames[:-1, :3, 2], frames[:-1, :3, 3]
+
+
+def test_walk_without_identity_products_rounds_as_with_them(model):
+    # chain_frames starts from the first link and skips an identity tool;
+    # both walks must round as the products with the identity, bit for bit
+    tool = make_pose(rot_y(0.3), np.array([10.0, -5.0, 250.0]))
+    tooled = replace(model, tool=tool)
+    q = np.array(random_in_limits(model, np.random.default_rng(59), 200))
+    for walker in (model, tooled):
+        lanes = chain_frames_lanes(walker, q)
+        for lane, q_lane in enumerate(q):
+            want = _identity_product_walk(walker, q_lane)
+            for got, stacked, expected in zip(chain_frames(walker, q_lane), lanes, want):
+                assert got.tobytes() == expected.tobytes()
+                assert stacked[lane].tobytes() == expected.tobytes()
+
+
 def test_fk_rejects_wrong_length(model):
     with pytest.raises(DimensionMismatch):
         forward_kinematics(model, np.zeros(5))

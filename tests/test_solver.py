@@ -230,6 +230,25 @@ def test_damped_step_matches_normal_equations_oracle():
         assert np.abs(dq - oracle).max() < 1e-10
 
 
+@pytest.mark.parametrize("r", [3, 5, 6])
+def test_damped_step_rounds_as_numpy_solve(r):
+    # both steps call the LAPACK gufunc behind np.linalg.solve directly; a
+    # numpy release that changes it has to fail here, not move solves
+    rng = np.random.default_rng(r)
+    j = rng.normal(size=(50, r, 6)) * rng.choice([1e-3, 1.0, 1e3], size=(50, 1, 1))
+    dx = rng.normal(size=(50, r))
+    lam = 0.02
+    for k in range(50):
+        gram = j[k] @ j[k].T
+        gram.flat[:: r + 1] += lam * lam
+        want = j[k].T @ np.linalg.solve(gram, dx[k])
+        assert damped_step(j[k], dx[k], lam).tobytes() == want.tobytes()
+    grams = j @ j.swapaxes(-1, -2)
+    grams[:, range(r), range(r)] += lam * lam
+    stacked = (j.swapaxes(-1, -2) @ np.linalg.solve(grams, dx[..., None]))[..., 0]
+    assert solver_module._lane_damped_step(j, dx, lam).tobytes() == stacked.tobytes()
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.integers(0, 2**32 - 1))
 def test_damped_step_norm_bound(seed):
