@@ -10,6 +10,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+# the LAPACK gufunc behind np.linalg.det, called without its wrapper (see
+# manipulability_jl)
+from numpy.linalg import _umath_linalg
+
 from .errors import DimensionMismatch, OutOfLimits, PathFailure
 from .robot import RobotModel, chain_frames_lanes, jacobian_from_frames_lanes
 from .solver import (
@@ -32,24 +36,32 @@ def joint_limit_weights(model: RobotModel, q: np.ndarray) -> np.ndarray:
     q = np.asarray(q, dtype=float)
     if q.shape[-1:] != model.joint_min.shape:
         raise DimensionMismatch(f"expected q of length {model.n}, got shape {q.shape}")
-    if np.any(q < model.joint_min) or np.any(q > model.joint_max):
+    if (q < model.joint_min).any() or (q > model.joint_max).any():
         raise OutOfLimits(f"q {np.round(q, 4)} outside joint limits")
     span = model.joint_max - model.joint_min
     return (model.joint_max - q) * (q - model.joint_min) / (span * span)
 
 
-def manipulability_jl(model: RobotModel, q: np.ndarray) -> float | np.ndarray:
+def manipulability_jl(
+    model: RobotModel, q: np.ndarray, walk: tuple | None = None
+) -> float | np.ndarray:
     """Joint-limit-weighted manipulability sqrt(det(J W J^T)).
 
     W is the diagonal of ``joint_limit_weights``; the Jacobian carries mm
     linear rows, so magnitudes are mm^3-scaled. Zero when any joint sits at a
     limit or the Jacobian is rank-deficient. A (V, n) lane stack of ``q``
-    gives (V,) values, each rounded as its lane's own call.
+    gives (V,) values, each rounded as its lane's own call; its ``walk``,
+    when given, must be ``chain_frames_lanes(model, q)`` (a ``solve_lanes``
+    walk) and is used in place of walking. The determinant is the LAPACK
+    gufunc that ``np.linalg.det`` wraps, with the same bits.
     """
     weights = np.atleast_2d(joint_limit_weights(model, q))
-    tcp, axes, origins = chain_frames_lanes(model, np.atleast_2d(q))
+    if walk is None:
+        walk = chain_frames_lanes(model, np.atleast_2d(q))
+    tcp, axes, origins = walk
     jac = jacobian_from_frames_lanes(tcp[:, :3, 3], axes, origins)
-    w = np.sqrt(np.maximum(np.linalg.det((jac * weights[:, None]) @ jac.swapaxes(1, 2)), 0.0))
+    gram = (jac * weights[:, None]) @ jac.swapaxes(1, 2)
+    w = np.sqrt(np.maximum(_umath_linalg.det(gram, signature="d->d"), 0.0))
     return float(w[0]) if np.ndim(q) == 1 else w
 
 
@@ -157,7 +169,10 @@ def _sweep_mode(
     manipulability (NaN when not) and the PathFailure of each voxel that is
     not, keyed by voxel. A voxel with a target beyond the reach bound fails
     as ``out_of_reach`` before any solve. Targets are re-framed one at a
-    time, for the live lanes only.
+    time, for the live lanes only. Each target's lanes start from the chain
+    walk their last solve ended on (``solve_lanes``' ``walk``), which also
+    gives their manipulability; failed lanes leave the walk with their
+    joints.
     """
     reach = model.reach_bound()
     causes: dict[int, PathFailure] = {}
@@ -167,19 +182,21 @@ def _sweep_mode(
             causes[v] = PathFailure("out_of_reach", int(beyond.argmax()))
     live = np.array([v for v in range(len(frames)) if v not in causes], dtype=int)
     q = np.tile(q0, (len(live), 1))
+    walk = None
     w = np.empty((len(frames), len(path)))
     for k, pose in enumerate(path.poses):
         if not live.size:
             break
         t_d = frames[live] @ pose
-        lanes = solve_lanes(model, t_d, q, proj, settings)
-        q, converged, half_turn = lanes.q, lanes.converged, lanes.half_turn
+        q, converged, _, half_turn, walk = solve_lanes(model, t_d, q, proj, settings, walk)
         if k == 0:
             left, flipped = wrist_flip(model, q0, q)
             picked = np.flatnonzero(converged & left)
             check = solve_lanes(model, t_d[picked], flipped[picked], proj, settings)
             kept = check.converged & (check.iterations == 0)
             q[picked[kept]] = check.q[kept]
+            for part, checked in zip(walk, check.walk):
+                part[picked[kept]] = checked[kept]
             half_turn[picked[check.half_turn]] = True
         # later records override earlier ones, in solve_toolpath's order of checks
         failures = joint_limit_failures(model, q, k)
@@ -187,11 +204,13 @@ def _sweep_mode(
             failures.update((lane, PathFailure(kind, k)) for lane in np.flatnonzero(lanes_out))
         for lane, failure in failures.items():
             causes[int(live[lane])] = failure
-        ok = np.ones(len(live), dtype=bool)
-        ok[list(failures)] = False
-        live, q = live[ok], q[ok]
+        if failures:
+            ok = np.ones(len(live), dtype=bool)
+            ok[list(failures)] = False
+            live, q = live[ok], q[ok]
+            walk = tuple(part[ok] for part in walk)
         if live.size:
-            w[live, k] = manipulability_jl(model, q)
+            w[live, k] = manipulability_jl(model, q, walk)
     mean_w = np.full(len(frames), math.nan)
     for v in live:
         mean_w[v] = np.mean(w[v])

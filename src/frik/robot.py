@@ -43,6 +43,8 @@ from .errors import DimensionMismatch, FrikError, ParseError
 from .liegroup import _ValueEquality, finite_numbers, is_rotation
 
 _EYE4 = np.eye(4)
+# which of a joint's (cos, sin) each entry of its link's top rows takes
+_LINK_TRIG = np.array([[0, 1, 1, 0], [1, 0, 0, 1]])
 
 
 @dataclass(frozen=True)
@@ -85,11 +87,15 @@ class RobotModel(_ValueEquality):
             raise DimensionMismatch("tool transform must be 4x4")
         a, alpha, d, offset = np.array([(r.a, r.alpha, r.d, r.theta_offset) for r in self.dh]).T
         ca, sa = np.cos(alpha), np.sin(alpha)
-        # each link's last two rows, [0, sa, ca, d] and [0, 0, 0, 1], do not depend on q
+        # each link's top rows are [ct, -st ca, st sa, a ct] and [st, ct ca,
+        # -ct sa, a st]: (cos, sin) gathered by _LINK_TRIG times these factors
+        one = np.ones(n)
+        top = np.stack([one, -ca, sa, a, one, ca, -sa, a], -1).reshape(n, 2, 4)
+        # its last two rows, [0, sa, ca, d] and [0, 0, 0, 1], do not depend on q
         bottom = np.zeros((n, 2, 4))
         bottom[:, 0, 1:] = np.stack([sa, ca, d], -1)
         bottom[:, 1, 3] = 1.0
-        object.__setattr__(self, "_link_constants", (a, offset, ca, sa, bottom))
+        object.__setattr__(self, "_link_constants", (offset, top, bottom))
         object.__setattr__(self, "_identity_tool", np.array_equal(self.tool, _EYE4))
 
     @property
@@ -121,11 +127,14 @@ def chain_frames(model: RobotModel, q: np.ndarray) -> tuple[np.ndarray, np.ndarr
     n = model.n
     if q.shape != (n,):
         raise DimensionMismatch(f"expected q of length {n}, got shape {q.shape}")
-    a, offset, ca, sa, bottom = model._link_constants
+    offset, top, bottom = model._link_constants
     theta = q + offset
-    ct, st = np.cos(theta), np.sin(theta)
-    top = np.array([ct, -st * ca, st * sa, a * ct, st, ct * ca, -ct * sa, a * st])
-    links = np.concatenate((top.T.reshape(n, 2, 4), bottom), axis=1)
+    trig = np.empty((n, 2))
+    np.cos(theta, out=trig[:, 0])
+    np.sin(theta, out=trig[:, 1])
+    links = np.empty((n, 4, 4))
+    np.multiply(trig[:, _LINK_TRIG], top, out=links[:, :2])
+    links[:, 2:] = bottom
     frames = np.empty((n + 1, 4, 4))
     frames[0] = _EYE4
     frames[1] = links[0]
@@ -150,12 +159,13 @@ def chain_frames_lanes(
     if q.ndim != 2 or q.shape[1] != n:
         raise DimensionMismatch(f"expected q of shape (V, {n}), got {q.shape}")
     lanes = len(q)
-    a, offset, ca, sa, bottom = model._link_constants
-    theta = q + offset
-    ct, st = np.cos(theta), np.sin(theta)
-    top = np.array([ct, -st * ca, st * sa, a * ct, st, ct * ca, -ct * sa, a * st])
+    offset, top, bottom = model._link_constants
+    theta = (q + offset).T
+    trig = np.empty((n, lanes, 2))
+    np.cos(theta, out=trig[..., 0])
+    np.sin(theta, out=trig[..., 1])
     links = np.empty((n, lanes, 4, 4))
-    links[:, :, :2] = top.T.reshape(n, lanes, 2, 4)
+    np.multiply(trig[..., _LINK_TRIG], top[:, None], out=links[:, :, :2])
     links[:, :, 2:] = bottom[:, None]
     frames = np.empty((n + 1, lanes, 4, 4))
     frames[0] = _EYE4

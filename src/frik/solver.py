@@ -16,13 +16,16 @@ the n x n tensor; it turns with the frame as J does, so it too is taken on
 the rotated walk.
 
 Every iteration walks the chain once, at its joints; the last walk is the
-one whose error ends the solve. ``solve`` keeps that final walk, keyed by
-the model and the returned joints, and a solve that starts from exactly
-those joints on the same model begins from it instead of walking again. So
-every warm-started target of ``solve_toolpath`` after the first walks once
-less (after a kept k = 0 wrist flip, from the check solve's walk). A walk is
-a pure function of model and joints, so no result changes, and every walk is
-still computed inside some solve's timer.
+one whose error ends the solve, taken at the returned joints. ``solve``
+returns that walk as ``SolveResult.walk`` and takes a start walk as
+``walk``, so a caller that starts the next solve from the returned joints
+hands the walk on instead of walking again: every warm-started target of
+``solve_toolpath`` after the first walks once less (after a kept k = 0
+wrist flip, from the check solve's walk). ``solve_lanes`` carries its lanes'
+walks the same way (``LaneSolves.walk``), through the workspace sweep and
+into its manipulability. A walk is a pure function of model and joints, so
+no result changes, and every walk is still computed inside some solve's
+timer.
 
 The error is the position difference plus an orientation error tuned to
 the task. For r = 6 the orientation error is the rotation vector taking the
@@ -115,7 +118,10 @@ class SolveResult:
     task error norm at every iterate and ``saturation_flags`` whether each
     step was clamped to ``e_max``. The norm adds mm to rad, so it can rise on
     an unsaturated step when the orientation error dominates; it is not
-    promised to fall on every step.
+    promised to fall on every step. ``walk`` is the base-frame chain walk
+    ``(tcp, axes, origins)`` at ``q``, the one the last iteration took, for
+    the next solve from ``q`` to start from; it holds on to the walk's whole
+    frame stack.
     """
 
     q: np.ndarray
@@ -125,6 +131,7 @@ class SolveResult:
     wall_time_us: float
     residual_norms: list[float] | None = field(default=None, repr=False)
     saturation_flags: list[bool] | None = field(default=None, repr=False)
+    walk: tuple | None = field(default=None, repr=False, compare=False)
 
 
 def task_error(tcp: np.ndarray, p_d: np.ndarray, r: int) -> np.ndarray:
@@ -208,16 +215,13 @@ def task_step(
     return dq
 
 
-# (model, joints as bytes, chain walk) of the last solve's final iterate
-_last_walk: tuple = (None, b"", None)
-
-
 def solve(
     model: RobotModel,
     t_d: np.ndarray,
     q0: np.ndarray,
     proj: TaskProjector,
     settings: SolverSettings = SolverSettings(),
+    walk: tuple | None = None,
 ) -> SolveResult:
     """Iterate from ``q0`` until the target-frame task error norm drops
     below epsilon.
@@ -229,10 +233,10 @@ def solve(
     step, not a fall of the residual norm on every step: that norm adds mm
     to rad, and it can rise on an unsaturated step when the orientation
     error dominates.
-    A start at the joints the last solve returned, on the same model, reuses
-    that solve's final chain walk (see the module docstring).
+    ``walk``, when given, must be ``chain_frames(model, q0)``, e.g. the
+    ``walk`` of the solve that returned ``q0``; the first iteration takes it
+    in place of walking (see the module docstring).
     """
-    global _last_walk
     q = np.array(q0, dtype=float)
     if q.shape != (model.n,):
         raise DimensionMismatch(f"expected q0 of length {model.n}, got shape {q.shape}")
@@ -246,9 +250,6 @@ def solve(
     start = time.perf_counter()
     rd = t_d[:3, :3]
     p_d = (rd.T @ t_d[:3, 3:])[:, 0]
-    walked_model, walked_q, walk = _last_walk
-    if walked_model is not model or walked_q != q.tobytes():
-        walk = None
     converged = False
     iterations = 0
     residual = np.zeros(r)
@@ -285,7 +286,6 @@ def solve(
         )
         q = q + dq
 
-    _last_walk = (model, q.tobytes(), walk)
     wall_us = (time.perf_counter() - start) * 1e6
     return SolveResult(
         q=q,
@@ -295,51 +295,65 @@ def solve(
         wall_time_us=wall_us,
         residual_norms=norms,
         saturation_flags=sats,
+        walk=walk,
     )
 
 
 class LaneSolves(NamedTuple):
     """Outcome of ``solve_lanes``, one entry per lane: the joints (L, n),
-    whether the lane converged, its iteration count, and whether it stopped
-    on a half-turn orientation error, where ``solve`` raises RotationNearPi."""
+    whether the lane converged, its iteration count, whether it stopped on a
+    half-turn orientation error, where ``solve`` raises RotationNearPi, and
+    the base-frame chain walk at its joints, ``(tcp, axes, origins)`` as
+    ``chain_frames_lanes`` returns it: each lane's walk is the one it took at
+    the iteration where it left (converged, half-turn or cap)."""
 
     q: np.ndarray
     converged: np.ndarray
     iterations: np.ndarray
     half_turn: np.ndarray
+    walk: tuple
 
 
-def _lane_rotation_vector(rotation: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``so3_log`` of each rotation in an (L, 3, 3) stack, and which lanes it
-    would refuse as within PI_MARGIN of a half-turn."""
+def _lane_rotation_vector(rotation: np.ndarray, vee: np.ndarray) -> np.ndarray:
+    """``so3_log`` of each rotation in an (L, 3, 3) stack, written to the
+    (L, 3) ``vee``, and which lanes it would refuse as within PI_MARGIN of a
+    half-turn."""
     trace = rotation[:, 0, 0] + rotation[:, 1, 1] + rotation[:, 2, 2]
-    theta = np.arccos(np.clip(0.5 * (trace - 1.0), -1.0, 1.0))
-    skew2 = rotation - rotation.swapaxes(-1, -2)
-    vee = np.stack([skew2[:, 2, 1], skew2[:, 0, 2], skew2[:, 1, 0]], -1) * 0.5
+    # np.clip without its dispatch; a NaN passes through as there
+    theta = np.arccos(np.minimum(np.maximum(0.5 * (trace - 1.0), -1.0), 1.0))
+    np.subtract(rotation[:, 2, 1], rotation[:, 1, 2], out=vee[:, 0])
+    np.subtract(rotation[:, 0, 2], rotation[:, 2, 0], out=vee[:, 1])
+    np.subtract(rotation[:, 1, 0], rotation[:, 0, 1], out=vee[:, 2])
+    vee *= 0.5
     turned = theta >= SMALL_ANGLE
-    vee[turned] *= (theta[turned] / np.sin(theta[turned]))[:, None]
-    return vee, theta >= np.pi - PI_MARGIN
+    if turned.all():
+        vee *= (theta / np.sin(theta))[:, None]
+    else:
+        vee[turned] *= (theta[turned] / np.sin(theta[turned]))[:, None]
+    return theta >= np.pi - PI_MARGIN
 
 
 def _lane_task_error(tcp: np.ndarray, p_d: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray]:
     """``task_error`` of each lane of an (L, 3, 4) target-frame TCP stack and
     (L, 3) target positions, and the lanes whose 6-DOF error is a half-turn."""
-    linear = p_d - tcp[:, :, 3]
-    half_turn = np.zeros(len(tcp), dtype=bool)
     if r == 3:
-        return linear, half_turn
+        return p_d - tcp[:, :, 3], np.zeros(len(tcp), dtype=bool)
+    err = np.empty((len(tcp), r))
+    np.subtract(p_d, tcp[:, :, 3], out=err[:, :3])
     if r == 6:
-        angular, half_turn = _lane_rotation_vector(tcp[:, :, :3].swapaxes(-1, -2))
-        return np.concatenate([linear, angular], -1), half_turn
+        return err, _lane_rotation_vector(tcp[:, :, :3].swapaxes(-1, -2), err[:, 3:])
     e0, e1, e2 = tcp[:, 0, 2], tcp[:, 1, 2], tcp[:, 2, 2]
     s = np.sqrt(e0 * e0 + e1 * e1)
     bent = s >= 1e-12
-    k = np.arctan2(s, e2) / np.where(bent, s, 1.0)
-    angular = np.stack([k * e1, -k * e0], -1)
-    # (anti)parallel axes take the scalar rule's constants
-    angular[~bent] = 0.0
-    angular[~bent & ~(e2 > 0.0), 1] = np.pi
-    return np.concatenate([linear, angular], -1), half_turn
+    flat = not bent.all()
+    k = np.arctan2(s, e2) / (np.where(bent, s, 1.0) if flat else s)
+    np.multiply(k, e1, out=err[:, 3])
+    np.multiply(-k, e0, out=err[:, 4])
+    if flat:
+        # (anti)parallel axes take the scalar rule's constants
+        err[~bent, 3:] = 0.0
+        err[~bent & ~(e2 > 0.0), 4] = np.pi
+    return err, np.zeros(len(tcp), dtype=bool)
 
 
 def _lane_damped_step(j_hat: np.ndarray, dx_hat: np.ndarray, lam: float) -> np.ndarray:
@@ -370,6 +384,7 @@ def solve_lanes(
     q0: np.ndarray,
     proj: TaskProjector,
     settings: SolverSettings = SolverSettings(),
+    walk: tuple | None = None,
 ) -> LaneSolves:
     """``solve`` for a stack of L problems at once: targets ``t_d``
     (L, 4, 4) from starts ``q0`` (L, n), iterated in lockstep.
@@ -379,7 +394,11 @@ def solve_lanes(
     (L, ...) stacks, the damped systems are solved on (L, r, r) stacks, and
     dot products and norms use ``_dot``. A lane leaves the iteration when it
     converges, when its error is a half-turn (``solve`` would raise
-    RotationNearPi) or at the iteration cap; the rest go on.
+    RotationNearPi) or at the iteration cap; the rest go on. As ``solve``
+    does, the first iteration takes ``walk``, when given, in place of
+    walking: it must be ``chain_frames_lanes(model, q0)``, e.g. the ``walk``
+    of the ``solve_lanes`` that returned ``q0``. The returned walk holds each
+    lane's last walk, at its returned joints.
     """
     q = np.array(q0, dtype=float)
     lanes = len(q)
@@ -398,19 +417,35 @@ def solve_lanes(
     # a view of the (L, 4, 4) targets, so its strides stay those of solve's
     rd = targets[:, :3, :3]
     p_d = (rd.swapaxes(-1, -2) @ targets[:, :3, 3:])[..., 0]
+    final_walk = None
     for it in range(settings.max_iterations + 1):
-        tcp, axes, origins = chain_frames_lanes(model, q[active])
+        if it or walk is None:
+            walk = chain_frames_lanes(model, q[active])
+        tcp, axes, origins = walk
         tcp = rd.swapaxes(-1, -2) @ tcp[:, :3]
         dx_hat, turned = _lane_task_error(tcp, p_d, r)
         res_norm = np.sqrt(_dot(dx_hat, dx_hat))
-        half_turn[active[turned]] = True
+        if r == 6 and turned.any():
+            half_turn[active[turned]] = True
         iterations[active] = it
         done = res_norm < settings.epsilon
         converged[active[done & ~turned]] = True
         go = ~(done | turned)
-        if it == settings.max_iterations or not go.any():
+        stop = it == settings.max_iterations or not go.any()
+        if stop and len(active) == lanes:
+            final_walk = walk
+        elif stop or not go.all():
+            # the leaving lanes' walks, at the joints they return
+            if final_walk is None:
+                final_walk = tuple(np.empty((lanes, *part.shape[1:])) for part in walk)
+            leave = slice(None) if stop else ~go
+            for part, kept in zip(walk, final_walk):
+                kept[active[leave]] = part[leave]
+        if stop:
             break
-        # rotated before lanes are dropped, while they are strided as solve's walk
+        # rotated before lanes are dropped, while a fresh walk is strided as
+        # solve's; a carried walk may be contiguous, and rounds the same
+        # (test_solve_lanes_carry_their_last_walk)
         axes, origins = axes @ rd, origins @ rd
         if not go.all():
             active, targets, p_d = active[go], targets[go], p_d[go]
@@ -423,11 +458,11 @@ def solve_lanes(
         # the damping bound of solve, lane by lane
         limit = bound_factor * np.minimum(1.0, settings.e_max / res_norm) * res_norm
         step_norm = np.sqrt(_dot(dq, dq))
-        assert np.all(step_norm <= limit * (1.0 + 1e-9)) and np.isfinite(step_norm).all(), (
+        assert (step_norm <= limit * (1.0 + 1e-9)).all() and np.isfinite(step_norm).all(), (
             f"damped step {step_norm.max()} exceeds bound"
         )
         q[active] = q[active] + dq
-    return LaneSolves(q=q, converged=converged, iterations=iterations, half_turn=half_turn)
+    return LaneSolves(q, converged, iterations, half_turn, final_walk)
 
 
 def wrist_flip(
@@ -454,7 +489,10 @@ def joint_limit_failures(model: RobotModel, q: np.ndarray, k: int) -> dict[int, 
     0. The record names the 1-based joint with the smallest margin and that
     margin in degrees (< 0)."""
     q = np.atleast_2d(q)
-    rows = np.flatnonzero(~((q >= model.joint_min) & (q <= model.joint_max)).all(-1))
+    inside = (q >= model.joint_min) & (q <= model.joint_max)
+    if inside.all():
+        return {}
+    rows = np.flatnonzero(~inside.all(-1))
     margin = np.degrees(np.minimum(q[rows] - model.joint_min, model.joint_max - q[rows]))
     return {
         int(row): PathFailure("joint_limit", k, int(m.argmin()) + 1, m.min())
@@ -471,7 +509,8 @@ def _start_wrist_branch(
     settings: SolverSettings,
 ) -> SolveResult:
     """Flip a first solution whose q5 sign differs from ``q_start``'s back
-    onto the start wrist branch, as ``solve_toolpath`` describes."""
+    onto the start wrist branch, as ``solve_toolpath`` describes; a kept
+    flip takes the check solve's walk."""
     left, flipped = wrist_flip(model, q_start, result.q)
     if not left:
         return result
@@ -483,6 +522,7 @@ def _start_wrist_branch(
         q=check.q,
         residual=check.residual,
         wall_time_us=result.wall_time_us + check.wall_time_us,
+        walk=check.walk,
     )
 
 
@@ -507,13 +547,17 @@ def solve_toolpath(
     happen to reach. Stops at the first target the robot cannot take
     (``rotation_near_pi``, ``not_converged``, or ``joint_limit`` after the
     wrist-branch step) and raises PathFailed with its PathFailure.
+
+    Each solve hands its final chain walk to the next (``solve``'s
+    ``walk``), and the kept results drop it once it is handed on.
     """
     poses = toolpath.base_poses()
     results: list[SolveResult] = []
     q = np.asarray(q0, dtype=float)
+    walk = None
     for k, t_d in enumerate(poses):
         try:
-            result = solve(model, t_d, q, proj, settings)
+            result = solve(model, t_d, q, proj, settings, walk)
             if result.converged and k == 0:
                 result = _start_wrist_branch(model, t_d, q, result, proj, settings)
         except RotationNearPi:
@@ -523,5 +567,6 @@ def solve_toolpath(
         if not model.within_limits(result.q):
             raise PathFailed(joint_limit_failures(model, result.q, k)[0])
         results.append(result)
-        q = result.q
+        q, walk = result.q, result.walk
+        result.walk = None
     return results

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+import frik.analysis as analysis_module
+import frik.solver as solver_module
 from frik.analysis import (
     MODES,
     SweepSpec,
@@ -303,6 +305,45 @@ def test_lane_sweep_matches_scalar_solves(model, q0_benchmark, workpiece_frame, 
                 assert wmap.reachable[iy, iz] == ok
                 assert np.array_equal(wmap.mean_w[iy, iz], mean_w, equal_nan=True)
                 assert wmap.causes.get((iy, iz)) == cause
+
+
+def test_sweep_walks_once_per_lane_step(model, q0_benchmark, workpiece_frame, monkeypatch):
+    # each target's lanes start from the chain walk their last solve ended
+    # on, and their manipulability reads it too: a mode walks its lane stack
+    # once per lockstep step, plus the first target's first walk and the
+    # k = 0 wrist check's
+    walks, steps = [], []
+    walk, solve_lanes = solver_module.chain_frames_lanes, analysis_module.solve_lanes
+
+    def counted_walk(m, q):
+        walks.append(len(q))
+        return walk(m, q)
+
+    def counted_solve(*args):
+        lanes = solve_lanes(*args)
+        steps.append(int(lanes.iterations.max(initial=0)))
+        return lanes
+
+    monkeypatch.setattr(solver_module, "chain_frames_lanes", counted_walk)
+    monkeypatch.setattr(analysis_module, "chain_frames_lanes", counted_walk)
+    monkeypatch.setattr(analysis_module, "solve_lanes", counted_solve)
+    template = generate_cone_spiral(ConeSpec(pitch=10.0, samples_per_rev=16)).with_frame(
+        workpiece_frame
+    )
+    # test_lane_sweep_matches_scalar_solves' grid, whose voxels end all four ways
+    y, z = np.meshgrid(np.arange(-2550.0, 600.0, 900.0), np.arange(-150.0, 3000.0, 900.0))
+    frames = np.tile(workpiece_frame, (y.size, 1, 1))
+    frames[:, 1, 3], frames[:, 2, 3] = y.ravel(), z.ravel()
+    for mode in MODES:
+        walks.clear()
+        steps.clear()
+        path, proj = mode_problem(template, mode, 5)
+        reachable, _, _ = analysis_module._sweep_mode(
+            model, path, proj, frames, q0_benchmark, SolverSettings()
+        )
+        assert reachable.any()
+        assert len(steps) == len(path) + 1
+        assert len(walks) == sum(steps) + 2
 
 
 def test_half_turn_target_fails_adhoc_lane_only(model, q0_benchmark):

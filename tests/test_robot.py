@@ -141,15 +141,47 @@ def test_chain_axes_and_origins_match_link_products(model):
             assert np.abs(origins[i] - frames[i][:3, 3]).max() < 1e-9
 
 
+def _formula_links(model: RobotModel, q: np.ndarray) -> np.ndarray:
+    """The (n, 4, 4) DH links, each entry spelled out as its own product."""
+    a, alpha, d, offset = np.array([(r.a, r.alpha, r.d, r.theta_offset) for r in model.dh]).T
+    ca, sa = np.cos(alpha), np.sin(alpha)
+    ct, st = np.cos(q + offset), np.sin(q + offset)
+    zero, one = np.zeros(model.n), np.ones(model.n)
+    rows = [
+        [ct, -st * ca, st * sa, a * ct],
+        [st, ct * ca, -ct * sa, a * st],
+        [zero, sa, ca, d],
+        [zero, zero, zero, one],
+    ]
+    return np.array(rows).transpose(2, 0, 1)
+
+
 def _identity_product_walk(model: RobotModel, q: np.ndarray) -> tuple[np.ndarray, ...]:
     """The chain walk with its identity products: frames from the identity,
     TCP times the tool even when it is the identity."""
-    a, offset, ca, sa, bottom = model._link_constants
-    ct, st = np.cos(q + offset), np.sin(q + offset)
-    top = np.array([ct, -st * ca, st * sa, a * ct, st, ct * ca, -ct * sa, a * st])
-    links = np.concatenate((top.T.reshape(model.n, 2, 4), bottom), axis=1)
+    links = _formula_links(model, q)
     frames = np.array(list(accumulate(links, np.matmul, initial=np.eye(4))))
     return frames[-1] @ model.tool, frames[:-1, :3, 2], frames[:-1, :3, 3]
+
+
+def test_link_build_keeps_the_formula_signs_of_zero(model):
+    # chain_frames gathers (cos, sin) and multiplies by per-model factors
+    # (1, -ca, sa, a, 1, ca, -sa, a); each product must give the formula's
+    # bits, the sign of an exact zero included: q0 = 0 and q1 = 0 make
+    # sin(theta) +0.0 on joint 1, and alpha = 0 makes sin(alpha) +0.0
+    q = np.array(random_in_limits(model, np.random.default_rng(67), 600))
+    q[:300, 0] = 0.0
+    q[150:450, 1] = 0.0
+    q[-50:] = 0.0
+    lanes = chain_frames_lanes(model, q)
+    for lane, q_lane in enumerate(q):
+        # the first frame is the first link itself, not the identity times it
+        frames = np.array([np.eye(4), *accumulate(_formula_links(model, q_lane), np.matmul)])
+        want = frames[-1], frames[:-1, :3, 2], frames[:-1, :3, 3]
+        for got, stacked, expected in zip(chain_frames(model, q_lane), lanes, want):
+            for walk in (got, stacked[lane]):
+                assert np.array_equal(walk, expected)
+                assert np.array_equal(np.signbit(walk), np.signbit(expected))
 
 
 def test_walk_without_identity_products_rounds_as_with_them(model):

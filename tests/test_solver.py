@@ -430,13 +430,11 @@ def test_halley_iterations_not_worse_than_newton(model, q0_benchmark):
     assert wins / total >= 0.9
 
 
-@pytest.mark.parametrize("r", [3, 5, 6])
-@pytest.mark.parametrize("method", ["halley", "newton"])
-def test_solve_lanes_round_as_solve(model, q0_benchmark, method, r):
-    # cold solves from varied starts, one target beyond the arm (the lane
-    # runs to the cap) and one a half-turn from q0's pose, 1 mm off (the
-    # 6-DOF lane stops where solve raises, though its error is not zero):
-    # every lane must take solve's steps bit for bit
+def lane_problems(model, q0_benchmark):
+    """32 lane targets and starts: cold solves from varied starts, one target
+    beyond the arm (the lane runs to the cap) and one a half-turn from q0's
+    pose, 1 mm off (the 6-DOF lane stops where solve raises, though its
+    error is not zero)."""
     rng = np.random.default_rng(61)
     lo, hi = model.joint_min, model.joint_max
     near = np.clip(q0_benchmark + rng.uniform(-0.8, 0.8, (30, 6)), lo, hi)
@@ -447,8 +445,16 @@ def test_solve_lanes_round_as_solve(model, q0_benchmark, method, r):
     targets.append(
         forward_kinematics(model, q0_benchmark) @ make_pose(rot_x(np.pi), np.array([0.0, 0.0, 1.0]))
     )
+    return np.stack(targets), starts
+
+
+@pytest.mark.parametrize("r", [3, 5, 6])
+@pytest.mark.parametrize("method", ["halley", "newton"])
+def test_solve_lanes_round_as_solve(model, q0_benchmark, method, r):
+    # every lane of lane_problems must take solve's steps bit for bit
+    targets, starts = lane_problems(model, q0_benchmark)
     settings = SolverSettings(method=method)
-    lanes = solve_lanes(model, np.stack(targets), starts, TaskProjector(r), settings)
+    lanes = solve_lanes(model, targets, starts, TaskProjector(r), settings)
     assert lanes.half_turn.tolist() == [False] * 31 + [r == 6]
     for lane, t_d in enumerate(targets):
         try:
@@ -462,6 +468,32 @@ def test_solve_lanes_round_as_solve(model, q0_benchmark, method, r):
         assert lanes.iterations[lane] == alone.iterations
         assert np.array_equal(lanes.q[lane], alone.q)
     assert not lanes.converged[30] and lanes.iterations[30] == settings.max_iterations
+
+
+@pytest.mark.parametrize("r", [3, 5, 6])
+@pytest.mark.parametrize("method", ["halley", "newton"])
+def test_solve_lanes_carry_their_last_walk(model, q0_benchmark, method, r):
+    # the returned walk is each lane's walk at its returned joints, whether
+    # the lane converged, ran to the cap or stopped on a half-turn; a solve
+    # that starts from it (the sweep's next target) is the solve that walks
+    # its own start, bit for bit, and so is the walk it returns
+    targets, starts = lane_problems(model, q0_benchmark)
+    settings, proj = SolverSettings(method=method), TaskProjector(r)
+    lanes = solve_lanes(model, targets, starts, proj, settings)
+    assert lanes.converged[:30].all() and lanes.half_turn[31] == (r == 6)
+    assert not lanes.converged[30]
+    for got, walked in zip(lanes.walk, chain_frames_lanes(model, lanes.q)):
+        assert np.array_equal(got, walked)
+    turn = make_pose(rot_z(0.1) @ rot_x(0.05), np.array([2.0, -1.0, 3.0]))
+    following = (targets @ turn, lanes.q, proj, settings)
+    carried = solve_lanes(model, *following, lanes.walk)
+    walked = solve_lanes(model, *following)
+    for got, expected in zip(carried, walked):
+        if isinstance(got, tuple):
+            for part, walked_part in zip(got, expected):
+                assert np.array_equal(part, walked_part)
+        else:
+            assert np.array_equal(got, expected)
 
 
 @pytest.mark.parametrize("method", ["halley", "newton"])
@@ -523,22 +555,17 @@ def test_solve_toolpath_is_solve_chained(model, q0_benchmark, workpiece_frame, m
     # solve ended on, which saves one walk per target after the first; it
     # must equal public solve chained target by target with the k = 0 wrist
     # rule, each solve walking its own start, bit for bit
-    def forget_last_walk():
-        monkeypatch.setattr(solver_module, "_last_walk", (None, b"", None))
-
     walks = []
     walk = solver_module.chain_frames
     monkeypatch.setattr(solver_module, "chain_frames", lambda m, q: walks.append(1) or walk(m, q))
     cone = generate_cone_spiral(ConeSpec(samples_per_rev=16, pitch=10.0)).with_frame(workpiece_frame)
     path, proj = mode_problem(cone, mode, 5)
     settings = SolverSettings(method=method)
-    forget_last_walk()
     results = solve_toolpath(model, path, q0_benchmark, proj, settings)
     carried_walks = len(walks)
     walks.clear()
 
     def solve_alone(t_d, q):
-        forget_last_walk()
         return solve(model, t_d, q, proj, settings)
 
     q = q0_benchmark
