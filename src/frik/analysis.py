@@ -42,23 +42,18 @@ def joint_limit_weights(model: RobotModel, q: np.ndarray) -> np.ndarray:
     return (model.joint_max - q) * (q - model.joint_min) / (span * span)
 
 
-def manipulability_jl(
-    model: RobotModel, q: np.ndarray, walk: tuple | None = None
-) -> float | np.ndarray:
+def manipulability_jl(model: RobotModel, q: np.ndarray) -> float | np.ndarray:
     """Joint-limit-weighted manipulability sqrt(det(J W J^T)).
 
     W is the diagonal of ``joint_limit_weights``; the Jacobian carries mm
     linear rows, so magnitudes are mm^3-scaled. Zero when any joint sits at a
     limit or the Jacobian is rank-deficient. A (V, n) lane stack of ``q``
-    gives (V,) values, each rounded as its lane's own call; its ``walk``,
-    when given, must be ``chain_frames_lanes(model, q)`` (a ``solve_lanes``
-    walk) and is used in place of walking. The determinant is the LAPACK
-    gufunc that ``np.linalg.det`` wraps, with the same bits.
+    gives (V,) values from one chain walk of the stack, each rounded as its
+    lane's own call. The determinant is the LAPACK gufunc that
+    ``np.linalg.det`` wraps, with the same bits.
     """
     weights = np.atleast_2d(joint_limit_weights(model, q))
-    if walk is None:
-        walk = chain_frames_lanes(model, np.atleast_2d(q))
-    tcp, axes, origins = walk
+    tcp, axes, origins = chain_frames_lanes(model, np.atleast_2d(q))
     jac = jacobian_from_frames_lanes(tcp[:, :3, 3], axes, origins)
     gram = (jac * weights[:, None]) @ jac.swapaxes(1, 2)
     w = np.sqrt(np.maximum(_umath_linalg.det(gram, signature="d->d"), 0.0))
@@ -152,6 +147,13 @@ def mode_problem(path: Toolpath, mode: str, task_dof: int) -> tuple[Toolpath, Ta
     raise ValueError(f"unknown solve mode {mode!r}")
 
 
+# lane-targets whose manipulability _sweep_mode takes in one call. The
+# call's walk, links and Jacobians peak near 2 kB per lane-target (0.3 MB
+# at 128), so one call for a whole path would take tens of MB (38 MB for
+# the bundled cone's 2851 targets at 7 lanes)
+W_BLOCK = 128
+
+
 def _sweep_mode(
     model: RobotModel,
     path: Toolpath,
@@ -169,10 +171,14 @@ def _sweep_mode(
     manipulability (NaN when not) and the PathFailure of each voxel that is
     not, keyed by voxel. A voxel with a target beyond the reach bound fails
     as ``out_of_reach`` before any solve. Targets are re-framed one at a
-    time, for the live lanes only. Each target's lanes start from the chain
-    walk their last solve ended on (``solve_lanes``' ``walk``), which also
-    gives their manipulability; failed lanes leave the walk with their
-    joints.
+    time, for the live lanes only, and each target's lanes start from the
+    chain walk their last solve ended on (``solve_lanes``' ``walk``). The
+    live lanes' joints are kept over a block of targets, at most
+    ``W_BLOCK`` lane-targets (one target when more lanes than that are
+    live), and their manipulability is taken in one ``manipulability_jl``
+    call per block; a lane that fails leaves the block with its joints, and
+    the last target closes the last block. Each value is a pure function of
+    its joints, so it is the one a call per target would give.
     """
     reach = model.reach_bound()
     causes: dict[int, PathFailure] = {}
@@ -184,6 +190,7 @@ def _sweep_mode(
     q = np.tile(q0, (len(live), 1))
     walk = None
     w = np.empty((len(frames), len(path)))
+    block: list[np.ndarray] = []
     for k, pose in enumerate(path.poses):
         if not live.size:
             break
@@ -200,8 +207,9 @@ def _sweep_mode(
             half_turn[picked[check.half_turn]] = True
         # later records override earlier ones, in solve_toolpath's order of checks
         failures = joint_limit_failures(model, q, k)
-        for kind, lanes_out in (("not_converged", ~converged), ("rotation_near_pi", half_turn)):
-            failures.update((lane, PathFailure(kind, k)) for lane in np.flatnonzero(lanes_out))
+        if np.count_nonzero(converged) < len(live) or np.count_nonzero(half_turn):
+            for kind, lanes_out in (("not_converged", ~converged), ("rotation_near_pi", half_turn)):
+                failures.update((lane, PathFailure(kind, k)) for lane in np.flatnonzero(lanes_out))
         for lane, failure in failures.items():
             causes[int(live[lane])] = failure
         if failures:
@@ -209,8 +217,14 @@ def _sweep_mode(
             ok[list(failures)] = False
             live, q = live[ok], q[ok]
             walk = tuple(part[ok] for part in walk)
-        if live.size:
-            w[live, k] = manipulability_jl(model, q, walk)
+            block = [joints[ok] for joints in block]
+        block.append(q)
+        if live.size and ((len(block) + 1) * len(live) > W_BLOCK or k == len(path) - 1):
+            held = np.stack(block, 1)
+            w[live, k + 1 - len(block) : k + 1] = manipulability_jl(
+                model, held.reshape(-1, model.n)
+            ).reshape(held.shape[:2])
+            block = []
     mean_w = np.full(len(frames), math.nan)
     for v in live:
         mean_w[v] = np.mean(w[v])

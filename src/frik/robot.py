@@ -15,10 +15,13 @@ separate because a lane axis slows the (n,) walk that every ``solve``
 iteration takes. ``hessian_product`` takes any leading stack axes as they
 are.
 
-Cross products are spelled out component-wise, in ``_cross_rows`` and, on
-row buffers, in ``hessian_product``: solver iterations call these functions
-in a tight loop and ``np.cross`` spends more time shuffling axes than
-multiplying at this size. For the same reason ``hessian_product`` writes its
+Cross products are spelled out component-wise, in ``_cross_rows`` (the
+Hessian reference's) and, on rolled row buffers whose rows 3 and 4 repeat
+rows 0 and 1, in both Jacobians and ``hessian_product``: solver iterations
+call these functions in a tight loop and ``np.cross`` spends more time
+shuffling axes than multiplying at this size. The buffers form the same
+products as ``_cross_rows``, so the same bits, in fewer ufunc calls on
+fewer strided operands. For the same reason ``hessian_product`` writes its
 factors straight into those buffers and takes its running sums with
 ``np.add.accumulate``, the ufunc method that ``np.cumsum`` wraps, and the
 chain walk skips its products with the identity: the frame stack starts
@@ -195,11 +198,21 @@ def _cross_rows(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
 
 
 def jacobian_from_frames(p_tcp: np.ndarray, axes: np.ndarray, origins: np.ndarray) -> np.ndarray:
-    n = axes.shape[0]
-    lever = p_tcp - origins
+    """The (6, n) Jacobian of a chain walk's (n, 3) axes and origins about
+    the TCP point ``p_tcp``: column i is ``[w_i x (p_tcp - o_i); w_i]``.
+
+    The cross product runs on rolled (5, n) row buffers, as in
+    ``hessian_product``: the same products as ``_cross_rows``, so the same bits.
+    """
+    n = len(axes)
+    left, right = np.empty((5, n)), np.empty((5, n))
+    left[:3] = axes.T
+    np.subtract(p_tcp[:, None], origins.T, out=right[:3])
+    left[3:] = left[:2]
+    right[3:] = right[:2]
     j = np.empty((6, n))
-    _cross_rows(axes, lever, j[:3].T)
-    j[3:] = axes.T
+    np.subtract(left[1:4] * right[2:], left[2:] * right[1:4], out=j[:3])
+    j[3:] = left[:3]
     return j
 
 
@@ -208,9 +221,14 @@ def jacobian_from_frames_lanes(
 ) -> np.ndarray:
     """``jacobian_from_frames`` of each lane of ``chain_frames_lanes``' output: (V, 6, n)."""
     lanes, n = axes.shape[:2]
+    left, right = np.empty((lanes, 5, n)), np.empty((lanes, 5, n))
+    left[:, :3] = axes.swapaxes(1, 2)
+    np.subtract(p_tcp[:, :, None], origins.swapaxes(1, 2), out=right[:, :3])
+    left[:, 3:] = left[:, :2]
+    right[:, 3:] = right[:, :2]
     j = np.empty((lanes, 6, n))
-    _cross_rows(axes, p_tcp[:, None] - origins, j[:, :3].swapaxes(1, 2))
-    j[:, 3:] = axes.swapaxes(1, 2)
+    np.subtract(left[:, 1:4] * right[:, 2:], left[:, 2:] * right[:, 1:4], out=j[:, :3])
+    j[:, 3:] = left[:, :3]
     return j
 
 

@@ -22,10 +22,9 @@ returns that walk as ``SolveResult.walk`` and takes a start walk as
 hands the walk on instead of walking again: every warm-started target of
 ``solve_toolpath`` after the first walks once less (after a kept k = 0
 wrist flip, from the check solve's walk). ``solve_lanes`` carries its lanes'
-walks the same way (``LaneSolves.walk``), through the workspace sweep and
-into its manipulability. A walk is a pure function of model and joints, so
-no result changes, and every walk is still computed inside some solve's
-timer.
+walks the same way (``LaneSolves.walk``) from one target of the workspace
+sweep to the next. A walk is a pure function of model and joints, so no
+result changes, and every walk is still computed inside some solve's timer.
 
 The error is the position difference plus an orientation error tuned to
 the task. For r = 6 the orientation error is the rotation vector taking the
@@ -326,7 +325,7 @@ def _lane_rotation_vector(rotation: np.ndarray, vee: np.ndarray) -> np.ndarray:
     np.subtract(rotation[:, 1, 0], rotation[:, 0, 1], out=vee[:, 2])
     vee *= 0.5
     turned = theta >= SMALL_ANGLE
-    if turned.all():
+    if np.count_nonzero(turned) == len(turned):
         vee *= (theta / np.sin(theta))[:, None]
     else:
         vee[turned] *= (theta[turned] / np.sin(theta[turned]))[:, None]
@@ -345,7 +344,7 @@ def _lane_task_error(tcp: np.ndarray, p_d: np.ndarray, r: int) -> tuple[np.ndarr
     e0, e1, e2 = tcp[:, 0, 2], tcp[:, 1, 2], tcp[:, 2, 2]
     s = np.sqrt(e0 * e0 + e1 * e1)
     bent = s >= 1e-12
-    flat = not bent.all()
+    flat = np.count_nonzero(bent) < len(bent)
     k = np.arctan2(s, e2) / (np.where(bent, s, 1.0) if flat else s)
     np.multiply(k, e1, out=err[:, 3])
     np.multiply(-k, e0, out=err[:, 4])
@@ -359,22 +358,22 @@ def _lane_task_error(tcp: np.ndarray, p_d: np.ndarray, r: int) -> tuple[np.ndarr
 def _lane_damped_step(j_hat: np.ndarray, dx_hat: np.ndarray, lam: float) -> np.ndarray:
     """``damped_step`` of each lane: ``j_hat`` (L, r, n), ``dx_hat`` (L, r)."""
     gram = j_hat @ j_hat.swapaxes(-1, -2)
-    diagonal = np.arange(gram.shape[-1])
-    gram[:, diagonal, diagonal] += lam * lam
+    # each lane's diagonal, as a strided view of the contiguous (L, r, r) stack
+    gram.reshape(len(gram), -1)[:, :: gram.shape[-1] + 1] += lam * lam
     y = _umath_linalg.solve(gram, dx_hat[..., None], signature="dd->d")
     return (j_hat.swapaxes(-1, -2) @ y)[..., 0]
 
 
-def _lane_task_step(j6, axes, err_hat, r, settings: SolverSettings) -> np.ndarray:
+def _lane_task_step(j6, axes, err_hat, err_norm, r, settings: SolverSettings) -> np.ndarray:
     """``task_step`` of each lane: ``j6`` (L, 6, n), ``axes`` (L, n, 3) or
-    None, ``err_hat`` (L, r)."""
-    err_norm = np.sqrt(_dot(err_hat, err_hat))
-    clamp = np.where(err_norm > settings.e_max, settings.e_max / err_norm, 1.0)
-    step_err = err_hat * clamp[:, None]
-    dq = _lane_damped_step(j6[:, :r], step_err, settings.lam)
+    None, ``err_hat`` (L, r) and its norms ``err_norm`` (L,)."""
+    if np.count_nonzero(err_norm > settings.e_max):
+        clamp = np.where(err_norm > settings.e_max, settings.e_max / err_norm, 1.0)
+        err_hat = err_hat * clamp[:, None]
+    dq = _lane_damped_step(j6[:, :r], err_hat, settings.lam)
     if axes is not None:
         halley = j6 + 0.5 * hessian_product(axes, j6, dq)
-        dq = _lane_damped_step(halley[:, :r], step_err, settings.lam)
+        dq = _lane_damped_step(halley[:, :r], err_hat, settings.lam)
     return dq
 
 
@@ -394,10 +393,13 @@ def solve_lanes(
     (L, ...) stacks, the damped systems are solved on (L, r, r) stacks, and
     dot products and norms use ``_dot``. A lane leaves the iteration when it
     converges, when its error is a half-turn (``solve`` would raise
-    RotationNearPi) or at the iteration cap; the rest go on. As ``solve``
-    does, the first iteration takes ``walk``, when given, in place of
-    walking: it must be ``chain_frames_lanes(model, q0)``, e.g. the ``walk``
-    of the ``solve_lanes`` that returned ``q0``. The returned walk holds each
+    RotationNearPi) or at the iteration cap; the rest go on. A lane's
+    iteration count, outcome, joints and walk are stored once, as it
+    leaves, and until the first lane leaves the joints are stepped in
+    place, with no lane indexing. As ``solve`` does, the first iteration
+    takes ``walk``, when given, in place of walking: it must be
+    ``chain_frames_lanes(model, q0)``, e.g. the ``walk`` of the
+    ``solve_lanes`` that returned ``q0``. The returned walk holds each
     lane's last walk, at its returned joints.
     """
     q = np.array(q0, dtype=float)
@@ -412,56 +414,57 @@ def solve_lanes(
     converged = np.zeros(lanes, dtype=bool)
     half_turn = np.zeros(lanes, dtype=bool)
     iterations = np.zeros(lanes, dtype=int)
+    # the lanes still iterating, and their joints: q itself until one leaves
     active = np.arange(lanes)
-    targets = t_d
-    # a view of the (L, 4, 4) targets, so its strides stay those of solve's
-    rd = targets[:, :3, :3]
-    p_d = (rd.swapaxes(-1, -2) @ targets[:, :3, 3:])[..., 0]
+    q_active = q
+    rd = t_d[:, :3, :3]
+    p_d = (rd.swapaxes(-1, -2) @ t_d[:, :3, 3:])[..., 0]
     final_walk = None
     for it in range(settings.max_iterations + 1):
         if it or walk is None:
-            walk = chain_frames_lanes(model, q[active])
+            walk = chain_frames_lanes(model, q_active)
         tcp, axes, origins = walk
         tcp = rd.swapaxes(-1, -2) @ tcp[:, :3]
         dx_hat, turned = _lane_task_error(tcp, p_d, r)
         res_norm = np.sqrt(_dot(dx_hat, dx_hat))
-        if r == 6 and turned.any():
-            half_turn[active[turned]] = True
-        iterations[active] = it
         done = res_norm < settings.epsilon
-        converged[active[done & ~turned]] = True
         go = ~(done | turned)
-        stop = it == settings.max_iterations or not go.any()
-        if stop and len(active) == lanes:
-            final_walk = walk
-        elif stop or not go.all():
-            # the leaving lanes' walks, at the joints they return
-            if final_walk is None:
-                final_walk = tuple(np.empty((lanes, *part.shape[1:])) for part in walk)
+        moving = np.count_nonzero(go)
+        stop = it == settings.max_iterations or not moving
+        if stop or moving < len(active):
+            # the leaving lanes' outcome, joints and walk: their last iteration's
             leave = slice(None) if stop else ~go
-            for part, kept in zip(walk, final_walk):
-                kept[active[leave]] = part[leave]
+            gone = active[leave]
+            iterations[gone] = it
+            converged[gone] = (done & ~turned)[leave]
+            half_turn[gone] = turned[leave]
+            if q_active is not q:
+                q[gone] = q_active[leave]
+            if stop and len(active) == lanes:
+                final_walk = walk
+            else:
+                if final_walk is None:
+                    final_walk = tuple(np.empty((lanes, *part.shape[1:])) for part in walk)
+                for part, kept in zip(walk, final_walk):
+                    kept[gone] = part[leave]
         if stop:
             break
-        # rotated before lanes are dropped, while a fresh walk is strided as
-        # solve's; a carried walk may be contiguous, and rounds the same
-        # (test_solve_lanes_carry_their_last_walk)
-        axes, origins = axes @ rd, origins @ rd
-        if not go.all():
-            active, targets, p_d = active[go], targets[go], p_d[go]
-            rd = targets[:, :3, :3]
+        if moving < len(active):
+            active, rd, p_d, q_active = active[go], rd[go], p_d[go], q_active[go]
             tcp, axes, origins = tcp[go], axes[go], origins[go]
             dx_hat, res_norm = dx_hat[go], res_norm[go]
+        axes, origins = axes @ rd, origins @ rd
 
         j6 = jacobian_from_frames_lanes(tcp[:, :, 3], axes, origins)
-        dq = _lane_task_step(j6, axes if use_halley else None, dx_hat, r, settings)
+        dq = _lane_task_step(j6, axes if use_halley else None, dx_hat, res_norm, r, settings)
         # the damping bound of solve, lane by lane
         limit = bound_factor * np.minimum(1.0, settings.e_max / res_norm) * res_norm
         step_norm = np.sqrt(_dot(dq, dq))
-        assert (step_norm <= limit * (1.0 + 1e-9)).all() and np.isfinite(step_norm).all(), (
+        within = (step_norm <= limit * (1.0 + 1e-9)) & np.isfinite(step_norm)
+        assert np.count_nonzero(within) == len(within), (
             f"damped step {step_norm.max()} exceeds bound"
         )
-        q[active] = q[active] + dq
+        q_active += dq
     return LaneSolves(q, converged, iterations, half_turn, final_walk)
 
 
@@ -490,7 +493,7 @@ def joint_limit_failures(model: RobotModel, q: np.ndarray, k: int) -> dict[int, 
     margin in degrees (< 0)."""
     q = np.atleast_2d(q)
     inside = (q >= model.joint_min) & (q <= model.joint_max)
-    if inside.all():
+    if np.count_nonzero(inside) == inside.size:
         return {}
     rows = np.flatnonzero(~inside.all(-1))
     margin = np.degrees(np.minimum(q[rows] - model.joint_min, model.joint_max - q[rows]))

@@ -307,43 +307,108 @@ def test_lane_sweep_matches_scalar_solves(model, q0_benchmark, workpiece_frame, 
                 assert wmap.causes.get((iy, iz)) == cause
 
 
-def test_sweep_walks_once_per_lane_step(model, q0_benchmark, workpiece_frame, monkeypatch):
-    # each target's lanes start from the chain walk their last solve ended
-    # on, and their manipulability reads it too: a mode walks its lane stack
-    # once per lockstep step, plus the first target's first walk and the
-    # k = 0 wrist check's
-    walks, steps = [], []
+def _counted_sweep(monkeypatch, events):
+    """``_sweep_mode``, recording in ``events`` each ``solve_lanes`` call as
+    ``("solve", lanes, max iterations)`` and each chain walk of the solver
+    and of the manipulability as ``("solver", lanes)`` and ``("w", lanes)``."""
     walk, solve_lanes = solver_module.chain_frames_lanes, analysis_module.solve_lanes
 
-    def counted_walk(m, q):
-        walks.append(len(q))
-        return walk(m, q)
+    def counted_walk(site):
+        def walked(m, q):
+            events.append((site, len(q)))
+            return walk(m, q)
+        return walked
 
-    def counted_solve(*args):
-        lanes = solve_lanes(*args)
-        steps.append(int(lanes.iterations.max(initial=0)))
+    def counted_solve(m, t_d, *args):
+        lanes = solve_lanes(m, t_d, *args)
+        events.append(("solve", len(t_d), int(lanes.iterations.max(initial=0))))
         return lanes
 
-    monkeypatch.setattr(solver_module, "chain_frames_lanes", counted_walk)
-    monkeypatch.setattr(analysis_module, "chain_frames_lanes", counted_walk)
+    monkeypatch.setattr(solver_module, "chain_frames_lanes", counted_walk("solver"))
+    monkeypatch.setattr(analysis_module, "chain_frames_lanes", counted_walk("w"))
     monkeypatch.setattr(analysis_module, "solve_lanes", counted_solve)
+    return analysis_module._sweep_mode
+
+
+def _grid_frames(workpiece_frame, y, z):
+    """The (V, 4, 4) voxel frames of the y-z grid, y-major, in the workpiece's rotation."""
+    y, z = np.meshgrid(y, z)
+    frames = np.tile(workpiece_frame, (y.size, 1, 1))
+    frames[:, 1, 3], frames[:, 2, 3] = y.ravel(), z.ravel()
+    return frames
+
+
+def test_sweep_walks_once_per_lane_step(model, q0_benchmark, workpiece_frame, monkeypatch):
+    # each target's lanes start from the chain walk their last solve ended
+    # on: a mode's solves walk its lane stack once per lockstep step, plus
+    # the first target's first walk and the k = 0 wrist check's. Its
+    # manipulability walks once per block, on the block's targets times its
+    # live lanes: a block closes when one more target of the live lanes
+    # would take it past W_BLOCK lane-targets, and at the last target
+    events = []
+    sweep_mode = _counted_sweep(monkeypatch, events)
     template = generate_cone_spiral(ConeSpec(pitch=10.0, samples_per_rev=16)).with_frame(
         workpiece_frame
     )
     # test_lane_sweep_matches_scalar_solves' grid, whose voxels end all four ways
-    y, z = np.meshgrid(np.arange(-2550.0, 600.0, 900.0), np.arange(-150.0, 3000.0, 900.0))
-    frames = np.tile(workpiece_frame, (y.size, 1, 1))
-    frames[:, 1, 3], frames[:, 2, 3] = y.ravel(), z.ravel()
+    frames = _grid_frames(
+        workpiece_frame, np.arange(-2550.0, 600.0, 900.0), np.arange(-150.0, 3000.0, 900.0)
+    )
     for mode in MODES:
-        walks.clear()
-        steps.clear()
+        events.clear()
         path, proj = mode_problem(template, mode, 5)
-        reachable, _, _ = analysis_module._sweep_mode(
-            model, path, proj, frames, q0_benchmark, SolverSettings()
+        reachable, _, _ = sweep_mode(model, path, proj, frames, q0_benchmark, SolverSettings())
+        solves = [event[1:] for event in events if event[0] == "solve"]
+        assert len(solves) == len(path) + 1
+        assert sum(event[0] == "solver" for event in events) == sum(s for _, s in solves) + 2
+        # the lanes live after target k enter target k + 1 (solves[0] and
+        # solves[1] are target 0's solve and wrist check)
+        live = [lanes for lanes, _ in solves[2:]] + [int(reachable.sum())]
+        assert live[-1] > 0
+        blocks, held = [], 0
+        for k, lanes in enumerate(live):
+            held += 1
+            if (held + 1) * lanes > analysis_module.W_BLOCK or k == len(path) - 1:
+                blocks.append(held * lanes)
+                held = 0
+        assert len(blocks) >= 2 and max(blocks) <= analysis_module.W_BLOCK
+        assert [event[1] for event in events if event[0] == "w"] == blocks
+
+
+def test_sweep_blocks_keep_per_target_manipulability(
+    model, q0_benchmark, workpiece_frame, monkeypatch
+):
+    # a 321-target path over 30 voxels: the manipulability spans several
+    # blocks, and lanes fail both inside the first block and after it has
+    # closed, each leaving the open block with its joints. Every voxel must
+    # still be the scalar solver's, its mean_w the mean of per-target
+    # manipulability_jl calls, bit for bit
+    events = []
+    sweep_mode = _counted_sweep(monkeypatch, events)
+    template = generate_cone_spiral(ConeSpec(pitch=5.0, samples_per_rev=32)).with_frame(
+        workpiece_frame
+    )
+    frames = _grid_frames(
+        workpiece_frame, np.arange(-2000.0, 0.0, 400.0), np.arange(0.0, 2400.0, 400.0)
+    )
+    settings = SolverSettings()
+    path, proj = mode_problem(template, "frik", 5)
+    reachable, mean_w, causes = sweep_mode(model, path, proj, frames, q0_benchmark, settings)
+    # the first block closes at the target of the last solve before the first
+    # manipulability walk (solves 0 and 1 are both target 0's)
+    first_walk = next(i for i, event in enumerate(events) if event[0] == "w")
+    first_block_end = sum(event[0] == "solve" for event in events[:first_walk]) - 2
+    assert sum(event[0] == "w" for event in events) >= 3
+    fail_at = [cause.k for cause in causes.values() if cause.kind != "out_of_reach"]
+    assert min(fail_at) <= first_block_end < max(fail_at)
+    assert reachable.any()
+    for v, frame in enumerate(frames):
+        ok, want_w, cause = scalar_voxel_oracle(
+            model, path.with_frame(frame), q0_benchmark, proj, settings
         )
-        assert reachable.any()
-        assert len(steps) == len(path) + 1
-        assert len(walks) == sum(steps) + 2
+        assert reachable[v] == ok
+        assert np.array_equal(mean_w[v], want_w, equal_nan=True)
+        assert causes.get(v) == cause
 
 
 def test_half_turn_target_fails_adhoc_lane_only(model, q0_benchmark):

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import frik
+from frik.analysis import MODES
 from frik.cli import main
 from frik.config import (
     DEFAULT_Q0_DEG,
@@ -24,7 +25,9 @@ from frik.toolpath import ConeSpec, Toolpath, generate_cone_spiral, load_toolpat
 
 SMALL_CONE = ["--cone-samples-per-rev", "8", "--cone-pitch-mm", "25"]
 GOLDEN = Path(__file__).parent / "data" / "small_cone"
+GOLDEN_SWEEP = Path(__file__).parent / "data" / "sweep_400mm"
 ROBOT_FILE = Path(__file__).parents[1] / "configs" / "irb4600.json"
+BENCH_CONFIG = Path(__file__).parents[1] / "configs" / "cone_benchmark.json"
 
 
 def write_config(tmp_path, **overrides):
@@ -396,6 +399,45 @@ def test_workspace_grid_beyond_reach(tmp_path):
     summary = json.loads((tmp_path / "out" / "workspace_summary.json").read_text())
     assert summary["summary"]["adhoc"]["reachable_voxels"] == 0
     assert summary["summary"]["frik"]["reachable_voxels"] == 0
+
+
+def _close(got: float, want: float) -> bool:
+    return abs(got - want) <= 1e-9 * abs(want)
+
+
+def test_workspace_400mm_matches_golden(tmp_path):
+    # the benchmark config's wall at 400 mm voxels (36 voxels, the bundled
+    # cone, both modes): reachable flags and cause counts exactly, the
+    # manipulability to a relative 1e-9; the golden omits the audit line
+    # and the summary's config
+    config = json.loads(BENCH_CONFIG.read_text())
+    config["sweep"]["voxel_mm"] = 400.0
+    config["robot"] = str(ROBOT_FILE)
+    file = tmp_path / "sweep.json"
+    file.write_text(json.dumps(config))
+    assert main(["workspace", "--config", str(file), "--out", str(tmp_path / "out")]) == 0
+    fresh = (tmp_path / "out" / "workspace.csv").read_text().splitlines()
+    want = (GOLDEN_SWEEP / "workspace.csv").read_text().splitlines()
+    assert fresh[0].startswith("# config:") and len(fresh) == len(want) + 1
+    assert fresh[1] == want[0]
+    for got_row, want_row in zip(fresh[2:], want[1:]):
+        got_cells, want_cells = got_row.split(","), want_row.split(",")
+        assert got_cells[:3] == want_cells[:3] and got_cells[4] == want_cells[4]
+        for g, w in zip(got_cells[3::2], want_cells[3::2]):
+            assert g == w == "" or _close(float(g), float(w)), (want_row, got_row)
+    got = json.loads((tmp_path / "out" / "workspace_summary.json").read_text())["summary"]
+    want = json.loads((GOLDEN_SWEEP / "workspace_summary.json").read_text())["summary"]
+    assert got.keys() == want.keys()
+    for key, value in want.items():
+        if key not in MODES:
+            assert got[key] == value, key
+            continue
+        assert got[key].keys() == value.keys()
+        for stat, number in value.items():
+            if stat in ("causes", "reachable_voxels"):
+                assert got[key][stat] == number, (key, stat)
+            else:
+                assert _close(got[key][stat], number), (key, stat)
 
 
 def test_solve_exit_code_two_on_unreachable(tmp_path, capsys):

@@ -11,6 +11,7 @@ from frik.liegroup import make_pose, rot_y, unskew
 from frik.robot import (
     DHRow,
     RobotModel,
+    _cross_rows,
     chain_frames,
     chain_frames_lanes,
     forward_kinematics,
@@ -197,6 +198,37 @@ def test_walk_without_identity_products_rounds_as_with_them(model):
             for got, stacked, expected in zip(chain_frames(walker, q_lane), lanes, want):
                 assert got.tobytes() == expected.tobytes()
                 assert stacked[lane].tobytes() == expected.tobytes()
+
+
+def _cross_rows_jacobian(p_tcp, axes, origins):
+    """The Jacobian as ``_cross_rows`` forms it: [w_i x (p_tcp - o_i); w_i]."""
+    j = np.empty((6, len(axes)))
+    _cross_rows(axes, p_tcp - origins, j[:3].T)
+    j[3:] = axes.T
+    return j
+
+
+def test_jacobians_keep_the_cross_rows_signs_of_zero(model):
+    # both Jacobians cross on rolled row buffers; each entry must be
+    # _cross_rows' product difference, the sign of an exact zero included.
+    # q1 = 0 makes the second joint axis's x entry -0.0, and q2 = 0 or a
+    # zero q more exact zeros. Walks are taken in the base frame and, as
+    # the solver takes them, rotated into a target frame
+    q = np.array(random_in_limits(model, np.random.default_rng(71), 400))
+    q[:200, 0] = 0.0
+    q[100:300, 1] = 0.0
+    q[-20:] = 0.0
+    tcp, axes, origins = chain_frames_lanes(model, q)
+    assert np.signbit(axes[:200, 1, 0]).all()
+    rd = tcp[0, :3, :3]
+    for p_tcp, ax, org in ((tcp[:, :3, 3], axes, origins),
+                           (tcp[:, :3, 3] @ rd, axes @ rd, origins @ rd)):
+        lanes = jacobian_from_frames_lanes(p_tcp, ax, org)
+        for lane in range(len(q)):
+            want = _cross_rows_jacobian(p_tcp[lane], ax[lane], org[lane])
+            for got in (jacobian_from_frames(p_tcp[lane], ax[lane], org[lane]), lanes[lane]):
+                assert np.array_equal(got, want)
+                assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
 def test_fk_rejects_wrong_length(model):
