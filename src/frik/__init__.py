@@ -29,8 +29,6 @@ from .liegroup import (
     rot_x,
     rot_y,
     rot_z,
-    se3_exp,
-    se3_log,
     so3_exp,
     so3_log,
 )
@@ -40,7 +38,6 @@ from .robot import (
     forward_kinematics,
     geometric_jacobian,
     irb4600,
-    kinematic_hessian,
     load_robot,
 )
 from .solver import (

@@ -101,9 +101,10 @@ class SweepSpec:
     voxel_mm: float = 100.0
 
     def __post_init__(self):
-        if self.voxel_mm <= 0:
+        # written so that NaN fails them
+        if not self.voxel_mm > 0:
             raise ValueError("voxel size must be positive")
-        if self.y_max_mm <= self.y_min_mm or self.z_max_mm <= self.z_min_mm:
+        if not (self.y_max_mm > self.y_min_mm and self.z_max_mm > self.z_min_mm):
             raise ValueError("grid extents must be non-empty")
 
     def centers(self) -> tuple[np.ndarray, np.ndarray]:
@@ -182,8 +183,9 @@ def _sweep_mode(
     """
     reach = model.reach_bound()
     causes: dict[int, PathFailure] = {}
+    positions = path.poses[:, :3, 3]
     for v, frame in enumerate(frames):
-        beyond = np.linalg.norm(path.with_frame(frame).base_positions(), axis=1) > reach
+        beyond = np.linalg.norm(positions @ frame[:3, :3].T + frame[:3, 3], axis=1) > reach
         if beyond.any():
             causes[v] = PathFailure("out_of_reach", int(beyond.argmax()))
     live = np.array([v for v in range(len(frames)) if v not in causes], dtype=int)

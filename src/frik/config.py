@@ -109,10 +109,16 @@ def _check_block(name: str, block, keys) -> dict:
 
 
 def _coerce(key: str, value, default):
-    """``value`` as the type of ``default``; an int field takes only integral
-    numbers, not booleans, where ``int()`` would truncate or accept them."""
-    if isinstance(default, int) and (isinstance(value, bool) or not float(value).is_integer()):
-        raise ValueError(f"{key} must be an integer, got {value!r}")
+    """``value`` as the type of ``default``. A float field takes what
+    ``finite_numbers`` takes, a finite number: not a string, a boolean, NaN
+    or an infinity, which ``float()`` would convert or accept. An int field
+    takes only an integral number, where ``int()`` would truncate it or take
+    a boolean."""
+    if isinstance(default, int):
+        if not (type(value) is int or (type(value) is float and value.is_integer())):
+            raise ValueError(f"{key} must be an integer, got {value!r}")
+    elif isinstance(default, float):
+        finite_numbers({key: value}, key, ())
     return type(default)(value)
 
 
@@ -126,7 +132,7 @@ def _build(base, table: dict[str, str], values: dict, what: str):
             if key in values
         }
         return replace(base, **fields)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, ParseError) as exc:
         raise ConfigError(f"bad {what}: {exc}") from exc
 
 

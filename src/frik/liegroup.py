@@ -1,5 +1,6 @@
-"""Rigid-body math: rotations, homogeneous transforms, twists, exp/log maps;
-and the one reader and writer of the pose and number records that files hold.
+"""Rigid-body math: rotations, homogeneous transforms, the SO(3) exp/log
+maps; and the one reader and writer of the pose and number records that
+files hold.
 
 Conventions, fixed project-wide:
 
@@ -115,49 +116,6 @@ def so3_log(rotation: np.ndarray) -> np.ndarray:
     if theta < SMALL_ANGLE:
         return vee
     return (theta / np.sin(theta)) * vee
-
-
-def _v_matrix(omega: np.ndarray) -> np.ndarray:
-    """Left Jacobian V of the rotation vector: translation part of exp."""
-    theta = np.linalg.norm(omega)
-    k = skew(omega)
-    if theta < SMALL_ANGLE:
-        return np.eye(3) + 0.5 * k + (k @ k) / 6.0
-    t2 = theta * theta
-    # 1 - cos as 2 sin^2(theta/2) avoids cancellation at small angles
-    half_sin = np.sin(0.5 * theta)
-    a = 2.0 * half_sin * half_sin / t2
-    b = (theta - np.sin(theta)) / (t2 * theta)
-    return np.eye(3) + a * k + b * (k @ k)
-
-
-def _v_inverse(omega: np.ndarray) -> np.ndarray:
-    """Inverse of the left Jacobian V, valid away from 2*pi."""
-    theta = np.linalg.norm(omega)
-    k = skew(omega)
-    if theta < SMALL_ANGLE:
-        return np.eye(3) - 0.5 * k + (k @ k) / 12.0
-    # (1 - (theta/2) cot(theta/2)) / theta^2, stable down to SMALL_ANGLE
-    half = 0.5 * theta
-    c = (1.0 - half * np.cos(half) / np.sin(half)) / (theta * theta)
-    return np.eye(3) - 0.5 * k + c * (k @ k)
-
-
-def se3_exp(xi: np.ndarray) -> np.ndarray:
-    """Pose reached by flowing along a twist for unit time."""
-    xi = np.asarray(xi, dtype=float)
-    linear, angular = xi[:3], xi[3:]
-    return make_pose(so3_exp(angular), _v_matrix(angular) @ linear)
-
-
-def se3_log(pose: np.ndarray) -> np.ndarray:
-    """Twist whose exp reconstructs ``pose``; packed ``[linear; angular]``.
-
-    Raises RotationNearPi when the rotation angle is within PI_MARGIN of pi.
-    """
-    angular = so3_log(pose[:3, :3])
-    linear = _v_inverse(angular) @ pose[:3, 3]
-    return np.concatenate([linear, angular])
 
 
 def quat_to_rot(quat: np.ndarray) -> np.ndarray:

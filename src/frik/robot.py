@@ -1,27 +1,25 @@
-"""Standard-DH serial chain: forward kinematics, Jacobian, kinematic Hessian.
+"""Standard-DH serial chain: forward kinematics, Jacobian, Hessian product.
 
 All joints are revolute, and each link is Rz(theta) Tz(d) Tx(a) Rx(alpha).
 Lengths are mm, angles rad. The geometric Jacobian maps joint rates to the
 twist ``[tcp linear velocity; angular velocity]`` in the base frame, with the
-linear part taken about the TCP point. The kinematic Hessian is the
-6 x n x n tensor of Jacobian partials, ``H[:, :, j] = dJ/dq_j``, built from
-cross products of the Jacobian's own column data rather than by finite
-differences. The Halley step needs only its product ``H dq`` with one joint
-step, which ``hessian_product`` forms in O(n) from the same column data
-without building the tensor; ``kinematic_hessian`` stays as its reference.
-The ``*_lanes`` functions walk a (V, n) stack of configurations, one lane
-each, and round every lane exactly as the (n,) function does; they are
-separate because a lane axis slows the (n,) walk that every ``solve``
-iteration takes. ``hessian_product`` takes any leading stack axes as they
-are.
+linear part taken about the TCP point. The Halley step needs the kinematic
+Hessian (the 6 x n x n tensor of Jacobian partials, ``H[:, :, j] =
+dJ/dq_j``) only through its product ``H dq`` with one joint step, which
+``hessian_product`` forms in O(n) from the Jacobian's own column data,
+without building the tensor. The ``*_lanes`` functions walk a (V, n) stack
+of configurations, one lane each, and round every lane exactly as the (n,)
+function does; they are separate because a lane axis slows the (n,) walk
+that every ``solve`` iteration takes. ``hessian_product`` takes any leading
+stack axes as they are.
 
-Cross products are spelled out component-wise, in ``_cross_rows`` (the
-Hessian reference's) and, on rolled row buffers whose rows 3 and 4 repeat
-rows 0 and 1, in both Jacobians and ``hessian_product``: solver iterations
-call these functions in a tight loop and ``np.cross`` spends more time
-shuffling axes than multiplying at this size. The buffers form the same
-products as ``_cross_rows``, so the same bits, in fewer ufunc calls on
-fewer strided operands. For the same reason ``hessian_product`` writes its
+Cross products are spelled out component-wise, component k as
+``a[k+1] b[k+2] - a[k+2] b[k+1]`` (indices mod 3), on rolled row buffers
+whose rows 3 and 4 repeat rows 0 and 1, in both Jacobians and
+``hessian_product``: solver iterations call these functions in a tight loop
+and ``np.cross`` spends more time shuffling axes than multiplying at this
+size. The buffers form all three components in one ufunc call on fewer
+strided operands. For the same reason ``hessian_product`` writes its
 factors straight into those buffers and takes its running sums with
 ``np.add.accumulate``, the ufunc method that ``np.cumsum`` wraps, and the
 chain walk skips its products with the identity: the frame stack starts
@@ -35,7 +33,6 @@ the sign of an exact zero (the second joint axis's x entry is -0.0, not
 
 from __future__ import annotations
 
-import functools
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -122,9 +119,10 @@ def chain_frames(model: RobotModel, q: np.ndarray) -> tuple[np.ndarray, np.ndarr
 
     Returns ``(tcp, axes, origins)`` with ``axes``/``origins`` of shape (n, 3).
     This single chain walk backs forward_kinematics, the Jacobian and the
-    Hessian, so solver iterations pay for it once. The n links are built as
-    one (n, 4, 4) stack, and their running products down the chain fill an
-    (n + 1, 4, 4) frame stack whose first n frames give the axes and origins.
+    Hessian product, so solver iterations pay for it once. The n links are
+    built as one (n, 4, 4) stack, and their running products down the chain
+    fill an (n + 1, 4, 4) frame stack whose first n frames give the axes and
+    origins.
     """
     q = np.asarray(q, dtype=float)
     n = model.n
@@ -187,22 +185,12 @@ def forward_kinematics(model: RobotModel, q: np.ndarray) -> np.ndarray:
     return tcp
 
 
-def _cross_rows(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Row-wise cross product for (..., 3) arrays without np.cross overhead."""
-    a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
-    b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
-    out[..., 0] = a1 * b2 - a2 * b1
-    out[..., 1] = a2 * b0 - a0 * b2
-    out[..., 2] = a0 * b1 - a1 * b0
-    return out
-
-
 def jacobian_from_frames(p_tcp: np.ndarray, axes: np.ndarray, origins: np.ndarray) -> np.ndarray:
     """The (6, n) Jacobian of a chain walk's (n, 3) axes and origins about
     the TCP point ``p_tcp``: column i is ``[w_i x (p_tcp - o_i); w_i]``.
 
     The cross product runs on rolled (5, n) row buffers, as in
-    ``hessian_product``: the same products as ``_cross_rows``, so the same bits.
+    ``hessian_product``.
     """
     n = len(axes)
     left, right = np.empty((5, n)), np.empty((5, n))
@@ -241,40 +229,15 @@ def geometric_jacobian(model: RobotModel, q: np.ndarray) -> np.ndarray:
     return jacobian_from_frames(tcp[:3, 3], axes, origins)
 
 
-@functools.cache
-def _hessian_cells(n: int) -> tuple[np.ndarray, ...]:
-    """Read-only index arrays of the n x n Hessian cells (i, j): column i
-    (n, 1), derivative j (1, n), min(i, j), max(i, j) and the mask j > i."""
-    col = np.arange(n)[:, None]
-    der = col.T
-    cells = (col, der, np.minimum(col, der), np.maximum(col, der), der > col)
-    for cell in cells:
-        cell.setflags(write=False)
-    return cells
-
-
-def hessian_from_frames(p_tcp: np.ndarray, axes: np.ndarray, origins: np.ndarray) -> np.ndarray:
-    n = axes.shape[0]
-    v = np.empty((n, 3))
-    _cross_rows(axes, p_tcp - origins, v)
-    col, der, lo, hi, upper = _hessian_cells(n)
-    h = np.empty((6, n, n))
-    # cell (i, j): linear w_min x v_max, angular w_j x w_i (zero above diagonal)
-    lin = h[:3].transpose(1, 2, 0)
-    ang = h[3:].transpose(1, 2, 0)
-    _cross_rows(axes[lo], v[hi], lin)
-    _cross_rows(axes[der], axes[col], ang)
-    ang[upper] = 0.0
-    return h
-
-
 def hessian_product(axes: np.ndarray, jac: np.ndarray, dq: np.ndarray) -> np.ndarray:
     """``H dq``, the Jacobian's derivative along the joint step ``dq``,
     without building the n x n Hessian.
 
     Takes (..., n, 3) joint axes w_i, the (..., 6, n) Jacobian, whose linear
-    column halves are v_i, and (..., n) ``dq``; returns (..., 6, n). Summing
-    ``kinematic_hessian``'s cells along dq gives column i as
+    column halves are v_i, and (..., n) ``dq``; returns (..., 6, n). The
+    Hessian's cells are dw_i/dq_j = w_j x w_i and dv_i/dq_j = w_j x v_i for
+    j <= i, and dw_i/dq_j = 0 and dv_i/dq_j = w_i x v_j for j > i; summing
+    them along dq gives column i as
     ``[W_i x v_i + w_i x S_i; W_i x w_i]`` with ``W_i = sum_{j<=i} dq_j w_j``
     and ``S_i = sum_{j>i} dq_j v_j``. Every w_i comes from ``axes``, so zero
     axes give exact zeros. Each leading index rounds as its own call.
@@ -286,8 +249,7 @@ def hessian_product(axes: np.ndarray, jac: np.ndarray, dq: np.ndarray) -> np.nda
     # W x w, W x v and w x S as one cross product over 3n columns: the
     # factors' component rows [W | W | w] and [w | v | S] go into buffers
     # whose rows 3 and 4 repeat rows 0 and 1, so that component k is
-    # left[k+1] right[k+2] - left[k+2] right[k+1], as ``_cross_rows`` forms
-    # it, for all three k at once
+    # left[k+1] right[k+2] - left[k+2] right[k+1] for all three k at once
     shape = (*v.shape[:-2], 5, 3 * n)
     left, right = np.empty(shape), np.empty(shape)
     np.add.accumulate(w * step, -1, out=left[..., :3, :n])
@@ -305,17 +267,6 @@ def hessian_product(axes: np.ndarray, jac: np.ndarray, dq: np.ndarray) -> np.nda
     out[..., 3:, :] = cross[..., :n]
     np.add(cross[..., n : 2 * n], cross[..., 2 * n :], out=out[..., :3, :])
     return out
-
-
-def kinematic_hessian(model: RobotModel, q: np.ndarray) -> np.ndarray:
-    """6 x n x n tensor of Jacobian partials, H[:, :, j] = dJ/dq_j.
-
-    Angular block: dw_i/dq_j = w_j x w_i for j <= i, zero for j > i.
-    Linear block:  dv_i/dq_j = w_j x v_i for j <= i and w_i x v_j for j > i,
-    where (v_i, w_i) are the Jacobian's column halves.
-    """
-    tcp, axes, origins = chain_frames(model, q)
-    return hessian_from_frames(tcp[:3, 3], axes, origins)
 
 
 def irb4600() -> RobotModel:
@@ -382,18 +333,3 @@ def load_robot(path: str | Path) -> RobotModel:
     except (KeyError, TypeError, ValueError, FrikError) as exc:
         raise ParseError(f"{path}: bad robot description: {exc}") from exc
 
-
-def robot_to_dict(model: RobotModel) -> dict:
-    """JSON-ready form of a model, matching the robot description schema."""
-    return {
-        "name": model.name,
-        "dh": [
-            {"a_mm": r.a, "alpha_rad": r.alpha, "d_mm": r.d, "theta_rad": r.theta_offset}
-            for r in model.dh
-        ],
-        "joint_limits_rad": {
-            "min": model.joint_min.tolist(),
-            "max": model.joint_max.tolist(),
-        },
-        "tool": None if model._identity_tool else model.tool.tolist(),
-    }

@@ -97,13 +97,14 @@ class SolverSettings:
     record_residuals: bool = False
 
     def __post_init__(self):
-        if self.lam <= 0:
+        # written so that NaN fails them
+        if not self.lam > 0:
             raise ValueError("lam must be positive")
-        if self.epsilon <= 0:
+        if not self.epsilon > 0:
             raise ValueError("epsilon must be positive")
-        if self.e_max <= 0:
+        if not self.e_max > 0:
             raise ValueError("e_max must be positive")
-        if self.max_iterations < 1:
+        if not self.max_iterations >= 1:
             raise ValueError("max_iterations must be at least 1")
         if self.method not in ("newton", "halley"):
             raise ValueError(f"unknown method {self.method!r}")

@@ -50,10 +50,6 @@ class Toolpath(_ValueEquality):
         """(N, 4, 4) target poses in the robot base frame."""
         return self.frame @ self.poses
 
-    def base_positions(self) -> np.ndarray:
-        """(N, 3) target positions in the base frame; cheap reach screening."""
-        return self.poses[:, :3, 3] @ self.frame[:3, :3].T + self.frame[:3, 3]
-
     def with_frame(self, frame: np.ndarray) -> "Toolpath":
         return replace(self, frame=frame)
 
@@ -83,11 +79,12 @@ class ConeSpec:
     standoff: float = 0.0
 
     def __post_init__(self):
-        if self.diameter <= 0 or self.height <= 0 or self.pitch <= 0:
+        # written so that NaN fails them
+        if not (self.diameter > 0 and self.height > 0 and self.pitch > 0):
             raise ValueError("diameter, height and pitch must be positive")
-        if self.standoff < 0:
+        if not self.standoff >= 0:
             raise ValueError("standoff must be non-negative")
-        if self.samples_per_rev < 8:
+        if not self.samples_per_rev >= 8:
             raise ValueError("samples_per_rev must be at least 8")
 
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from frik.config import DEFAULT_Q0_DEG, default_workpiece_frame
-from frik.robot import chain_frames, irb4600
+from frik.robot import RobotModel, chain_frames, irb4600
 
 
 @pytest.fixture(scope="session")
@@ -51,3 +51,53 @@ def target_frame_walk(model, q: np.ndarray, t_d: np.ndarray):
     rd = t_d[:3, :3]
     tcp, axes, origins = chain_frames(model, q)
     return rd.T @ tcp[:3], axes @ rd, origins @ rd, (rd.T @ t_d[:3, 3:])[:, 0]
+
+
+def cross_rows(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Row-wise cross product of (..., 3) arrays into ``out``, component k as
+    ``a[k+1] b[k+2] - a[k+2] b[k+1]``: the products the robot kernels form
+    on their rolled row buffers, so the same bits."""
+    a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
+    b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
+    out[..., 0] = a1 * b2 - a2 * b1
+    out[..., 1] = a2 * b0 - a0 * b2
+    out[..., 2] = a0 * b1 - a1 * b0
+    return out
+
+
+def kinematic_hessian(model, q: np.ndarray) -> np.ndarray:
+    """6 x n x n tensor of Jacobian partials, H[:, :, j] = dJ/dq_j: the
+    reference for ``robot.hessian_product``, which forms H dq without it.
+
+    Angular block: dw_i/dq_j = w_j x w_i for j <= i, zero for j > i.
+    Linear block:  dv_i/dq_j = w_j x v_i for j <= i and w_i x v_j for j > i,
+    where (v_i, w_i) are the Jacobian's column halves.
+    """
+    tcp, axes, origins = chain_frames(model, q)
+    n = model.n
+    v = cross_rows(axes, tcp[:3, 3] - origins, np.empty((n, 3)))
+    col = np.arange(n)[:, None]
+    der = col.T
+    h = np.empty((6, n, n))
+    # cell (i, j): linear w_min x v_max, angular w_j x w_i (zero above diagonal)
+    cross_rows(axes[np.minimum(col, der)], v[np.maximum(col, der)], h[:3].transpose(1, 2, 0))
+    ang = h[3:].transpose(1, 2, 0)
+    cross_rows(axes[der], axes[col], ang)
+    ang[der > col] = 0.0
+    return h
+
+
+def robot_to_dict(model: RobotModel) -> dict:
+    """A model as a robot description file's JSON, the schema ``load_robot`` reads."""
+    return {
+        "name": model.name,
+        "dh": [
+            {"a_mm": r.a, "alpha_rad": r.alpha, "d_mm": r.d, "theta_rad": r.theta_offset}
+            for r in model.dh
+        ],
+        "joint_limits_rad": {
+            "min": model.joint_min.tolist(),
+            "max": model.joint_max.tolist(),
+        },
+        "tool": None if model._identity_tool else model.tool.tolist(),
+    }

@@ -258,7 +258,8 @@ def test_first_solve_keeps_start_wrist_branch(model, q0_benchmark, workpiece_fra
 def scalar_voxel_oracle(model, path, q0, proj, settings):
     """One voxel as the sweep defines it, from the scalar solver: the reach
     screen, then ``solve_toolpath`` and the mean of ``manipulability_jl``."""
-    beyond = np.linalg.norm(path.base_positions(), axis=1) > model.reach_bound()
+    positions = path.poses[:, :3, 3] @ path.frame[:3, :3].T + path.frame[:3, 3]
+    beyond = np.linalg.norm(positions, axis=1) > model.reach_bound()
     if beyond.any():
         return False, math.nan, PathFailure("out_of_reach", int(beyond.argmax()))
     try:

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 import os
 import subprocess
 import sys
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 import frik
-from frik.analysis import MODES
+from frik.analysis import MODES, SweepSpec
 from frik.cli import main
 from frik.config import (
     DEFAULT_Q0_DEG,
@@ -21,6 +22,7 @@ from frik.config import (
 )
 from frik.liegroup import make_pose, pose_inverse, quat_to_rot, rot_x
 from frik.robot import forward_kinematics
+from frik.solver import SolverSettings
 from frik.toolpath import ConeSpec, Toolpath, generate_cone_spiral, load_toolpath, save_toolpath
 
 SMALL_CONE = ["--cone-samples-per-rev", "8", "--cone-pitch-mm", "25"]
@@ -71,6 +73,29 @@ def test_generate_rejects_negative_diameter(tmp_path, capsys):
     code = main(["generate", "--out", str(tmp_path), "--cone-diameter-mm", "-5"])
     assert code == 1
     assert "diameter" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_cone_flag_must_be_a_finite_number(tmp_path, capsys, value):
+    # argparse's float() takes these; the flag is then checked as a config key
+    code = main(["solve", "--out", str(tmp_path), "--cone-diameter-mm", value, *SMALL_CONE])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: bad cone flags: diameter_mm must be a number")
+    assert "Traceback" not in err and not (tmp_path / "trajectory_frik.csv").exists()
+
+
+def test_range_checks_reject_nan():
+    for make in (
+        lambda: SolverSettings(lam=math.nan),
+        lambda: SolverSettings(e_max=math.nan),
+        lambda: ConeSpec(pitch=math.nan),
+        lambda: ConeSpec(standoff=math.nan),
+        lambda: SweepSpec(voxel_mm=math.nan),
+        lambda: SweepSpec(z_max_mm=math.nan),
+    ):
+        with pytest.raises(ValueError):
+            make()
 
 
 def test_solve_single_trivial_target(tmp_path, model, q0_benchmark):
@@ -144,6 +169,14 @@ def test_config_with_unknown_top_level_key_rejected(tmp_path, capsys):
         ({"workpiece": {"rot": [[1, 0, 0], [0, 1, 0], [0, 0, "1"]]}}, "rot must be 3 x 3 numbers"),
         ({"q0": {"rad": [0.0, 0.0, 0.0, 0.0, 0.0, None]}}, "bad q0 block: rad must be a list of"),
         ({"q0": {"deg": ["0", 0, 0, 0, 0, 0]}}, "bad q0 block: deg must be a list of numbers"),
+        ({"solver": {"lambda": "0.02"}}, "bad solver block: lambda must be a number, got '0.02'"),
+        ({"cone": {"diameter_mm": "100"}}, "bad cone block: diameter_mm must be a number, got '100'"),
+        ({"solver": {"lambda": True}}, "bad solver block: lambda must be a number, got True"),
+        ({"solver": {"lambda": math.nan}}, "bad solver block: lambda must be a number, got nan"),
+        ({"cone": {"diameter_mm": math.nan}}, "bad cone block: diameter_mm must be a number, got nan"),
+        ({"solver": {"epsilon": math.inf}}, "bad solver block: epsilon must be a number, got inf"),
+        ({"sweep": {"voxel_mm": -math.inf}}, "bad sweep block: voxel_mm must be a number, got -inf"),
+        ({"solver": {"max_iterations": math.nan}}, "max_iterations must be an integer, got nan"),
     ],
     ids=[
         "cone-typo", "sweep-typo", "workpiece-typo", "q0-both", "cone-scalar", "solver-scalar",
@@ -152,7 +185,8 @@ def test_config_with_unknown_top_level_key_rejected(tmp_path, capsys):
         "workpiece-reflection", "workpiece-quat-and-rot", "q0-not-numbers",
         "workpiece-null-position", "workpiece-string-position", "workpiece-null-quat",
         "workpiece-string-quat", "workpiece-null-rot", "workpiece-string-rot", "q0-null",
-        "q0-string",
+        "q0-string", "solver-string", "cone-string", "solver-bool", "solver-nan", "cone-nan",
+        "solver-infinity", "sweep-infinity", "integer-nan",
     ],
 )
 def test_malformed_config_block_rejected(tmp_path, capsys, block, message):
@@ -166,7 +200,9 @@ def test_malformed_config_block_rejected(tmp_path, capsys, block, message):
 @pytest.mark.parametrize(
     "block, message",
     [({"solver": {"task_dof": 4}}, "task_dof must be 3, 5 or 6, got 4"),
-     ({"jobs": 0}, "jobs must be at least 1")],
+     ({"jobs": 0}, "jobs must be at least 1"),
+     ({"solver": {"lambda": math.nan}}, "lambda must be a number, got nan"),
+     ({"cone": {"height_mm": "50"}}, "height_mm must be a number, got '50'")],
 )
 def test_load_config_validates_the_run(tmp_path, block, message):
     # the settings the CLI rejects, load_config rejects too

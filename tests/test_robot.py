@@ -11,7 +11,6 @@ from frik.liegroup import make_pose, rot_y, unskew
 from frik.robot import (
     DHRow,
     RobotModel,
-    _cross_rows,
     chain_frames,
     chain_frames_lanes,
     forward_kinematics,
@@ -20,10 +19,10 @@ from frik.robot import (
     irb4600,
     jacobian_from_frames,
     jacobian_from_frames_lanes,
-    kinematic_hessian,
     load_robot,
-    robot_to_dict,
 )
+
+from conftest import cross_rows, kinematic_hessian, robot_to_dict
 
 # ---------------------------------------------------------------------------
 # oracles: hand-assembled chain product and finite differences
@@ -201,16 +200,16 @@ def test_walk_without_identity_products_rounds_as_with_them(model):
 
 
 def _cross_rows_jacobian(p_tcp, axes, origins):
-    """The Jacobian as ``_cross_rows`` forms it: [w_i x (p_tcp - o_i); w_i]."""
+    """The Jacobian as ``cross_rows`` forms it: [w_i x (p_tcp - o_i); w_i]."""
     j = np.empty((6, len(axes)))
-    _cross_rows(axes, p_tcp - origins, j[:3].T)
+    cross_rows(axes, p_tcp - origins, j[:3].T)
     j[3:] = axes.T
     return j
 
 
 def test_jacobians_keep_the_cross_rows_signs_of_zero(model):
     # both Jacobians cross on rolled row buffers; each entry must be
-    # _cross_rows' product difference, the sign of an exact zero included.
+    # cross_rows' product difference, the sign of an exact zero included.
     # q1 = 0 makes the second joint axis's x entry -0.0, and q2 = 0 or a
     # zero q more exact zeros. Walks are taken in the base frame and, as
     # the solver takes them, rotated into a target frame

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import frik.solver as solver_module
 from frik.analysis import mode_problem
 from frik.errors import PathFailed, PathFailure, RotationNearPi
-from frik.liegroup import make_pose, rot_x, rot_y, rot_z, se3_exp, so3_exp, so3_log
+from frik.liegroup import make_pose, rot_x, rot_y, rot_z, so3_exp, so3_log
 from frik.robot import (
     chain_frames,
     chain_frames_lanes,
@@ -16,7 +16,6 @@ from frik.robot import (
     geometric_jacobian,
     hessian_product,
     jacobian_from_frames,
-    kinematic_hessian,
 )
 from frik.solver import (
     SolverSettings,
@@ -32,7 +31,7 @@ from frik.solver import (
 )
 from frik.toolpath import ConeSpec, Toolpath, generate_cone_spiral
 
-from conftest import target_frame_walk, twist_rotation
+from conftest import kinematic_hessian, target_frame_walk, twist_rotation
 
 SETTINGS = SolverSettings()
 # a target with the base frame's orientation

@@ -343,7 +343,7 @@ def test_reframing_is_rigid():
         make_pose(so3_exp(rng.normal(size=3)), rng.uniform(-1000, 1000, 3)) for _ in range(3)
     ]
     subset = slice(0, 40)
-    base = pairwise(path.with_frame(frames[0]).base_positions()[subset])
+    base = pairwise(path.with_frame(frames[0]).base_poses()[subset, :3, 3])
     for frame in frames[1:]:
-        other = pairwise(path.with_frame(frame).base_positions()[subset])
+        other = pairwise(path.with_frame(frame).base_poses()[subset, :3, 3])
         assert np.abs(base - other).max() < 1e-9
