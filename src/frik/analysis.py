@@ -101,11 +101,14 @@ class SweepSpec:
     voxel_mm: float = 100.0
 
     def __post_init__(self):
-        # written so that NaN fails them
-        if not self.voxel_mm > 0:
-            raise ValueError("voxel size must be positive")
-        if not (self.y_max_mm > self.y_min_mm and self.z_max_mm > self.z_min_mm):
-            raise ValueError("grid extents must be non-empty")
+        # written so that NaN and the infinities fail them
+        if not 0 < self.voxel_mm < math.inf:
+            raise ValueError("voxel size must be positive and finite")
+        if not (
+            -math.inf < self.y_min_mm < self.y_max_mm < math.inf
+            and -math.inf < self.z_min_mm < self.z_max_mm < math.inf
+        ):
+            raise ValueError("grid extents must be finite and non-empty")
 
     def centers(self) -> tuple[np.ndarray, np.ndarray]:
         n_y = max(1, int(round((self.y_max_mm - self.y_min_mm) / self.voxel_mm)))

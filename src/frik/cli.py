@@ -151,6 +151,19 @@ def _write_workspace_csv(
     file.write_text("\n".join(lines) + "\n")
 
 
+def _write_causes_csv(file: Path, header: str, maps: tuple[WorkspaceMap, ...]) -> None:
+    """One row per unreachable voxel and mode: the PathFailure that ended its
+    path, with empty ``joint`` and ``margin_deg`` for kinds that carry none."""
+    lines = [header, "mode,y_mm,z_mm,kind,k,joint,margin_deg"]
+    for wmap in maps:
+        for (iy, iz), cause in wmap.causes.items():
+            joint = "" if cause.joint is None else str(cause.joint)
+            margin = "" if cause.margin_deg is None else _fmt(cause.margin_deg)
+            cells = [wmap.mode, _fmt(wmap.y_centers[iy]), _fmt(wmap.z_centers[iz])]
+            lines.append(",".join([*cells, cause.kind, str(cause.k), joint, margin]))
+    file.write_text("\n".join(lines) + "\n")
+
+
 def cmd_generate(config: RunConfig, args) -> int:
     if not isinstance(config.source, ConeSpec):
         raise ConfigError("generate needs a cone block (config or --cone-* flags)")
@@ -240,6 +253,7 @@ def cmd_workspace(config: RunConfig, args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     header = _audit_header(config, "workspace")
     _write_workspace_csv(out_dir / "workspace.csv", header, map_adhoc, map_frik)
+    _write_causes_csv(out_dir / "workspace_causes.csv", header, (map_adhoc, map_frik))
     summary = workspace_summary(map_adhoc, map_frik)
     payload = {
         "config": resolved_dict(config),

@@ -104,18 +104,21 @@ def so3_log(rotation: np.ndarray) -> np.ndarray:
     """Rotation vector of a rotation matrix.
 
     Raises RotationNearPi within PI_MARGIN of a half-turn, where the axis
-    sign is ambiguous.
+    sign is ambiguous. The matrix is read once as Python floats, and the
+    trace, the clamp, the vee and theta / sin(theta) are formed on them;
+    only the arccos and the sine are numpy's, so every entry rounds as the
+    same formula on numpy scalars does. A NaN entry passes through as NaN.
     """
-    trace = rotation[0, 0] + rotation[1, 1] + rotation[2, 2]
-    c = 0.5 * (trace - 1.0)
-    # np.clip on a scalar, without its dispatch; a NaN passes through as there
-    theta = np.arccos(-1.0 if c < -1.0 else 1.0 if c > 1.0 else c)
+    (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = rotation.tolist()
+    c = 0.5 * (r00 + r11 + r22 - 1.0)
+    theta = float(np.arccos(-1.0 if c < -1.0 else 1.0 if c > 1.0 else c))
     if theta >= np.pi - PI_MARGIN:
         raise RotationNearPi(f"rotation angle {theta:.9f} rad is within {PI_MARGIN} of pi")
-    vee = unskew(rotation - rotation.T) * 0.5
+    vee = ((r21 - r12) * 0.5, (r02 - r20) * 0.5, (r10 - r01) * 0.5)
     if theta < SMALL_ANGLE:
-        return vee
-    return (theta / np.sin(theta)) * vee
+        return np.array(vee)
+    k = theta / float(np.sin(theta))
+    return np.array((k * vee[0], k * vee[1], k * vee[2]))
 
 
 def quat_to_rot(quat: np.ndarray) -> np.ndarray:

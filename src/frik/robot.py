@@ -5,30 +5,37 @@ Lengths are mm, angles rad. The geometric Jacobian maps joint rates to the
 twist ``[tcp linear velocity; angular velocity]`` in the base frame, with the
 linear part taken about the TCP point. The Halley step needs the kinematic
 Hessian (the 6 x n x n tensor of Jacobian partials, ``H[:, :, j] =
-dJ/dq_j``) only through its product ``H dq`` with one joint step, which
-``hessian_product`` forms in O(n) from the Jacobian's own column data,
-without building the tensor. The ``*_lanes`` functions walk a (V, n) stack
-of configurations, one lane each, and round every lane exactly as the (n,)
-function does; they are separate because a lane axis slows the (n,) walk
-that every ``solve`` iteration takes. ``hessian_product`` takes any leading
-stack axes as they are.
+dJ/dq_j``) only through its product ``H dq`` with one joint step, which is
+formed in O(n) from the Jacobian's own column data, without building the
+tensor. The ``*_lanes`` functions walk a (V, n) stack of configurations,
+one lane each, and round every lane exactly as the (n,) function does; they
+are separate because a lane axis slows the (n,) walk that every ``solve``
+iteration takes.
 
 Cross products are spelled out component-wise, component k as
 ``a[k+1] b[k+2] - a[k+2] b[k+1]`` (indices mod 3), on rolled row buffers
-whose rows 3 and 4 repeat rows 0 and 1, in both Jacobians and
-``hessian_product``: solver iterations call these functions in a tight loop
-and ``np.cross`` spends more time shuffling axes than multiplying at this
-size. The buffers form all three components in one ufunc call on fewer
-strided operands. For the same reason ``hessian_product`` writes its
-factors straight into those buffers and takes its running sums with
-``np.add.accumulate``, the ufunc method that ``np.cumsum`` wraps, and the
-chain walk skips its products with the identity: the frame stack starts
-from a copy of the first link, not the identity times it, and a model whose
-tool is the identity (checked once, when the model is built) skips the tool
-product. A product with exact ones and zeros gives back every nonzero
-entry to the bit, so the walk can differ from the identity products only in
-the sign of an exact zero (the second joint axis's x entry is -0.0, not
-+0.0, when sin(q1 + offset1) is +0.0).
+whose rows repeat the three components in turn: solver iterations call
+these functions in a tight loop and ``np.cross`` spends more time shuffling
+axes than multiplying at this size. The buffers form all components in one
+ufunc call on fewer strided operands. The scalar Jacobian,
+``jacobian_from_frames``, crosses seven-row buffers, so its linear rows
+come out rolled, and returns its buffer beside the Jacobian; the scalar
+Halley product, ``rolled_hessian_product``, crosses those rolled rows of w
+and v as they are. ``hessian_product`` fills five-row buffers from the
+axes and the Jacobian and takes any leading stack axes as they are: it is
+the lanes' Halley product (the rolled form with a lane axis measured no
+faster at the seven lanes of the bench's sweep) and the scalar one's
+reference in the tests. Both take their running sums with
+``np.add.accumulate``, the ufunc method that ``np.cumsum`` wraps.
+
+The chain walk, ``chain_stack``, returns one (n + 1, 4, 4) frame stack
+(``chain_frames`` gives views of it) and skips its products with the
+identity: the stack starts from a copy of the first link, not the identity
+times it, and a model whose tool is the identity (checked once, when the
+model is built) skips the tool product. A product with exact ones and zeros
+gives back every nonzero entry to the bit, so the walk can differ from the
+identity products only in the sign of an exact zero (the second joint
+axis's x entry is -0.0, not +0.0, when sin(q1 + offset1) is +0.0).
 """
 
 from __future__ import annotations
@@ -114,15 +121,16 @@ class RobotModel(_ValueEquality):
         return 0.5 * (self.joint_min + self.joint_max)
 
 
-def chain_frames(model: RobotModel, q: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """TCP pose plus each joint's rotation axis and origin in the base frame.
+def chain_stack(model: RobotModel, q: np.ndarray) -> np.ndarray:
+    """The chain walk at ``q`` as one (n + 1, 4, 4) frame stack in the base
+    frame: frame i < n is the frame whose z-axis is joint i's rotation axis
+    and whose origin lies on it, and frame n is the TCP pose (tool applied).
 
-    Returns ``(tcp, axes, origins)`` with ``axes``/``origins`` of shape (n, 3).
-    This single chain walk backs forward_kinematics, the Jacobian and the
-    Hessian product, so solver iterations pay for it once. The n links are
-    built as one (n, 4, 4) stack, and their running products down the chain
-    fill an (n + 1, 4, 4) frame stack whose first n frames give the axes and
-    origins.
+    The n links are built as one (n, 4, 4) stack, and their running
+    products down the chain fill the frame stack. This single walk backs
+    forward kinematics, the Jacobian and the Hessian product, so solver
+    iterations pay for it once; ``solve`` carries it whole and rotates it
+    onto a target's axes with one matmul.
     """
     q = np.asarray(q, dtype=float)
     n = model.n
@@ -134,15 +142,30 @@ def chain_frames(model: RobotModel, q: np.ndarray) -> tuple[np.ndarray, np.ndarr
     np.cos(theta, out=trig[:, 0])
     np.sin(theta, out=trig[:, 1])
     links = np.empty((n, 4, 4))
-    np.multiply(trig[:, _LINK_TRIG], top, out=links[:, :2])
+    # ndarray.take gathers as fancy indexing does, in a third of its time
+    np.multiply(trig.take(_LINK_TRIG, axis=1), top, out=links[:, :2])
     links[:, 2:] = bottom
     frames = np.empty((n + 1, 4, 4))
     frames[0] = _EYE4
     frames[1] = links[0]
     for i in range(1, n):
-        np.matmul(frames[i], links[i], out=frames[i + 1])
-    tcp = frames[n] if model._identity_tool else frames[n] @ model.tool
-    return tcp, frames[:n, :3, 2], frames[:n, :3, 3]
+        # ndarray.dot takes the product np.matmul takes, in half its call time
+        frames[i].dot(links[i], out=frames[i + 1])
+    if not model._identity_tool:
+        frames[n] = frames[n] @ model.tool
+    return frames
+
+
+def chain_frames(model: RobotModel, q: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """TCP pose plus each joint's rotation axis and origin in the base frame.
+
+    Returns ``(tcp, axes, origins)`` with ``axes``/``origins`` of shape (n,
+    3), as views of ``chain_stack(model, q)``: its last frame, and the z
+    columns and origins of the others.
+    """
+    frames = chain_stack(model, q)
+    n = model.n
+    return frames[n], frames[:n, :3, 2], frames[:n, :3, 3]
 
 
 def chain_frames_lanes(
@@ -185,23 +208,31 @@ def forward_kinematics(model: RobotModel, q: np.ndarray) -> np.ndarray:
     return tcp
 
 
-def jacobian_from_frames(p_tcp: np.ndarray, axes: np.ndarray, origins: np.ndarray) -> np.ndarray:
+def jacobian_from_frames(
+    p_tcp: np.ndarray, axes: np.ndarray, origins: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
     """The (6, n) Jacobian of a chain walk's (n, 3) axes and origins about
-    the TCP point ``p_tcp``: column i is ``[w_i x (p_tcp - o_i); w_i]``.
+    the TCP point ``p_tcp`` (column i is ``[w_i x (p_tcp - o_i); w_i]``),
+    and the (12, n) buffer ``rolled`` it is rows 2:8 of.
 
-    The cross product runs on rolled (5, n) row buffers, as in
-    ``hessian_product``.
+    ``rolled`` holds the linear rows v and the angular rows w (the axes) in
+    the component order 1 2 0 1 2 | 0 1 2 0 1 2 0. The cross product runs on
+    its last seven rows and a seven-row buffer of lever arms in the order
+    0 1 2 0 1 2 0, and writes the linear rows already rolled. So rows 0:4
+    and 6:10 are v and w rolled by one, the operands
+    ``rolled_hessian_product`` crosses, and rows 2:8 are [v0 v1 v2 w0 w1 w2].
     """
     n = len(axes)
-    left, right = np.empty((5, n)), np.empty((5, n))
-    left[:3] = axes.T
-    np.subtract(p_tcp[:, None], origins.T, out=right[:3])
-    left[3:] = left[:2]
-    right[3:] = right[:2]
-    j = np.empty((6, n))
-    np.subtract(left[1:4] * right[2:], left[2:] * right[1:4], out=j[:3])
-    j[3:] = left[:3]
-    return j
+    rolled, arms = np.empty((12, n)), np.empty((7, n))
+    rolled[5:8] = axes.T
+    rolled[8:11] = rolled[5:8]
+    rolled[11] = rolled[5]
+    np.subtract(p_tcp[:, None], origins.T, out=arms[:3])
+    arms[3:6] = arms[:3]
+    arms[6] = arms[0]
+    # component k of w x arm, w[k+1] arm[k+2] - w[k+2] arm[k+1], for k = 1..5
+    np.subtract(rolled[7:] * arms[:5], rolled[5:10] * arms[2:], out=rolled[:5])
+    return rolled[2:8], rolled
 
 
 def jacobian_from_frames_lanes(
@@ -226,7 +257,7 @@ def geometric_jacobian(model: RobotModel, q: np.ndarray) -> np.ndarray:
     Column i is ``[z_{i-1} x (p_tcp - p_{i-1}); z_{i-1}]``.
     """
     tcp, axes, origins = chain_frames(model, q)
-    return jacobian_from_frames(tcp[:3, 3], axes, origins)
+    return jacobian_from_frames(tcp[:3, 3], axes, origins)[0]
 
 
 def hessian_product(axes: np.ndarray, jac: np.ndarray, dq: np.ndarray) -> np.ndarray:
@@ -240,7 +271,9 @@ def hessian_product(axes: np.ndarray, jac: np.ndarray, dq: np.ndarray) -> np.nda
     them along dq gives column i as
     ``[W_i x v_i + w_i x S_i; W_i x w_i]`` with ``W_i = sum_{j<=i} dq_j w_j``
     and ``S_i = sum_{j>i} dq_j v_j``. Every w_i comes from ``axes``, so zero
-    axes give exact zeros. Each leading index rounds as its own call.
+    axes give exact zeros. Each leading index rounds as its own call. This
+    is ``solve_lanes``' Halley product; ``solve`` takes the same products
+    from ``rolled_hessian_product``.
     """
     n = dq.shape[-1]
     w = axes.swapaxes(-1, -2)
@@ -266,6 +299,34 @@ def hessian_product(axes: np.ndarray, jac: np.ndarray, dq: np.ndarray) -> np.nda
     out = np.empty(jac.shape)
     out[..., 3:, :] = cross[..., :n]
     np.add(cross[..., n : 2 * n], cross[..., 2 * n :], out=out[..., :3, :])
+    return out
+
+
+def rolled_hessian_product(rolled: np.ndarray, dq: np.ndarray) -> np.ndarray:
+    """``hessian_product`` of one chain walk, (6, n), from the ``rolled``
+    rows of its ``jacobian_from_frames`` and the (n,) step ``dq``.
+
+    Rows 6:10 and 0:4 of ``rolled`` are w and v rolled by one (components
+    1 2 0 1), so W and S come out rolled from their running sums and
+    component k of a cross product a x b, a[k+1] b[k+2] - a[k+2] b[k+1], is
+    ``a[k] b[k+1] - a[k+1] b[k]`` on rows 0:4 of the rolled factors: the
+    products and sums of ``hessian_product``, in its order, without its
+    buffer fills.
+    """
+    n = len(dq)
+    w, v = rolled[6:10], rolled[:4]
+    sum_w = np.add.accumulate(w * dq, 1)
+    # S_i sums from the chain's far end; S_{n-1} is empty
+    sum_v = np.empty((4, n))
+    np.add.accumulate((v * dq)[:, :0:-1], 1, out=sum_v[:, -2::-1])
+    sum_v[:, -1] = 0.0
+    out = np.empty((6, n))
+    np.subtract(sum_w[:3] * w[1:], sum_w[1:] * w[:3], out=out[3:])
+    np.add(
+        sum_w[:3] * v[1:] - sum_w[1:] * v[:3],
+        w[:3] * sum_v[1:] - w[1:] * sum_v[:3],
+        out=out[:3],
+    )
     return out
 
 

@@ -1,30 +1,34 @@
 """Functionally redundant inverse kinematics (FRIK).
 
 ``solve`` iterates in the target frame. Each iteration walks the chain in
-the base frame and rotates the walk once by R_d^T: the TCP pose, then (when
-a step follows) the joint axes and origins come out along the target's axes.
-There the task is the first r of the six twist rows (r = 5 drops the spin
-about the target z-axis, r = 3 keeps position only), so the error,
+the base frame, as the (n + 1, 4, 4) frame stack of ``robot.chain_stack``,
+and rotates the whole stack once by R_d^T, one matmul: the TCP pose, the
+joint axes and the origins are views of the result, along the target's
+axes. There the task is the first r of the six twist rows (r = 5 drops the
+spin about the target z-axis, r = 3 keeps position only), so the error,
 ``task_error``, is formed with r rows, and the Jacobian of the rotated walk
 is already the projected one: the task Jacobian is its first r rows. The
 joint update, ``task_step``, clamps the error to ``e_max``, takes a damped
 least-squares step (Wampler 1986) on those rows, and for the "halley" method
 solves again on the first r rows of the Jacobian augmented by half the
 Hessian contracted along that first step, J + H dq / 2, giving third-order
-convergence. ``H dq`` comes from ``robot.hessian_product`` in O(n), without
-the n x n tensor; it turns with the frame as J does, so it too is taken on
-the rotated walk.
+convergence. ``H dq`` is formed in O(n), without the n x n tensor, by
+``robot.rolled_hessian_product`` from the rolled rows the Jacobian was
+crossed on; it turns with the frame as J does, so it too is taken on the
+rotated walk. The error is formed in Python floats and written into one
+r-vector.
 
 Every iteration walks the chain once, at its joints; the last walk is the
 one whose error ends the solve, taken at the returned joints. ``solve``
-returns that walk as ``SolveResult.walk`` and takes a start walk as
-``walk``, so a caller that starts the next solve from the returned joints
-hands the walk on instead of walking again: every warm-started target of
-``solve_toolpath`` after the first walks once less (after a kept k = 0
-wrist flip, from the check solve's walk). ``solve_lanes`` carries its lanes'
-walks the same way (``LaneSolves.walk``) from one target of the workspace
-sweep to the next. A walk is a pure function of model and joints, so no
-result changes, and every walk is still computed inside some solve's timer.
+returns that walk's frame stack as ``SolveResult.walk`` and takes a start
+stack as ``walk``, so a caller that starts the next solve from the returned
+joints hands the walk on instead of walking again: every warm-started
+target of ``solve_toolpath`` after the first walks once less (after a kept
+k = 0 wrist flip, from the check solve's walk). ``solve_lanes`` carries its
+lanes' walks the same way (``LaneSolves.walk``, as ``(tcp, axes,
+origins)``) from one target of the workspace sweep to the next. A walk is a
+pure function of model and joints, so no result changes, and every walk is
+still computed inside some solve's timer.
 
 The error is the position difference plus an orientation error tuned to
 the task. For r = 6 the orientation error is the rotation vector taking the
@@ -36,8 +40,11 @@ r = 5 solve places the TCP position on the target exactly (within
 tolerance).
 
 ``solve_lanes`` iterates ``solve`` for a stack of problems in lockstep, each
-lane rounding exactly as its own ``solve`` (the workspace sweep's kernel);
-``solve_toolpath`` and the sweep share ``wrist_flip`` and
+lane rounding exactly as its own ``solve`` (the workspace sweep's kernel).
+Its lanes keep their own forms, which measured faster on stacks: they
+rotate the TCP before the convergence check and the axes and origins of
+the lanes that go on after it, and take ``hessian_product`` on (L, ...)
+stacks. ``solve_toolpath`` and the sweep share ``wrist_flip`` and
 ``joint_limit_failures``, the rules that end or adjust a path.
 """
 
@@ -58,11 +65,12 @@ from .errors import DimensionMismatch, PathFailed, PathFailure, RotationNearPi
 from .liegroup import PI_MARGIN, SMALL_ANGLE, _dot, so3_log
 from .robot import (
     RobotModel,
-    chain_frames,
     chain_frames_lanes,
+    chain_stack,
     hessian_product,
     jacobian_from_frames,
     jacobian_from_frames_lanes,
+    rolled_hessian_product,
 )
 
 TASK_DOFS = (3, 5, 6)
@@ -97,15 +105,15 @@ class SolverSettings:
     record_residuals: bool = False
 
     def __post_init__(self):
-        # written so that NaN fails them
-        if not self.lam > 0:
-            raise ValueError("lam must be positive")
-        if not self.epsilon > 0:
-            raise ValueError("epsilon must be positive")
-        if not self.e_max > 0:
-            raise ValueError("e_max must be positive")
-        if not self.max_iterations >= 1:
-            raise ValueError("max_iterations must be at least 1")
+        # written so that NaN and the infinities fail them
+        if not 0 < self.lam < math.inf:
+            raise ValueError("lam must be positive and finite")
+        if not 0 < self.epsilon < math.inf:
+            raise ValueError("epsilon must be positive and finite")
+        if not 0 < self.e_max < math.inf:
+            raise ValueError("e_max must be positive and finite")
+        if not 1 <= self.max_iterations < math.inf:
+            raise ValueError("max_iterations must be at least 1 and finite")
         if self.method not in ("newton", "halley"):
             raise ValueError(f"unknown method {self.method!r}")
 
@@ -119,9 +127,8 @@ class SolveResult:
     step was clamped to ``e_max``. The norm adds mm to rad, so it can rise on
     an unsaturated step when the orientation error dominates; it is not
     promised to fall on every step. ``walk`` is the base-frame chain walk
-    ``(tcp, axes, origins)`` at ``q``, the one the last iteration took, for
-    the next solve from ``q`` to start from; it holds on to the walk's whole
-    frame stack.
+    at ``q`` as its (n + 1, 4, 4) frame stack (``chain_stack``), the one the
+    last iteration took, for the next solve from ``q`` to start from.
     """
 
     q: np.ndarray
@@ -131,7 +138,7 @@ class SolveResult:
     wall_time_us: float
     residual_norms: list[float] | None = field(default=None, repr=False)
     saturation_flags: list[bool] | None = field(default=None, repr=False)
-    walk: tuple | None = field(default=None, repr=False, compare=False)
+    walk: np.ndarray | None = field(default=None, repr=False, compare=False)
 
 
 def task_error(tcp: np.ndarray, p_d: np.ndarray, r: int) -> np.ndarray:
@@ -145,18 +152,24 @@ def task_error(tcp: np.ndarray, p_d: np.ndarray, r: int) -> np.ndarray:
     row is zero), which depends on the target only through its z-axis; for
     r = 6 the rotation vector taking the TCP orientation onto the target.
     """
-    linear = p_d - tcp[:, 3]
     if r == 3:
-        return linear
+        return p_d - tcp[:, 3]
+    err = np.empty(r)
+    np.subtract(p_d, tcp[:, 3], out=err[:3])
     if r == 6:
-        return np.concatenate([linear, so3_log(tcp[:, :3].T)])
+        err[3:] = so3_log(tcp[:, :3].T)
+        return err
     e0, e1, e2 = tcp[:, 2].tolist()
     s = math.sqrt(e0 * e0 + e1 * e1)
     if s < 1e-12:
         # (anti)parallel axes: no turn, or a half-turn about the target y-axis
-        return np.concatenate([linear, (0.0, 0.0 if e2 > 0.0 else np.pi)])
-    k = np.arctan2(s, e2) / s
-    return np.concatenate([linear, (k * e1, -k * e0)])
+        err[3] = 0.0
+        err[4] = 0.0 if e2 > 0.0 else np.pi
+    else:
+        k = float(np.arctan2(s, e2)) / s
+        err[3] = k * e1
+        err[4] = -k * e0
+    return err
 
 
 def _norm(v: np.ndarray) -> float:
@@ -186,31 +199,32 @@ def damped_step(j_hat: np.ndarray, dx_hat: np.ndarray, lam: float) -> np.ndarray
 
 
 def task_step(
-    j6: np.ndarray,
-    axes: np.ndarray | None,
+    jac: np.ndarray,
+    rolled: np.ndarray | None,
     err_hat: np.ndarray,
+    err_norm: float,
     r: int,
     settings: SolverSettings,
 ) -> np.ndarray:
     """The joint update ``solve`` takes from a target-frame Jacobian and error.
 
-    ``j6`` is the 6-row Jacobian of a chain walk rotated into the target
-    frame, and ``err_hat`` the r-row task error (``task_error``). The error is
-    clamped to ``settings.e_max``, then the damped step is taken on the first
-    r rows of ``j6``. With the walk's (n, 3) target-frame joint ``axes`` the
-    step is re-solved on the first r rows of J + H dq / 2 (Halley), ``H dq``
-    from ``hessian_product``, which turns with the frame as J does; with
-    ``None`` the damped Newton step is returned. The result is bounded by the
-    clamped error's norm over 2 lam.
+    ``jac`` is the 6-row Jacobian of a chain walk rotated into the target
+    frame, ``err_hat`` the r-row task error (``task_error``) and ``err_norm``
+    its norm. The error is clamped to ``settings.e_max``, then the damped
+    step is taken on the first r rows of ``jac``. With the Jacobian's
+    ``rolled`` rows (``jacobian_from_frames``) the step is re-solved on the
+    first r rows of J + H dq / 2 (Halley), ``H dq`` from
+    ``rolled_hessian_product``, which turns with the frame as J does; with
+    ``None`` the damped Newton step is returned. The result is bounded by
+    the clamped error's norm over 2 lam.
     """
-    err_norm = _norm(err_hat)
     if err_norm > settings.e_max:
         step_err = err_hat * (settings.e_max / err_norm)
     else:
         step_err = err_hat
-    dq = damped_step(j6[:r], step_err, settings.lam)
-    if axes is not None:
-        halley = j6 + 0.5 * hessian_product(axes, j6, dq)
+    dq = damped_step(jac[:r], step_err, settings.lam)
+    if rolled is not None:
+        halley = jac + 0.5 * rolled_hessian_product(rolled, dq)
         dq = damped_step(halley[:r], step_err, settings.lam)
     return dq
 
@@ -221,7 +235,7 @@ def solve(
     q0: np.ndarray,
     proj: TaskProjector,
     settings: SolverSettings = SolverSettings(),
-    walk: tuple | None = None,
+    walk: np.ndarray | None = None,
 ) -> SolveResult:
     """Iterate from ``q0`` until the target-frame task error norm drops
     below epsilon.
@@ -233,14 +247,14 @@ def solve(
     step, not a fall of the residual norm on every step: that norm adds mm
     to rad, and it can rise on an unsaturated step when the orientation
     error dominates.
-    ``walk``, when given, must be ``chain_frames(model, q0)``, e.g. the
+    ``walk``, when given, must be ``chain_stack(model, q0)``, e.g. the
     ``walk`` of the solve that returned ``q0``; the first iteration takes it
     in place of walking (see the module docstring).
     """
     q = np.array(q0, dtype=float)
     if q.shape != (model.n,):
         raise DimensionMismatch(f"expected q0 of length {model.n}, got shape {q.shape}")
-    r = proj.r
+    n, r = model.n, proj.r
     use_halley = settings.method == "halley"
     bound_factor = 1.0 / (2.0 * settings.lam)
     record = settings.record_residuals
@@ -248,17 +262,17 @@ def solve(
     sats: list[bool] | None = [] if record else None
 
     start = time.perf_counter()
-    rd = t_d[:3, :3]
-    p_d = (rd.T @ t_d[:3, 3:])[:, 0]
+    rd_t = t_d[:3, :3].T
+    p_d = (rd_t @ t_d[:3, 3:])[:, 0]
     converged = False
     iterations = 0
     residual = np.zeros(r)
     for it in range(settings.max_iterations + 1):
         if it or walk is None:
-            walk = chain_frames(model, q)
-        tcp, axes, origins = walk
+            walk = chain_stack(model, q)
         # the walk along the target's axes: one rotation per iteration
-        tcp = rd.T @ tcp[:3]
+        turned = rd_t @ walk[:, :3]
+        tcp = turned[n]
         dx_hat = task_error(tcp, p_d, r)
         res_norm = _norm(dx_hat)
         if record:
@@ -273,9 +287,8 @@ def solve(
         if record:
             sats.append(res_norm > settings.e_max)
 
-        axes, origins = axes @ rd, origins @ rd
-        j6 = jacobian_from_frames(tcp[:, 3], axes, origins)
-        dq = task_step(j6, axes if use_halley else None, dx_hat, r, settings)
+        jac, rolled = jacobian_from_frames(tcp[:, 3], turned[:n, :, 2], turned[:n, :, 3])
+        dq = task_step(jac, rolled if use_halley else None, dx_hat, res_norm, r, settings)
         # Damping guarantee sigma/(sigma^2 + lam^2) <= 1/(2 lam) on the
         # clamped error; a violation means the step math is broken, not that
         # the pose is hard.

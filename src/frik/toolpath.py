@@ -79,13 +79,13 @@ class ConeSpec:
     standoff: float = 0.0
 
     def __post_init__(self):
-        # written so that NaN fails them
-        if not (self.diameter > 0 and self.height > 0 and self.pitch > 0):
-            raise ValueError("diameter, height and pitch must be positive")
-        if not self.standoff >= 0:
-            raise ValueError("standoff must be non-negative")
-        if not self.samples_per_rev >= 8:
-            raise ValueError("samples_per_rev must be at least 8")
+        # written so that NaN and the infinities fail them
+        if not all(0 < x < math.inf for x in (self.diameter, self.height, self.pitch)):
+            raise ValueError("diameter, height and pitch must be positive and finite")
+        if not 0 <= self.standoff < math.inf:
+            raise ValueError("standoff must be non-negative and finite")
+        if not 8 <= self.samples_per_rev < math.inf:
+            raise ValueError("samples_per_rev must be at least 8 and finite")
 
 
 def cone_surface_point(spec: ConeSpec, azimuth, z) -> np.ndarray:

@@ -1,7 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 
 from frik.config import DEFAULT_Q0_DEG, default_workpiece_frame
+from frik.errors import RotationNearPi
+from frik.liegroup import PI_MARGIN, SMALL_ANGLE, unskew
 from frik.robot import RobotModel, chain_frames, irb4600
 
 
@@ -51,6 +55,37 @@ def target_frame_walk(model, q: np.ndarray, t_d: np.ndarray):
     rd = t_d[:3, :3]
     tcp, axes, origins = chain_frames(model, q)
     return rd.T @ tcp[:3], axes @ rd, origins @ rd, (rd.T @ t_d[:3, 3:])[:, 0]
+
+
+def so3_log_numpy_scalars(rotation: np.ndarray) -> np.ndarray:
+    """``so3_log`` formed on numpy scalars and arrays: the reference whose
+    bits its Python-float form must give back, the half-turn raise included."""
+    trace = rotation[0, 0] + rotation[1, 1] + rotation[2, 2]
+    c = 0.5 * (trace - 1.0)
+    theta = np.arccos(-1.0 if c < -1.0 else 1.0 if c > 1.0 else c)
+    if theta >= np.pi - PI_MARGIN:
+        raise RotationNearPi(f"rotation angle {theta:.9f} rad is within {PI_MARGIN} of pi")
+    vee = unskew(rotation - rotation.T) * 0.5
+    if theta < SMALL_ANGLE:
+        return vee
+    return (theta / np.sin(theta)) * vee
+
+
+def task_error_concatenated(tcp: np.ndarray, p_d: np.ndarray, r: int) -> np.ndarray:
+    """``solver.task_error`` formed on numpy scalars and joined with
+    ``np.concatenate``: the reference whose bits its filled r-vector must
+    give back."""
+    linear = p_d - tcp[:, 3]
+    if r == 3:
+        return linear
+    if r == 6:
+        return np.concatenate([linear, so3_log_numpy_scalars(tcp[:, :3].T)])
+    e0, e1, e2 = tcp[:, 2].tolist()
+    s = math.sqrt(e0 * e0 + e1 * e1)
+    if s < 1e-12:
+        return np.concatenate([linear, (0.0, 0.0 if e2 > 0.0 else np.pi)])
+    k = np.arctan2(s, e2) / s
+    return np.concatenate([linear, (k * e1, -k * e0)])
 
 
 def cross_rows(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:

@@ -27,8 +27,8 @@ from frik.robot import (
     chain_frames,
     forward_kinematics,
     geometric_jacobian,
-    hessian_product,
     jacobian_from_frames,
+    rolled_hessian_product,
 )
 from frik.solver import SolverSettings, TaskProjector, solve, solve_toolpath
 
@@ -85,8 +85,9 @@ def test_c01_jacobian_matches_finite_differences(model):
 
 
 def test_c02_hessian_matches_finite_differences(model):
-    # the analytic tensor comes from the kernel every Halley step calls:
-    # dJ/dq_j is hessian_product along the unit step e_j
+    # the analytic tensor comes from the kernel every Halley step of solve
+    # calls: dJ/dq_j is rolled_hessian_product along the unit step e_j (the
+    # lanes' hessian_product gives the same bits, tests/test_robot.py)
     rng = np.random.default_rng(1002)
     step = 1e-6
     start = time.perf_counter()
@@ -95,8 +96,8 @@ def test_c02_hessian_matches_finite_differences(model):
     for _ in range(200):
         q = rng.uniform(model.joint_min, model.joint_max)
         tcp, axes, origins = chain_frames(model, q)
-        jac = jacobian_from_frames(tcp[:3, 3], axes, origins)
-        analytic = np.stack([hessian_product(axes, jac, e_j) for e_j in unit_steps], -1)
+        jac, rolled = jacobian_from_frames(tcp[:3, 3], axes, origins)
+        analytic = np.stack([rolled_hessian_product(rolled, e_j) for e_j in unit_steps], -1)
         fd = np.zeros_like(analytic)
         for j in range(model.n):
             qp, qm = q.copy(), q.copy()
@@ -222,13 +223,14 @@ def test_c07_singularity_robustness(model):
         q[4] = 0.0
         target = forward_kinematics(model, q + rng.uniform(-0.3, 0.3, 6))
         t_e, axes, origins, p_d = target_frame_walk(model, q, target)
-        jac = jacobian_from_frames(t_e[:, 3], axes, origins)
+        jac, rolled = jacobian_from_frames(t_e[:, 3], axes, origins)
         for r in (6, 5):
             # one explicit step at the singular configuration, the step solve takes
             err_hat = frik.task_error(t_e, p_d, r)
-            clamped = min(float(np.linalg.norm(err_hat)), settings.e_max)
-            for halley_axes in (None, axes):
-                dq = frik.task_step(jac, halley_axes, err_hat, r, settings)
+            err_norm = float(np.linalg.norm(err_hat))
+            clamped = min(err_norm, settings.e_max)
+            for halley_rows in (None, rolled):
+                dq = frik.task_step(jac, halley_rows, err_hat, err_norm, r, settings)
                 assert np.all(np.isfinite(dq))
                 assert np.linalg.norm(dq) <= bound * clamped * (1 + 1e-9)
             # the full solve keeps every internal step inside the same bound

@@ -86,6 +86,7 @@ def test_cone_flag_must_be_a_finite_number(tmp_path, capsys, value):
 
 
 def test_range_checks_reject_nan():
+    # and the infinities, which library callers can pass where files cannot
     for make in (
         lambda: SolverSettings(lam=math.nan),
         lambda: SolverSettings(e_max=math.nan),
@@ -93,6 +94,20 @@ def test_range_checks_reject_nan():
         lambda: ConeSpec(standoff=math.nan),
         lambda: SweepSpec(voxel_mm=math.nan),
         lambda: SweepSpec(z_max_mm=math.nan),
+        lambda: SolverSettings(lam=math.inf),
+        lambda: SolverSettings(epsilon=math.inf),
+        lambda: SolverSettings(e_max=math.inf),
+        lambda: SolverSettings(max_iterations=math.inf),
+        lambda: ConeSpec(diameter=math.inf),
+        lambda: ConeSpec(height=math.inf),
+        lambda: ConeSpec(pitch=math.inf),
+        lambda: ConeSpec(standoff=math.inf),
+        lambda: ConeSpec(samples_per_rev=math.inf),
+        lambda: SweepSpec(voxel_mm=math.inf),
+        lambda: SweepSpec(y_min_mm=-math.inf),
+        lambda: SweepSpec(y_max_mm=math.inf),
+        lambda: SweepSpec(z_min_mm=-math.inf),
+        lambda: SweepSpec(z_max_mm=math.inf),
     ):
         with pytest.raises(ValueError):
             make()
@@ -443,9 +458,10 @@ def _close(got: float, want: float) -> bool:
 
 def test_workspace_400mm_matches_golden(tmp_path):
     # the benchmark config's wall at 400 mm voxels (36 voxels, the bundled
-    # cone, both modes): reachable flags and cause counts exactly, the
-    # manipulability to a relative 1e-9; the golden omits the audit line
-    # and the summary's config
+    # cone, both modes): reachable flags, cause counts and each unreachable
+    # voxel's cause record (kind, k, joint) exactly, the manipulability to a
+    # relative 1e-9 and the margins to 1e-9 deg; the golden omits the audit
+    # lines and the summary's config
     config = json.loads(BENCH_CONFIG.read_text())
     config["sweep"]["voxel_mm"] = 400.0
     config["robot"] = str(ROBOT_FILE)
@@ -474,6 +490,15 @@ def test_workspace_400mm_matches_golden(tmp_path):
                 assert got[key][stat] == number, (key, stat)
             else:
                 assert _close(got[key][stat], number), (key, stat)
+    fresh = (tmp_path / "out" / "workspace_causes.csv").read_text().splitlines()
+    want = (GOLDEN_SWEEP / "workspace_causes.csv").read_text().splitlines()
+    assert fresh[0].startswith("# config:") and len(fresh) == len(want) + 1
+    assert fresh[1] == want[0] == "mode,y_mm,z_mm,kind,k,joint,margin_deg"
+    for got_row, want_row in zip(fresh[2:], want[1:]):
+        got_cells, want_cells = got_row.split(","), want_row.split(",")
+        assert got_cells[:6] == want_cells[:6], (want_row, got_row)
+        g, w = got_cells[6], want_cells[6]
+        assert g == w == "" or abs(float(g) - float(w)) <= 1e-9, (want_row, got_row)
 
 
 def test_solve_exit_code_two_on_unreachable(tmp_path, capsys):

@@ -20,6 +20,7 @@ from frik.robot import (
     jacobian_from_frames,
     jacobian_from_frames_lanes,
     load_robot,
+    rolled_hessian_product,
 )
 
 from conftest import cross_rows, kinematic_hessian, robot_to_dict
@@ -207,12 +208,10 @@ def _cross_rows_jacobian(p_tcp, axes, origins):
     return j
 
 
-def test_jacobians_keep_the_cross_rows_signs_of_zero(model):
-    # both Jacobians cross on rolled row buffers; each entry must be
-    # cross_rows' product difference, the sign of an exact zero included.
-    # q1 = 0 makes the second joint axis's x entry -0.0, and q2 = 0 or a
-    # zero q more exact zeros. Walks are taken in the base frame and, as
-    # the solver takes them, rotated into a target frame
+def signed_zero_walks(model):
+    """Lane walks with exact zeros: q1 = 0 makes the second joint axis's x
+    entry -0.0, and q2 = 0 or a zero q more exact zeros. Taken in the base
+    frame and, as the solver takes them, rotated into a target frame."""
     q = np.array(random_in_limits(model, np.random.default_rng(71), 400))
     q[:200, 0] = 0.0
     q[100:300, 1] = 0.0
@@ -220,12 +219,17 @@ def test_jacobians_keep_the_cross_rows_signs_of_zero(model):
     tcp, axes, origins = chain_frames_lanes(model, q)
     assert np.signbit(axes[:200, 1, 0]).all()
     rd = tcp[0, :3, :3]
-    for p_tcp, ax, org in ((tcp[:, :3, 3], axes, origins),
-                           (tcp[:, :3, 3] @ rd, axes @ rd, origins @ rd)):
+    return ((tcp[:, :3, 3], axes, origins), (tcp[:, :3, 3] @ rd, axes @ rd, origins @ rd))
+
+
+def test_jacobians_keep_the_cross_rows_signs_of_zero(model):
+    # both Jacobians cross on rolled row buffers; each entry must be
+    # cross_rows' product difference, the sign of an exact zero included
+    for p_tcp, ax, org in signed_zero_walks(model):
         lanes = jacobian_from_frames_lanes(p_tcp, ax, org)
-        for lane in range(len(q)):
+        for lane in range(len(ax)):
             want = _cross_rows_jacobian(p_tcp[lane], ax[lane], org[lane])
-            for got in (jacobian_from_frames(p_tcp[lane], ax[lane], org[lane]), lanes[lane]):
+            for got in (jacobian_from_frames(p_tcp[lane], ax[lane], org[lane])[0], lanes[lane]):
                 assert np.array_equal(got, want)
                 assert np.array_equal(np.signbit(got), np.signbit(want))
 
@@ -330,16 +334,34 @@ def test_hessian_product_matches_tensor_contraction(model, name):
     for q in random_in_limits(chain, rng, 200):
         dq = rng.normal(size=chain.n) * rng.choice([1e-3, 0.1, 1.0])
         tcp, axes, origins = chain_frames(chain, q)
-        jac = jacobian_from_frames(tcp[:3, 3], axes, origins)
+        jac, _ = jacobian_from_frames(tcp[:3, 3], axes, origins)
         reference = kinematic_hessian(chain, q) @ dq
         product = hessian_product(axes, jac, dq)
         assert product.shape == (6, chain.n)
         assert np.abs(product - reference).max() <= 1e-12 * np.abs(reference).max()
 
 
+def test_rolled_hessian_product_rounds_as_hessian_product(model):
+    # solve's Halley product reads the Jacobian's rolled rows; it must give
+    # hessian_product's bits, the sign of an exact zero included, on the
+    # signed-zero walks and on steps with exact zeros in them
+    rng = np.random.default_rng(73)
+    for p_tcp, ax, org in signed_zero_walks(model):
+        dq = rng.normal(size=(len(ax), model.n)) * 0.1
+        dq[::3, 0] = 0.0
+        dq[::5, 1:4] = 0.0
+        dq[-20:] = 0.0
+        for lane in range(len(ax)):
+            jac, rolled = jacobian_from_frames(p_tcp[lane], ax[lane], org[lane])
+            want = hessian_product(ax[lane], jac, dq[lane])
+            got = rolled_hessian_product(rolled, dq[lane])
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
 def test_hessian_product_of_zero_step_or_axes_is_zero(model, q0_benchmark):
     tcp, axes, origins = chain_frames(model, q0_benchmark)
-    jac = jacobian_from_frames(tcp[:3, 3], axes, origins)
+    jac, _ = jacobian_from_frames(tcp[:3, 3], axes, origins)
     zero = np.zeros((6, 6))
     assert np.array_equal(hessian_product(axes, jac, np.zeros(6)), zero)
     assert np.array_equal(hessian_product(np.zeros((6, 3)), jac, np.full(6, 0.3)), zero)
@@ -371,7 +393,7 @@ def test_lanes_round_as_one_configuration_calls(model):
         one = chain_frames(model, q_lane)
         for stacked, alone in zip((tcp, axes, origins), one):
             assert np.array_equal(stacked[lane], alone)
-        assert np.array_equal(jac[lane], jacobian_from_frames(one[0][:3, 3], *one[1:]))
+        assert np.array_equal(jac[lane], jacobian_from_frames(one[0][:3, 3], *one[1:])[0])
     with pytest.raises(DimensionMismatch):
         chain_frames_lanes(model, q[0])
 

@@ -12,6 +12,7 @@ from frik.liegroup import make_pose, rot_x, rot_y, rot_z, so3_exp, so3_log
 from frik.robot import (
     chain_frames,
     chain_frames_lanes,
+    chain_stack,
     forward_kinematics,
     geometric_jacobian,
     hessian_product,
@@ -31,7 +32,12 @@ from frik.solver import (
 )
 from frik.toolpath import ConeSpec, Toolpath, generate_cone_spiral
 
-from conftest import kinematic_hessian, target_frame_walk, twist_rotation
+from conftest import (
+    kinematic_hessian,
+    target_frame_walk,
+    task_error_concatenated,
+    twist_rotation,
+)
 
 SETTINGS = SolverSettings()
 # a target with the base frame's orientation
@@ -63,9 +69,10 @@ def base_frame_error(t_e, t_d, r):
 
 def target_frame_step_terms(model, q, t_d, r):
     """``solve``'s iteration terms at ``q``: the target-frame task error, the
-    6-row Jacobian and the joint axes of the walk rotated onto the target."""
+    6-row Jacobian with its rolled rows, and the joint axes of the walk
+    rotated onto the target."""
     tcp, axes, origins, p_d = target_frame_walk(model, q, t_d)
-    return task_error(tcp, p_d, r), jacobian_from_frames(tcp[:, 3], axes, origins), axes
+    return (task_error(tcp, p_d, r), *jacobian_from_frames(tcp[:, 3], axes, origins), axes)
 
 
 # ---------------------------------------------------------------------------
@@ -77,7 +84,7 @@ def target_frame_step_terms(model, q, t_d, r):
 def test_projector_is_identity_row_submatrix(r, model, q0_benchmark):
     # along the axes of a target with the base orientation the walk is the
     # base-frame walk, so the task rows are the first r rows as they are
-    err, j, _ = target_frame_step_terms(model, q0_benchmark, BASE_AXES_TARGET, r)
+    err, j, _, _ = target_frame_step_terms(model, q0_benchmark, BASE_AXES_TARGET, r)
     assert np.array_equal(j[:r], geometric_jacobian(model, q0_benchmark)[:r])
     dx = base_frame_error(forward_kinematics(model, q0_benchmark), BASE_AXES_TARGET, r)
     if r == 5:
@@ -90,7 +97,7 @@ def test_projector_is_identity_row_submatrix(r, model, q0_benchmark):
 def test_decompose_identity_frame_full_task(model, q0_benchmark):
     # the target-frame J, error and Halley term H dq are the base-frame ones
     # for the full task in the identity frame
-    err, j, axes = target_frame_step_terms(model, q0_benchmark, BASE_AXES_TARGET, 6)
+    err, j, _, axes = target_frame_step_terms(model, q0_benchmark, BASE_AXES_TARGET, 6)
     dq = np.linspace(-0.3, 0.3, j.shape[1])
     assert np.array_equal(j, geometric_jacobian(model, q0_benchmark))
     t_e = forward_kinematics(model, q0_benchmark)
@@ -101,7 +108,7 @@ def test_decompose_identity_frame_full_task(model, q0_benchmark):
 
 def test_decompose_identity_frame_five_dof(model, q0_benchmark):
     # with r = 5 the same decomposition only drops the spin row
-    err, j, axes = target_frame_step_terms(model, q0_benchmark, BASE_AXES_TARGET, 5)
+    err, j, _, axes = target_frame_step_terms(model, q0_benchmark, BASE_AXES_TARGET, 5)
     dq = np.linspace(-0.3, 0.3, j.shape[1])
     base = geometric_jacobian(model, q0_benchmark)
     assert np.array_equal(j[:5], base[:5])
@@ -141,11 +148,11 @@ def test_saturate_passthrough_and_clamp(model, q0_benchmark):
     j = geometric_jacobian(model, q0_benchmark)
     e = np.array([3.0, 0.0, 0.0, 0.0, 4.0])
     loose = SolverSettings(e_max=10.0)
-    assert np.array_equal(task_step(j, None, e, 5, loose), damped_step(j[:5], e, loose.lam))
+    assert np.array_equal(task_step(j, None, e, 5.0, 5, loose), damped_step(j[:5], e, loose.lam))
     tight = SolverSettings(e_max=2.5)
-    clamped = task_step(j, None, e, 5, tight)
+    clamped = task_step(j, None, e, 5.0, 5, tight)
     assert np.array_equal(clamped, damped_step(j[:5], 0.5 * e, tight.lam))
-    assert np.array_equal(task_step(j, None, np.zeros(5), 5, tight), np.zeros(6))
+    assert np.array_equal(task_step(j, None, np.zeros(5), 0.0, 5, tight), np.zeros(6))
 
 
 # ---------------------------------------------------------------------------
@@ -165,12 +172,54 @@ def test_project_discards_target_frame_spin_component(model, q0_benchmark):
         axis /= np.linalg.norm(axis)
         rd = so3_exp(rng.uniform(0, 3) * axis)
         t_d = make_pose(rd, t_e[:3, 3] + rng.normal(size=3) * 100)
-        dx_hat, j6, _ = target_frame_step_terms(model, q0_benchmark, t_d, 5)
+        dx_hat, j6, _, _ = target_frame_step_terms(model, q0_benchmark, t_d, 5)
         full = twist_rotation(rd) @ base_frame_error(t_e, t_d, 5)
         assert abs(full[5]) < 1e-12
         assert np.allclose(dx_hat, full[:5], atol=1e-12)
         for r in (3, 5, 6):
             assert np.abs(j6[:r] - twist_rotation(rd)[:r] @ j).max() < 1e-9
+
+
+def test_stack_rotation_rounds_as_the_walk_rotations(model):
+    # solve rotates the whole frame stack with one matmul, R_d^T @ frames;
+    # the TCP, axes and origins it reads must be the bits of rotating each
+    # piece of the walk on its own, rd.T @ tcp and axes @ rd (the walk
+    # target_frame_walk forms)
+    rng = np.random.default_rng(2202)
+    for _ in range(300):
+        q = rng.uniform(model.joint_min, model.joint_max)
+        t_d = make_pose(so3_exp(rng.normal(size=3)), rng.normal(size=3) * 500)
+        turned = t_d[:3, :3].T @ chain_stack(model, q)[:, :3]
+        tcp, axes, origins, _ = target_frame_walk(model, q, t_d)
+        for got, want in ((turned[-1], tcp), (turned[:-1, :, 2], axes), (turned[:-1, :, 3], origins)):
+            assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("r", [3, 5, 6])
+def test_task_error_rounds_as_concatenated_form(model, r):
+    # task_error fills one r-vector from Python floats; it must give the
+    # bits of the numpy-scalar form joined by np.concatenate, over rotated
+    # walks and, for r = 5, TCP z-axes (anti)parallel to the target's and
+    # just off them (s around the 1e-12 branch point)
+    rng = np.random.default_rng(2203 + r)
+    cases = []
+    for _ in range(500):
+        q = rng.uniform(model.joint_min, model.joint_max)
+        t_d = make_pose(so3_exp(rng.normal(size=3)), rng.normal(size=3) * 500)
+        tcp, _, _, p_d = target_frame_walk(model, q, t_d)
+        cases.append((tcp, p_d))
+    if r == 5:
+        for spin in rng.uniform(0.0, 2.0 * np.pi, 20):
+            for tilt in (0.0, np.pi, 1e-13, 1e-12, 3e-12, np.pi - 1e-12, 1e-3):
+                rotation = rot_z(spin) @ rot_x(tilt) @ rot_z(-spin)
+                cases.append((make_pose(rotation, rng.normal(size=3))[:3], rng.normal(size=3)))
+    branches = set()
+    for tcp, p_d in cases:
+        want = task_error_concatenated(tcp, p_d, r)
+        assert task_error(tcp, p_d, r).tobytes() == want.tobytes()
+        flat = np.hypot(*tcp[:2, 2]) < 1e-12
+        branches.add("bent" if not flat else "parallel" if tcp[2, 2] > 0.0 else "antiparallel")
+    assert branches == ({"bent", "parallel", "antiparallel"} if r == 5 else {"bent"})
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -189,7 +238,7 @@ def test_target_frame_terms_match_twist_rotation_reference(model, seed):
         base = geometric_jacobian(model, q)
         base_halley = base + 0.5 * (kinematic_hessian(model, q) @ dq)
         for r in (3, 5, 6):
-            err, j6, axes = target_frame_step_terms(model, q, t_d, r)
+            err, j6, _, axes = target_frame_step_terms(model, q, t_d, r)
             halley = j6 + 0.5 * hessian_product(axes, j6, dq)
             for got, want in (
                 (err, tr[:r] @ base_frame_error(t_e, t_d, r)),
@@ -280,21 +329,22 @@ def test_full_task_step_unchanged_by_twist_rotation(model, q0_benchmark):
 
 
 def test_task_step_zero_error(model, q0_benchmark):
-    j = geometric_jacobian(model, q0_benchmark)
-    axes = chain_frames(model, q0_benchmark)[1]
-    for halley_axes in (None, axes):
-        step = task_step(j, halley_axes, np.zeros(5), 5, SETTINGS)
+    tcp, axes, origins = chain_frames(model, q0_benchmark)
+    j, rolled = jacobian_from_frames(tcp[:3, 3], axes, origins)
+    for halley_rows in (None, rolled):
+        step = task_step(j, halley_rows, np.zeros(5), 0.0, 5, SETTINGS)
         assert np.array_equal(step, np.zeros(6))
 
 
 def test_task_step_with_zero_hessian_equals_newton(model, q0_benchmark):
-    # zero axes make the Hessian, and so the Halley product H dq, exactly zero
+    # zero rolled rows (zero axes) make the Halley product H dq exactly zero
     j = geometric_jacobian(model, q0_benchmark)
     rd = so3_exp(np.array([0.2, -0.4, 0.1]))
-    _, j6, _ = target_frame_step_terms(model, q0_benchmark, make_pose(rd, np.zeros(3)), 5)
+    _, j6, rolled, _ = target_frame_step_terms(model, q0_benchmark, make_pose(rd, np.zeros(3)), 5)
     dx_hat = np.array([5.0, -2.0, 1.0, 0.05, -0.02])
-    newton = task_step(j6, None, dx_hat, 5, SETTINGS)
-    halley = task_step(j6, np.zeros((6, 3)), dx_hat, 5, SETTINGS)
+    norm = np.linalg.norm(dx_hat)
+    newton = task_step(j6, None, dx_hat, norm, 5, SETTINGS)
+    halley = task_step(j6, np.zeros_like(rolled), dx_hat, norm, 5, SETTINGS)
     assert np.array_equal(newton, halley)
     reference = damped_step(twist_rotation(rd)[:5] @ j, dx_hat, SETTINGS.lam)
     assert np.abs(newton - reference).max() < 1e-10
@@ -309,7 +359,7 @@ def test_halley_projection_commutes_with_augmentation(model, q0_benchmark):
     rd = so3_exp(np.array([0.3, 0.1, -0.2]))
     tr = twist_rotation(rd)[:5]
     dq = rng.normal(size=6) * 0.1
-    _, j6, axes = target_frame_step_terms(model, q0_benchmark, make_pose(rd, np.zeros(3)), 5)
+    _, j6, _, axes = target_frame_step_terms(model, q0_benchmark, make_pose(rd, np.zeros(3)), 5)
     direct = (j6 + 0.5 * hessian_product(axes, j6, dq))[:5]
     pieces = tr @ j + 0.5 * (np.einsum("rk,kij->rij", tr, h) @ dq)
     assert np.abs(direct - pieces).max() < 1e-12
@@ -325,9 +375,11 @@ def test_one_solve_iteration_is_task_step(model, q0_benchmark):
         for r in (3, 5, 6):
             settings = SolverSettings(method=method, max_iterations=1)
             for t_d in (near, far):
-                err_hat, j6, axes = target_frame_step_terms(model, q0, t_d, r)
-                assert (np.linalg.norm(err_hat) > settings.e_max) == (t_d is far)
-                dq = task_step(j6, axes if method == "halley" else None, err_hat, r, settings)
+                err_hat, j6, rolled, _ = target_frame_step_terms(model, q0, t_d, r)
+                err_norm = np.linalg.norm(err_hat)
+                assert (err_norm > settings.e_max) == (t_d is far)
+                halley = rolled if method == "halley" else None
+                dq = task_step(j6, halley, err_hat, err_norm, r, settings)
                 res = solve(model, t_d, q0, TaskProjector(r), settings)
                 assert np.array_equal(res.q, q0 + dq)
 
@@ -502,7 +554,7 @@ def test_five_dof_antiparallel_axis_steps_bounded(model, q0_benchmark, method):
     # first step keeps the damping bound, the solve converges, and lanes
     # from that start take the scalar solve's steps bit for bit
     t_d = forward_kinematics(model, q0_benchmark) @ np.diag([1.0, -1.0, -1.0, 1.0])
-    err, _, _ = target_frame_step_terms(model, q0_benchmark, t_d, 5)
+    err, _, _, _ = target_frame_step_terms(model, q0_benchmark, t_d, 5)
     assert err[3:].tolist() == [0.0, np.pi]
     settings = SolverSettings(method=method)
     first = solve(model, t_d, q0_benchmark, TaskProjector(5), replace(settings, max_iterations=1))
@@ -555,8 +607,8 @@ def test_solve_toolpath_is_solve_chained(model, q0_benchmark, workpiece_frame, m
     # must equal public solve chained target by target with the k = 0 wrist
     # rule, each solve walking its own start, bit for bit
     walks = []
-    walk = solver_module.chain_frames
-    monkeypatch.setattr(solver_module, "chain_frames", lambda m, q: walks.append(1) or walk(m, q))
+    walk = solver_module.chain_stack
+    monkeypatch.setattr(solver_module, "chain_stack", lambda m, q: walks.append(1) or walk(m, q))
     cone = generate_cone_spiral(ConeSpec(samples_per_rev=16, pitch=10.0)).with_frame(workpiece_frame)
     path, proj = mode_problem(cone, mode, 5)
     settings = SolverSettings(method=method)
@@ -684,9 +736,10 @@ def test_monotone_residual_on_benchmark_path(model, q0_benchmark, workpiece_fram
                 break
             dx_hat = projected_error(q, t_d)
             if np.linalg.norm(dx_hat) <= SETTINGS.e_max:
-                _, jac, _ = target_frame_step_terms(model, q, t_d, r)
-                newton = task_step(jac, None, dx_hat, r, SETTINGS)
-                simplified = task_step(jac, None, projected_error(step.q, t_d), r, SETTINGS)
+                _, jac, _, _ = target_frame_step_terms(model, q, t_d, r)
+                newton = task_step(jac, None, dx_hat, np.linalg.norm(dx_hat), r, SETTINGS)
+                e_next = projected_error(step.q, t_d)
+                simplified = task_step(jac, None, e_next, np.linalg.norm(e_next), r, SETTINGS)
                 thetas.append(np.linalg.norm(simplified) / np.linalg.norm(newton))
             q = step.q
         assert step.converged
