@@ -15,7 +15,7 @@ import numpy as np
 from numpy.linalg import _umath_linalg
 
 from .errors import DimensionMismatch, OutOfLimits, PathFailure
-from .robot import RobotModel, chain_frames_lanes, jacobian_from_frames_lanes
+from .robot import RobotModel, chain_frames_lanes, jacobian_from_frames
 from .solver import (
     SolverSettings,
     TaskProjector,
@@ -54,7 +54,10 @@ def manipulability_jl(model: RobotModel, q: np.ndarray) -> float | np.ndarray:
     """
     weights = np.atleast_2d(joint_limit_weights(model, q))
     tcp, axes, origins = chain_frames_lanes(model, np.atleast_2d(q))
-    jac = jacobian_from_frames_lanes(tcp[:, :3, 3], axes, origins)
+    jac, _ = jacobian_from_frames(tcp[:, :3, 3], axes, origins)
+    # an (L, 6, n) copy, as solve_lanes' damped steps take: the gram's
+    # matmul must see each lane's rows as a one-lane call does
+    jac = np.ascontiguousarray(jac.transpose(2, 0, 1))
     gram = (jac * weights[:, None]) @ jac.swapaxes(1, 2)
     w = np.sqrt(np.maximum(_umath_linalg.det(gram, signature="d->d"), 0.0))
     return float(w[0]) if np.ndim(q) == 1 else w

@@ -42,11 +42,6 @@ def skew(v: np.ndarray) -> np.ndarray:
     return np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
 
 
-def unskew(m: np.ndarray) -> np.ndarray:
-    """Extract the 3-vector from a skew-symmetric matrix."""
-    return np.array([m[2, 1], m[0, 2], m[1, 0]])
-
-
 def rot_x(angle: float) -> np.ndarray:
     c, s = np.cos(angle), np.sin(angle)
     return np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])

@@ -7,26 +7,25 @@ linear part taken about the TCP point. The Halley step needs the kinematic
 Hessian (the 6 x n x n tensor of Jacobian partials, ``H[:, :, j] =
 dJ/dq_j``) only through its product ``H dq`` with one joint step, which is
 formed in O(n) from the Jacobian's own column data, without building the
-tensor. The ``*_lanes`` functions walk a (V, n) stack of configurations,
-one lane each, and round every lane exactly as the (n,) function does; they
-are separate because a lane axis slows the (n,) walk that every ``solve``
-iteration takes.
+tensor. ``chain_frames_lanes`` walks a (V, n) stack of configurations,
+one lane each, and rounds every lane exactly as ``chain_frames`` does; it
+is separate because a lane axis slows the (n,) walk that every ``solve``
+iteration takes. The Jacobian and the Halley product need no second form:
+they take a lane stack with its lane axis last, where the (n,) kernels'
+row slices and running sums work on it as written, and round each lane as
+its own (n,) call.
 
 Cross products are spelled out component-wise, component k as
 ``a[k+1] b[k+2] - a[k+2] b[k+1]`` (indices mod 3), on rolled row buffers
 whose rows repeat the three components in turn: solver iterations call
 these functions in a tight loop and ``np.cross`` spends more time shuffling
 axes than multiplying at this size. The buffers form all components in one
-ufunc call on fewer strided operands. The scalar Jacobian,
+ufunc call on fewer strided operands. The Jacobian,
 ``jacobian_from_frames``, crosses seven-row buffers, so its linear rows
-come out rolled, and returns its buffer beside the Jacobian; the scalar
-Halley product, ``rolled_hessian_product``, crosses those rolled rows of w
-and v as they are. ``hessian_product`` fills five-row buffers from the
-axes and the Jacobian and takes any leading stack axes as they are: it is
-the lanes' Halley product (the rolled form with a lane axis measured no
-faster at the seven lanes of the bench's sweep) and the scalar one's
-reference in the tests. Both take their running sums with
-``np.add.accumulate``, the ufunc method that ``np.cumsum`` wraps.
+come out rolled, and returns its buffer beside the Jacobian; the Halley
+product, ``rolled_hessian_product``, crosses those rolled rows of w and v
+as they are, and takes its running sums with ``np.add.accumulate``, the
+ufunc method that ``np.cumsum`` wraps.
 
 The chain walk, ``chain_stack``, returns one (n + 1, 4, 4) frame stack
 (``chain_frames`` gives views of it) and skips its products with the
@@ -221,34 +220,22 @@ def jacobian_from_frames(
     0 1 2 0 1 2 0, and writes the linear rows already rolled. So rows 0:4
     and 6:10 are v and w rolled by one, the operands
     ``rolled_hessian_product`` crosses, and rows 2:8 are [v0 v1 v2 w0 w1 w2].
+
+    A lane stack, (L, n, 3) axes and origins and (L, 3) TCP points, gives
+    (6, n, L) and (12, n, L), with each lane rounded as its own call.
     """
-    n = len(axes)
-    rolled, arms = np.empty((12, n)), np.empty((7, n))
+    # (n,) for one walk, (n, L) for a lane stack: the shape of a row of axes.T
+    shape = origins.shape[-2::-1]
+    rolled, arms = np.empty((12,) + shape), np.empty((7,) + shape)
     rolled[5:8] = axes.T
     rolled[8:11] = rolled[5:8]
     rolled[11] = rolled[5]
-    np.subtract(p_tcp[:, None], origins.T, out=arms[:3])
+    np.subtract(p_tcp.T[:, None], origins.T, out=arms[:3])
     arms[3:6] = arms[:3]
     arms[6] = arms[0]
     # component k of w x arm, w[k+1] arm[k+2] - w[k+2] arm[k+1], for k = 1..5
     np.subtract(rolled[7:] * arms[:5], rolled[5:10] * arms[2:], out=rolled[:5])
     return rolled[2:8], rolled
-
-
-def jacobian_from_frames_lanes(
-    p_tcp: np.ndarray, axes: np.ndarray, origins: np.ndarray
-) -> np.ndarray:
-    """``jacobian_from_frames`` of each lane of ``chain_frames_lanes``' output: (V, 6, n)."""
-    lanes, n = axes.shape[:2]
-    left, right = np.empty((lanes, 5, n)), np.empty((lanes, 5, n))
-    left[:, :3] = axes.swapaxes(1, 2)
-    np.subtract(p_tcp[:, :, None], origins.swapaxes(1, 2), out=right[:, :3])
-    left[:, 3:] = left[:, :2]
-    right[:, 3:] = right[:, :2]
-    j = np.empty((lanes, 6, n))
-    np.subtract(left[:, 1:4] * right[:, 2:], left[:, 2:] * right[:, 1:4], out=j[:, :3])
-    j[:, 3:] = left[:, :3]
-    return j
 
 
 def geometric_jacobian(model: RobotModel, q: np.ndarray) -> np.ndarray:
@@ -260,67 +247,31 @@ def geometric_jacobian(model: RobotModel, q: np.ndarray) -> np.ndarray:
     return jacobian_from_frames(tcp[:3, 3], axes, origins)[0]
 
 
-def hessian_product(axes: np.ndarray, jac: np.ndarray, dq: np.ndarray) -> np.ndarray:
-    """``H dq``, the Jacobian's derivative along the joint step ``dq``,
-    without building the n x n Hessian.
-
-    Takes (..., n, 3) joint axes w_i, the (..., 6, n) Jacobian, whose linear
-    column halves are v_i, and (..., n) ``dq``; returns (..., 6, n). The
-    Hessian's cells are dw_i/dq_j = w_j x w_i and dv_i/dq_j = w_j x v_i for
-    j <= i, and dw_i/dq_j = 0 and dv_i/dq_j = w_i x v_j for j > i; summing
-    them along dq gives column i as
-    ``[W_i x v_i + w_i x S_i; W_i x w_i]`` with ``W_i = sum_{j<=i} dq_j w_j``
-    and ``S_i = sum_{j>i} dq_j v_j``. Every w_i comes from ``axes``, so zero
-    axes give exact zeros. Each leading index rounds as its own call. This
-    is ``solve_lanes``' Halley product; ``solve`` takes the same products
-    from ``rolled_hessian_product``.
-    """
-    n = dq.shape[-1]
-    w = axes.swapaxes(-1, -2)
-    v = jac[..., :3, :]
-    step = dq[..., None, :]
-    # W x w, W x v and w x S as one cross product over 3n columns: the
-    # factors' component rows [W | W | w] and [w | v | S] go into buffers
-    # whose rows 3 and 4 repeat rows 0 and 1, so that component k is
-    # left[k+1] right[k+2] - left[k+2] right[k+1] for all three k at once
-    shape = (*v.shape[:-2], 5, 3 * n)
-    left, right = np.empty(shape), np.empty(shape)
-    np.add.accumulate(w * step, -1, out=left[..., :3, :n])
-    left[..., :3, n : 2 * n] = left[..., :3, :n]
-    left[..., :3, 2 * n :] = w
-    right[..., :3, :n] = w
-    right[..., :3, n : 2 * n] = v
-    # S_i sums from the chain's far end; S_{n-1} is empty
-    np.add.accumulate((v * step)[..., :0:-1], -1, out=right[..., :3, -2 : 2 * n - 1 : -1])
-    right[..., :3, -1] = 0.0
-    left[..., 3:, :] = left[..., :2, :]
-    right[..., 3:, :] = right[..., :2, :]
-    cross = left[..., 1:4, :] * right[..., 2:, :] - left[..., 2:, :] * right[..., 1:4, :]
-    out = np.empty(jac.shape)
-    out[..., 3:, :] = cross[..., :n]
-    np.add(cross[..., n : 2 * n], cross[..., 2 * n :], out=out[..., :3, :])
-    return out
-
-
 def rolled_hessian_product(rolled: np.ndarray, dq: np.ndarray) -> np.ndarray:
-    """``hessian_product`` of one chain walk, (6, n), from the ``rolled``
-    rows of its ``jacobian_from_frames`` and the (n,) step ``dq``.
+    """``H dq``, the Jacobian's derivative along the joint step ``dq``,
+    without building the n x n Hessian: (6, n) from the (12, n) ``rolled``
+    rows of a chain walk's ``jacobian_from_frames`` and the (n,) ``dq``, or
+    (6, n, L) from a lane stack's (12, n, L) rows and (n, L) steps, each
+    lane rounded as its own call.
 
+    The Hessian's cells are dw_i/dq_j = w_j x w_i and dv_i/dq_j = w_j x v_i
+    for j <= i, and dw_i/dq_j = 0 and dv_i/dq_j = w_i x v_j for j > i, where
+    w_i are the axes and v_i the Jacobian's linear column halves; summing
+    them along dq gives column i as ``[W_i x v_i + w_i x S_i; W_i x w_i]``
+    with ``W_i = sum_{j<=i} dq_j w_j`` and ``S_i = sum_{j>i} dq_j v_j``.
     Rows 6:10 and 0:4 of ``rolled`` are w and v rolled by one (components
     1 2 0 1), so W and S come out rolled from their running sums and
     component k of a cross product a x b, a[k+1] b[k+2] - a[k+2] b[k+1], is
-    ``a[k] b[k+1] - a[k+1] b[k]`` on rows 0:4 of the rolled factors: the
-    products and sums of ``hessian_product``, in its order, without its
-    buffer fills.
+    ``a[k] b[k+1] - a[k+1] b[k]`` on rows 0:4 of the rolled factors. Every
+    w_i comes from the axes, so zero axes give exact zeros.
     """
-    n = len(dq)
     w, v = rolled[6:10], rolled[:4]
     sum_w = np.add.accumulate(w * dq, 1)
     # S_i sums from the chain's far end; S_{n-1} is empty
-    sum_v = np.empty((4, n))
+    sum_v = np.empty(v.shape)
     np.add.accumulate((v * dq)[:, :0:-1], 1, out=sum_v[:, -2::-1])
     sum_v[:, -1] = 0.0
-    out = np.empty((6, n))
+    out = np.empty((6, *dq.shape))
     np.subtract(sum_w[:3] * w[1:], sum_w[1:] * w[:3], out=out[3:])
     np.add(
         sum_w[:3] * v[1:] - sum_w[1:] * v[:3],

@@ -41,10 +41,11 @@ tolerance).
 
 ``solve_lanes`` iterates ``solve`` for a stack of problems in lockstep, each
 lane rounding exactly as its own ``solve`` (the workspace sweep's kernel).
-Its lanes keep their own forms, which measured faster on stacks: they
-rotate the TCP before the convergence check and the axes and origins of
-the lanes that go on after it, and take ``hessian_product`` on (L, ...)
-stacks. ``solve_toolpath`` and the sweep share ``wrist_flip`` and
+Its lanes keep their own chain walk, error and damped step, which measured
+faster on stacks: they rotate the TCP before the convergence check and the
+axes and origins of the lanes that go on after it. The Jacobian and the
+Halley product are ``solve``'s kernels, called once on a lane stack whose
+lane axis is last. ``solve_toolpath`` and the sweep share ``wrist_flip`` and
 ``joint_limit_failures``, the rules that end or adjust a path.
 """
 
@@ -67,9 +68,7 @@ from .robot import (
     RobotModel,
     chain_frames_lanes,
     chain_stack,
-    hessian_product,
     jacobian_from_frames,
-    jacobian_from_frames_lanes,
     rolled_hessian_product,
 )
 
@@ -378,16 +377,20 @@ def _lane_damped_step(j_hat: np.ndarray, dx_hat: np.ndarray, lam: float) -> np.n
     return (j_hat.swapaxes(-1, -2) @ y)[..., 0]
 
 
-def _lane_task_step(j6, axes, err_hat, err_norm, r, settings: SolverSettings) -> np.ndarray:
-    """``task_step`` of each lane: ``j6`` (L, 6, n), ``axes`` (L, n, 3) or
-    None, ``err_hat`` (L, r) and its norms ``err_norm`` (L,)."""
+def _lane_task_step(jac, rolled, err_hat, err_norm, r, settings: SolverSettings) -> np.ndarray:
+    """``task_step`` of each lane: ``jac`` (6, n, L) and ``rolled`` (12, n,
+    L) or None, as ``jacobian_from_frames`` returns them for a lane stack,
+    ``err_hat`` (L, r) and its norms ``err_norm`` (L,)."""
     if np.count_nonzero(err_norm > settings.e_max):
         clamp = np.where(err_norm > settings.e_max, settings.e_max / err_norm, 1.0)
         err_hat = err_hat * clamp[:, None]
-    dq = _lane_damped_step(j6[:, :r], err_hat, settings.lam)
-    if axes is not None:
-        halley = j6 + 0.5 * hessian_product(axes, j6, dq)
-        dq = _lane_damped_step(halley[:, :r], err_hat, settings.lam)
+    lam = settings.lam
+    # numpy's stacked matmul rounds the strided rows of a transposed view
+    # otherwise than solve's (r, n) rows, so the steps take (L, r, n) copies
+    dq = _lane_damped_step(np.ascontiguousarray(jac[:r].transpose(2, 0, 1)), err_hat, lam)
+    if rolled is not None:
+        halley = jac + 0.5 * rolled_hessian_product(rolled, dq.T)
+        dq = _lane_damped_step(np.ascontiguousarray(halley[:r].transpose(2, 0, 1)), err_hat, lam)
     return dq
 
 
@@ -403,18 +406,18 @@ def solve_lanes(
     (L, 4, 4) from starts ``q0`` (L, n), iterated in lockstep.
 
     Each lane takes exactly the steps, and rounds exactly as, ``solve`` of
-    its own target and start: the chain, Jacobian and Halley product are taken on
-    (L, ...) stacks, the damped systems are solved on (L, r, r) stacks, and
-    dot products and norms use ``_dot``. A lane leaves the iteration when it
-    converges, when its error is a half-turn (``solve`` would raise
-    RotationNearPi) or at the iteration cap; the rest go on. A lane's
-    iteration count, outcome, joints and walk are stored once, as it
-    leaves, and until the first lane leaves the joints are stepped in
-    place, with no lane indexing. As ``solve`` does, the first iteration
-    takes ``walk``, when given, in place of walking: it must be
-    ``chain_frames_lanes(model, q0)``, e.g. the ``walk`` of the
-    ``solve_lanes`` that returned ``q0``. The returned walk holds each
-    lane's last walk, at its returned joints.
+    its own target and start: the chain is walked on (L, ...) stacks, the
+    Jacobian and Halley product are taken with the lane axis last, the
+    damped systems are solved on (L, r, r) stacks, and dot products and
+    norms use ``_dot``. A lane leaves the iteration when it converges, when
+    its error is a half-turn (``solve`` would raise RotationNearPi) or at
+    the iteration cap; the rest go on. A lane's iteration count, outcome,
+    joints and walk are stored once, as it leaves, and until the first lane
+    leaves the joints are stepped in place, with no lane indexing. As
+    ``solve`` does, the first iteration takes ``walk``, when given, in place
+    of walking: it must be ``chain_frames_lanes(model, q0)``, e.g. the
+    ``walk`` of the ``solve_lanes`` that returned ``q0``. The returned walk
+    holds each lane's last walk, at its returned joints.
     """
     q = np.array(q0, dtype=float)
     lanes = len(q)
@@ -469,8 +472,8 @@ def solve_lanes(
             dx_hat, res_norm = dx_hat[go], res_norm[go]
         axes, origins = axes @ rd, origins @ rd
 
-        j6 = jacobian_from_frames_lanes(tcp[:, :, 3], axes, origins)
-        dq = _lane_task_step(j6, axes if use_halley else None, dx_hat, res_norm, r, settings)
+        jac, rolled = jacobian_from_frames(tcp[:, :, 3], axes, origins)
+        dq = _lane_task_step(jac, rolled if use_halley else None, dx_hat, res_norm, r, settings)
         # the damping bound of solve, lane by lane
         limit = bound_factor * np.minimum(1.0, settings.e_max / res_norm) * res_norm
         step_norm = np.sqrt(_dot(dq, dq))

@@ -5,7 +5,7 @@ import pytest
 
 from frik.config import DEFAULT_Q0_DEG, default_workpiece_frame
 from frik.errors import RotationNearPi
-from frik.liegroup import PI_MARGIN, SMALL_ANGLE, unskew
+from frik.liegroup import PI_MARGIN, SMALL_ANGLE
 from frik.robot import RobotModel, chain_frames, irb4600
 
 
@@ -57,6 +57,11 @@ def target_frame_walk(model, q: np.ndarray, t_d: np.ndarray):
     return rd.T @ tcp[:3], axes @ rd, origins @ rd, (rd.T @ t_d[:3, 3:])[:, 0]
 
 
+def unskew(m: np.ndarray) -> np.ndarray:
+    """The 3-vector of a skew-symmetric matrix."""
+    return np.array([m[2, 1], m[0, 2], m[1, 0]])
+
+
 def so3_log_numpy_scalars(rotation: np.ndarray) -> np.ndarray:
     """``so3_log`` formed on numpy scalars and arrays: the reference whose
     bits its Python-float form must give back, the half-turn raise included."""
@@ -102,7 +107,8 @@ def cross_rows(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
 
 def kinematic_hessian(model, q: np.ndarray) -> np.ndarray:
     """6 x n x n tensor of Jacobian partials, H[:, :, j] = dJ/dq_j: the
-    reference for ``robot.hessian_product``, which forms H dq without it.
+    reference for ``robot.rolled_hessian_product``, which forms H dq
+    without it.
 
     Angular block: dw_i/dq_j = w_j x w_i for j <= i, zero for j > i.
     Linear block:  dv_i/dq_j = w_j x v_i for j <= i and w_i x v_j for j > i,
@@ -120,6 +126,38 @@ def kinematic_hessian(model, q: np.ndarray) -> np.ndarray:
     cross_rows(axes[der], axes[col], ang)
     ang[der > col] = 0.0
     return h
+
+
+def hessian_product(axes: np.ndarray, jac: np.ndarray, dq: np.ndarray) -> np.ndarray:
+    """``H dq`` of one chain walk, (6, n), from its (n, 3) joint axes w_i,
+    its (6, n) Jacobian, whose linear column halves are v_i, and the (n,)
+    step ``dq``: column i is ``[W_i x v_i + w_i x S_i; W_i x w_i]`` with
+    ``W_i = sum_{j<=i} dq_j w_j`` and ``S_i = sum_{j>i} dq_j v_j``.
+
+    W x w, W x v and w x S are one cross product over 3n columns, on
+    five-row buffers whose rows 3 and 4 repeat rows 0 and 1: the products
+    and sums ``robot.rolled_hessian_product`` takes on the Jacobian's
+    rolled rows, in its order, so the reference for its bits.
+    """
+    n = len(dq)
+    w = axes.T
+    v = jac[:3]
+    left, right = np.empty((5, 3 * n)), np.empty((5, 3 * n))
+    np.add.accumulate(w * dq, 1, out=left[:3, :n])
+    left[:3, n : 2 * n] = left[:3, :n]
+    left[:3, 2 * n :] = w
+    right[:3, :n] = w
+    right[:3, n : 2 * n] = v
+    # S_i sums from the chain's far end; S_{n-1} is empty
+    np.add.accumulate((v * dq)[:, :0:-1], 1, out=right[:3, -2 : 2 * n - 1 : -1])
+    right[:3, -1] = 0.0
+    left[3:] = left[:2]
+    right[3:] = right[:2]
+    cross = left[1:4] * right[2:] - left[2:] * right[1:4]
+    out = np.empty((6, n))
+    out[3:] = cross[:, :n]
+    np.add(cross[:, n : 2 * n], cross[:, 2 * n :], out=out[:3])
+    return out
 
 
 def robot_to_dict(model: RobotModel) -> dict:

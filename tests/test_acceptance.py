@@ -22,7 +22,7 @@ from frik.analysis import (
 )
 from frik.cli import REFERENCE_NOTE, REFERENCE_TRAVEL_DEG, REFERENCE_WORKSPACE_VOXELS, main
 from frik.config import default_workpiece_frame
-from frik.liegroup import make_pose, rot_z, so3_exp, so3_log, unskew
+from frik.liegroup import make_pose, rot_z, so3_exp, so3_log
 from frik.robot import (
     chain_frames,
     forward_kinematics,
@@ -32,7 +32,7 @@ from frik.robot import (
 )
 from frik.solver import SolverSettings, TaskProjector, solve, solve_toolpath
 
-from conftest import target_frame_walk
+from conftest import target_frame_walk, unskew
 
 
 def report(line: str) -> None:
@@ -85,9 +85,9 @@ def test_c01_jacobian_matches_finite_differences(model):
 
 
 def test_c02_hessian_matches_finite_differences(model):
-    # the analytic tensor comes from the kernel every Halley step of solve
-    # calls: dJ/dq_j is rolled_hessian_product along the unit step e_j (the
-    # lanes' hessian_product gives the same bits, tests/test_robot.py)
+    # the analytic tensor comes from the kernel every Halley step calls, in
+    # solve and, on lane stacks, in the sweep: dJ/dq_j is
+    # rolled_hessian_product along the unit step e_j
     rng = np.random.default_rng(1002)
     step = 1e-6
     start = time.perf_counter()

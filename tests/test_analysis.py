@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import frik.analysis as analysis_module
+import frik.robot as robot_module
 import frik.solver as solver_module
 from frik.analysis import (
     MODES,
@@ -410,6 +411,55 @@ def test_sweep_blocks_keep_per_target_manipulability(
         assert reachable[v] == ok
         assert np.array_equal(mean_w[v], want_w, equal_nan=True)
         assert causes.get(v) == cause
+
+
+def test_sweep_takes_the_solver_kernels_on_lane_stacks(
+    model, q0_benchmark, workpiece_frame, monkeypatch
+):
+    # the sweep has no lane Jacobian or Halley product of its own: each
+    # damped lane step of its solves follows a robot.jacobian_from_frames
+    # call on the same lanes, each Halley one a robot.rolled_hessian_product
+    # call too, and each manipulability call takes its Jacobian from
+    # robot.jacobian_from_frames. Events are (name, lanes)
+    assert not hasattr(robot_module, "jacobian_from_frames_lanes")
+    assert not hasattr(robot_module, "hessian_product")
+    events = []
+
+    def counted(owner, attr, name, lanes):
+        kernel = getattr(owner, attr)
+
+        def call(*args):
+            events.append((name, lanes(*args)))
+            return kernel(*args)
+
+        monkeypatch.setattr(owner, attr, call)
+
+    counted(solver_module, "jacobian_from_frames", "jac", lambda _, axes, __: axes.shape[:-2])
+    counted(solver_module, "rolled_hessian_product", "hdq", lambda _, dq: dq.shape[1:])
+    counted(solver_module, "_lane_damped_step", "step", lambda j, *_: j.shape[:-2])
+    counted(analysis_module, "jacobian_from_frames", "w_jac", lambda _, axes, __: axes.shape[:-2])
+    counted(analysis_module, "manipulability_jl", "w", lambda _, q: q.shape[:-1])
+    template = generate_cone_spiral(ConeSpec(pitch=10.0, samples_per_rev=16)).with_frame(
+        workpiece_frame
+    )
+    frames = _grid_frames(
+        workpiece_frame, np.arange(-2550.0, 600.0, 900.0), np.arange(-150.0, 3000.0, 900.0)
+    )
+    steps = {"halley": ("jac", "step", "hdq", "step"), "newton": ("jac", "step")}
+    for method, pattern in steps.items():
+        settings = SolverSettings(method=method)
+        for mode in MODES:
+            events.clear()
+            path, proj = mode_problem(template, mode, 5)
+            analysis_module._sweep_mode(model, path, proj, frames, q0_benchmark, settings)
+            solver = [event for event in events if event[0] in pattern]
+            w = [event for event in events if event[0] not in pattern]
+            assert len(solver) >= 10 * len(pattern) and len(w) >= 2
+            for i in range(0, len(solver), len(pattern)):
+                group = solver[i : i + len(pattern)]
+                assert [name for name, _ in group] == list(pattern)
+                assert len({lanes for _, lanes in group}) == 1
+            assert w == [(name, lanes) for _, lanes in w[::2] for name in ("w", "w_jac")]
 
 
 def test_half_turn_target_fails_adhoc_lane_only(model, q0_benchmark):

@@ -7,7 +7,7 @@ import pytest
 
 from frik.cli import main
 from frik.errors import DimensionMismatch, ParseError
-from frik.liegroup import make_pose, rot_y, unskew
+from frik.liegroup import make_pose, rot_y
 from frik.robot import (
     DHRow,
     RobotModel,
@@ -15,15 +15,13 @@ from frik.robot import (
     chain_frames_lanes,
     forward_kinematics,
     geometric_jacobian,
-    hessian_product,
     irb4600,
     jacobian_from_frames,
-    jacobian_from_frames_lanes,
     load_robot,
     rolled_hessian_product,
 )
 
-from conftest import cross_rows, kinematic_hessian, robot_to_dict
+from conftest import cross_rows, hessian_product, kinematic_hessian, robot_to_dict, unskew
 
 # ---------------------------------------------------------------------------
 # oracles: hand-assembled chain product and finite differences
@@ -223,15 +221,14 @@ def signed_zero_walks(model):
 
 
 def test_jacobians_keep_the_cross_rows_signs_of_zero(model):
-    # both Jacobians cross on rolled row buffers; each entry must be
+    # the Jacobian crosses on rolled row buffers; each entry must be
     # cross_rows' product difference, the sign of an exact zero included
     for p_tcp, ax, org in signed_zero_walks(model):
-        lanes = jacobian_from_frames_lanes(p_tcp, ax, org)
         for lane in range(len(ax)):
             want = _cross_rows_jacobian(p_tcp[lane], ax[lane], org[lane])
-            for got in (jacobian_from_frames(p_tcp[lane], ax[lane], org[lane])[0], lanes[lane]):
-                assert np.array_equal(got, want)
-                assert np.array_equal(np.signbit(got), np.signbit(want))
+            got = jacobian_from_frames(p_tcp[lane], ax[lane], org[lane])[0]
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
 def test_fk_rejects_wrong_length(model):
@@ -334,9 +331,9 @@ def test_hessian_product_matches_tensor_contraction(model, name):
     for q in random_in_limits(chain, rng, 200):
         dq = rng.normal(size=chain.n) * rng.choice([1e-3, 0.1, 1.0])
         tcp, axes, origins = chain_frames(chain, q)
-        jac, _ = jacobian_from_frames(tcp[:3, 3], axes, origins)
+        _, rolled = jacobian_from_frames(tcp[:3, 3], axes, origins)
         reference = kinematic_hessian(chain, q) @ dq
-        product = hessian_product(axes, jac, dq)
+        product = rolled_hessian_product(rolled, dq)
         assert product.shape == (6, chain.n)
         assert np.abs(product - reference).max() <= 1e-12 * np.abs(reference).max()
 
@@ -361,24 +358,41 @@ def test_rolled_hessian_product_rounds_as_hessian_product(model):
 
 def test_hessian_product_of_zero_step_or_axes_is_zero(model, q0_benchmark):
     tcp, axes, origins = chain_frames(model, q0_benchmark)
-    jac, _ = jacobian_from_frames(tcp[:3, 3], axes, origins)
+    _, rolled = jacobian_from_frames(tcp[:3, 3], axes, origins)
+    # rows 5: hold the axes w, rows 0:5 the linear rows v, kept nonzero
+    no_axes = rolled.copy()
+    no_axes[5:] = 0.0
     zero = np.zeros((6, 6))
-    assert np.array_equal(hessian_product(axes, jac, np.zeros(6)), zero)
-    assert np.array_equal(hessian_product(np.zeros((6, 3)), jac, np.full(6, 0.3)), zero)
+    assert np.array_equal(rolled_hessian_product(rolled, np.zeros(6)), zero)
+    assert np.array_equal(rolled_hessian_product(no_axes, np.full(6, 0.3)), zero)
 
 
 def test_hessian_product_lanes_round_as_one_call(model):
-    # the sweep takes the product on (L, ...) stacks; each lane must equal
-    # its own (n,) call bit for bit, so that the scalar solver stays its oracle
+    # the sweep calls the Jacobian and the Halley product on lane stacks
+    # whose lane axis is last; each lane must equal its own (n,) call bit
+    # for bit, the sign of an exact zero included, so that the scalar solver
+    # stays its oracle. Stacks of 1 and 7 lanes (the bench sweep's) and 69
+    # (the full grid's), on the signed-zero walks and steps with zeros
     rng = np.random.default_rng(43)
-    q = random_in_limits(model, rng, 200)
-    tcp, axes, origins = chain_frames_lanes(model, q)
-    jac = jacobian_from_frames_lanes(tcp[:, :3, 3], axes, origins)
-    dq = rng.normal(size=(200, 6))
-    product = hessian_product(axes, jac, dq)
-    assert product.shape == (200, 6, 6)
-    for lane in range(200):
-        assert np.array_equal(product[lane], hessian_product(axes[lane], jac[lane], dq[lane]))
+    for p_tcp, ax, org in signed_zero_walks(model):
+        dq = rng.normal(size=(len(ax), model.n)) * 0.1
+        dq[::3, 0] = 0.0
+        dq[-20:] = 0.0
+        for size in (1, 7, 69):
+            for start in range(0, len(ax), size):
+                stack = slice(start, start + size)
+                jac, rolled = jacobian_from_frames(p_tcp[stack], ax[stack], org[stack])
+                product = rolled_hessian_product(rolled, dq[stack].T)
+                lanes = len(ax[stack])
+                assert jac.shape == (6, model.n, lanes) and rolled.shape == (12, model.n, lanes)
+                for i, lane in enumerate(range(len(ax))[stack]):
+                    one_jac, one_rolled = jacobian_from_frames(p_tcp[lane], ax[lane], org[lane])
+                    for got, want in (
+                        (jac[..., i], one_jac),
+                        (rolled[..., i], one_rolled),
+                        (product[..., i], rolled_hessian_product(one_rolled, dq[lane])),
+                    ):
+                        assert got.tobytes() == want.tobytes()
 
 
 def test_lanes_round_as_one_configuration_calls(model):
@@ -387,13 +401,10 @@ def test_lanes_round_as_one_configuration_calls(model):
     rng = np.random.default_rng(37)
     q = random_in_limits(model, rng, 200)
     tcp, axes, origins = chain_frames_lanes(model, q)
-    jac = jacobian_from_frames_lanes(tcp[:, :3, 3], axes, origins)
     assert tcp.shape == (200, 4, 4) and axes.shape == origins.shape == (200, 6, 3)
     for lane, q_lane in enumerate(q):
-        one = chain_frames(model, q_lane)
-        for stacked, alone in zip((tcp, axes, origins), one):
+        for stacked, alone in zip((tcp, axes, origins), chain_frames(model, q_lane)):
             assert np.array_equal(stacked[lane], alone)
-        assert np.array_equal(jac[lane], jacobian_from_frames(one[0][:3, 3], *one[1:])[0])
     with pytest.raises(DimensionMismatch):
         chain_frames_lanes(model, q[0])
 

@@ -15,8 +15,8 @@ from frik.robot import (
     chain_stack,
     forward_kinematics,
     geometric_jacobian,
-    hessian_product,
     jacobian_from_frames,
+    rolled_hessian_product,
 )
 from frik.solver import (
     SolverSettings,
@@ -68,11 +68,11 @@ def base_frame_error(t_e, t_d, r):
 
 
 def target_frame_step_terms(model, q, t_d, r):
-    """``solve``'s iteration terms at ``q``: the target-frame task error, the
-    6-row Jacobian with its rolled rows, and the joint axes of the walk
-    rotated onto the target."""
+    """``solve``'s iteration terms at ``q``: the target-frame task error and
+    the 6-row Jacobian of the walk rotated onto the target, with its rolled
+    rows."""
     tcp, axes, origins, p_d = target_frame_walk(model, q, t_d)
-    return (task_error(tcp, p_d, r), *jacobian_from_frames(tcp[:, 3], axes, origins), axes)
+    return (task_error(tcp, p_d, r), *jacobian_from_frames(tcp[:, 3], axes, origins))
 
 
 # ---------------------------------------------------------------------------
@@ -84,7 +84,7 @@ def target_frame_step_terms(model, q, t_d, r):
 def test_projector_is_identity_row_submatrix(r, model, q0_benchmark):
     # along the axes of a target with the base orientation the walk is the
     # base-frame walk, so the task rows are the first r rows as they are
-    err, j, _, _ = target_frame_step_terms(model, q0_benchmark, BASE_AXES_TARGET, r)
+    err, j, _ = target_frame_step_terms(model, q0_benchmark, BASE_AXES_TARGET, r)
     assert np.array_equal(j[:r], geometric_jacobian(model, q0_benchmark)[:r])
     dx = base_frame_error(forward_kinematics(model, q0_benchmark), BASE_AXES_TARGET, r)
     if r == 5:
@@ -97,25 +97,27 @@ def test_projector_is_identity_row_submatrix(r, model, q0_benchmark):
 def test_decompose_identity_frame_full_task(model, q0_benchmark):
     # the target-frame J, error and Halley term H dq are the base-frame ones
     # for the full task in the identity frame
-    err, j, _, axes = target_frame_step_terms(model, q0_benchmark, BASE_AXES_TARGET, 6)
+    err, j, rolled = target_frame_step_terms(model, q0_benchmark, BASE_AXES_TARGET, 6)
     dq = np.linspace(-0.3, 0.3, j.shape[1])
     assert np.array_equal(j, geometric_jacobian(model, q0_benchmark))
     t_e = forward_kinematics(model, q0_benchmark)
     assert np.array_equal(err, base_frame_error(t_e, BASE_AXES_TARGET, 6))
-    hdq = hessian_product(chain_frames(model, q0_benchmark)[1], j, dq)
-    assert np.array_equal(hessian_product(axes, j, dq), hdq)
+    tcp, axes, origins = chain_frames(model, q0_benchmark)
+    hdq = rolled_hessian_product(jacobian_from_frames(tcp[:3, 3], axes, origins)[1], dq)
+    assert np.array_equal(rolled_hessian_product(rolled, dq), hdq)
 
 
 def test_decompose_identity_frame_five_dof(model, q0_benchmark):
     # with r = 5 the same decomposition only drops the spin row
-    err, j, _, axes = target_frame_step_terms(model, q0_benchmark, BASE_AXES_TARGET, 5)
+    err, j, rolled = target_frame_step_terms(model, q0_benchmark, BASE_AXES_TARGET, 5)
     dq = np.linspace(-0.3, 0.3, j.shape[1])
     base = geometric_jacobian(model, q0_benchmark)
     assert np.array_equal(j[:5], base[:5])
     dx = base_frame_error(forward_kinematics(model, q0_benchmark), BASE_AXES_TARGET, 5)
     assert np.abs(err - dx[:5]).max() <= 1e-12 * np.abs(dx).max()
-    hdq = hessian_product(chain_frames(model, q0_benchmark)[1], base, dq)
-    assert np.array_equal(hessian_product(axes, j, dq)[:5], hdq[:5])
+    tcp, axes, origins = chain_frames(model, q0_benchmark)
+    hdq = rolled_hessian_product(jacobian_from_frames(tcp[:3, 3], axes, origins)[1], dq)
+    assert np.array_equal(rolled_hessian_product(rolled, dq)[:5], hdq[:5])
 
 
 def test_projector_rejects_bad_dimension():
@@ -172,7 +174,7 @@ def test_project_discards_target_frame_spin_component(model, q0_benchmark):
         axis /= np.linalg.norm(axis)
         rd = so3_exp(rng.uniform(0, 3) * axis)
         t_d = make_pose(rd, t_e[:3, 3] + rng.normal(size=3) * 100)
-        dx_hat, j6, _, _ = target_frame_step_terms(model, q0_benchmark, t_d, 5)
+        dx_hat, j6, _ = target_frame_step_terms(model, q0_benchmark, t_d, 5)
         full = twist_rotation(rd) @ base_frame_error(t_e, t_d, 5)
         assert abs(full[5]) < 1e-12
         assert np.allclose(dx_hat, full[:5], atol=1e-12)
@@ -238,8 +240,8 @@ def test_target_frame_terms_match_twist_rotation_reference(model, seed):
         base = geometric_jacobian(model, q)
         base_halley = base + 0.5 * (kinematic_hessian(model, q) @ dq)
         for r in (3, 5, 6):
-            err, j6, _, axes = target_frame_step_terms(model, q, t_d, r)
-            halley = j6 + 0.5 * hessian_product(axes, j6, dq)
+            err, j6, rolled = target_frame_step_terms(model, q, t_d, r)
+            halley = j6 + 0.5 * rolled_hessian_product(rolled, dq)
             for got, want in (
                 (err, tr[:r] @ base_frame_error(t_e, t_d, r)),
                 (j6[:r], tr[:r] @ base),
@@ -340,7 +342,7 @@ def test_task_step_with_zero_hessian_equals_newton(model, q0_benchmark):
     # zero rolled rows (zero axes) make the Halley product H dq exactly zero
     j = geometric_jacobian(model, q0_benchmark)
     rd = so3_exp(np.array([0.2, -0.4, 0.1]))
-    _, j6, rolled, _ = target_frame_step_terms(model, q0_benchmark, make_pose(rd, np.zeros(3)), 5)
+    _, j6, rolled = target_frame_step_terms(model, q0_benchmark, make_pose(rd, np.zeros(3)), 5)
     dx_hat = np.array([5.0, -2.0, 1.0, 0.05, -0.02])
     norm = np.linalg.norm(dx_hat)
     newton = task_step(j6, None, dx_hat, norm, 5, SETTINGS)
@@ -359,8 +361,8 @@ def test_halley_projection_commutes_with_augmentation(model, q0_benchmark):
     rd = so3_exp(np.array([0.3, 0.1, -0.2]))
     tr = twist_rotation(rd)[:5]
     dq = rng.normal(size=6) * 0.1
-    _, j6, _, axes = target_frame_step_terms(model, q0_benchmark, make_pose(rd, np.zeros(3)), 5)
-    direct = (j6 + 0.5 * hessian_product(axes, j6, dq))[:5]
+    _, j6, rolled = target_frame_step_terms(model, q0_benchmark, make_pose(rd, np.zeros(3)), 5)
+    direct = (j6 + 0.5 * rolled_hessian_product(rolled, dq))[:5]
     pieces = tr @ j + 0.5 * (np.einsum("rk,kij->rij", tr, h) @ dq)
     assert np.abs(direct - pieces).max() < 1e-12
 
@@ -375,7 +377,7 @@ def test_one_solve_iteration_is_task_step(model, q0_benchmark):
         for r in (3, 5, 6):
             settings = SolverSettings(method=method, max_iterations=1)
             for t_d in (near, far):
-                err_hat, j6, rolled, _ = target_frame_step_terms(model, q0, t_d, r)
+                err_hat, j6, rolled = target_frame_step_terms(model, q0, t_d, r)
                 err_norm = np.linalg.norm(err_hat)
                 assert (err_norm > settings.e_max) == (t_d is far)
                 halley = rolled if method == "halley" else None
@@ -554,7 +556,7 @@ def test_five_dof_antiparallel_axis_steps_bounded(model, q0_benchmark, method):
     # first step keeps the damping bound, the solve converges, and lanes
     # from that start take the scalar solve's steps bit for bit
     t_d = forward_kinematics(model, q0_benchmark) @ np.diag([1.0, -1.0, -1.0, 1.0])
-    err, _, _, _ = target_frame_step_terms(model, q0_benchmark, t_d, 5)
+    err, _, _ = target_frame_step_terms(model, q0_benchmark, t_d, 5)
     assert err[3:].tolist() == [0.0, np.pi]
     settings = SolverSettings(method=method)
     first = solve(model, t_d, q0_benchmark, TaskProjector(5), replace(settings, max_iterations=1))
@@ -736,7 +738,7 @@ def test_monotone_residual_on_benchmark_path(model, q0_benchmark, workpiece_fram
                 break
             dx_hat = projected_error(q, t_d)
             if np.linalg.norm(dx_hat) <= SETTINGS.e_max:
-                _, jac, _, _ = target_frame_step_terms(model, q, t_d, r)
+                _, jac, _ = target_frame_step_terms(model, q, t_d, r)
                 newton = task_step(jac, None, dx_hat, np.linalg.norm(dx_hat), r, SETTINGS)
                 e_next = projected_error(step.q, t_d)
                 simplified = task_step(jac, None, e_next, np.linalg.norm(e_next), r, SETTINGS)
