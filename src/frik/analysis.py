@@ -15,7 +15,7 @@ import numpy as np
 from numpy.linalg import _umath_linalg
 
 from .errors import DimensionMismatch, OutOfLimits, PathFailure
-from .robot import RobotModel, chain_frames_lanes, jacobian_from_frames
+from .robot import RobotModel, chain_stack_lanes, jacobian_from_frames
 from .solver import (
     SolverSettings,
     TaskProjector,
@@ -53,8 +53,9 @@ def manipulability_jl(model: RobotModel, q: np.ndarray) -> float | np.ndarray:
     ``np.linalg.det`` wraps, with the same bits.
     """
     weights = np.atleast_2d(joint_limit_weights(model, q))
-    tcp, axes, origins = chain_frames_lanes(model, np.atleast_2d(q))
-    jac, _ = jacobian_from_frames(tcp[:, :3, 3], axes, origins)
+    walk, n = chain_stack_lanes(model, np.atleast_2d(q)), model.n
+    axes, origins = walk[:n, :, :3, 2].swapaxes(0, 1), walk[:n, :, :3, 3].swapaxes(0, 1)
+    jac, _ = jacobian_from_frames(walk[n, :, :3, 3], axes, origins)
     # an (L, 6, n) copy, as solve_lanes' damped steps take: the gram's
     # matmul must see each lane's rows as a one-lane call does
     jac = np.ascontiguousarray(jac.transpose(2, 0, 1))
@@ -210,8 +211,7 @@ def _sweep_mode(
             check = solve_lanes(model, t_d[picked], flipped[picked], proj, settings)
             kept = check.converged & (check.iterations == 0)
             q[picked[kept]] = check.q[kept]
-            for part, checked in zip(walk, check.walk):
-                part[picked[kept]] = checked[kept]
+            walk[:, picked[kept]] = check.walk[:, kept]
             half_turn[picked[check.half_turn]] = True
         # later records override earlier ones, in solve_toolpath's order of checks
         failures = joint_limit_failures(model, q, k)
@@ -224,7 +224,7 @@ def _sweep_mode(
             ok = np.ones(len(live), dtype=bool)
             ok[list(failures)] = False
             live, q = live[ok], q[ok]
-            walk = tuple(part[ok] for part in walk)
+            walk = walk[:, ok]
             block = [joints[ok] for joints in block]
         block.append(q)
         if live.size and ((len(block) + 1) * len(live) > W_BLOCK or k == len(path) - 1):

@@ -2,7 +2,7 @@
 analysis into reproducible experiment runs.
 
 Commands: ``generate`` (write a cone-spiral toolpath file), ``solve`` (solve
-a toolpath in the ``--mode`` given, frik, adhoc or both, and write
+a toolpath in the ``--mode`` given, frik or adhoc, and write
 trajectory/travel/timing reports), ``workspace``
 (workpiece-placement sweep over the wall grid), ``compare`` (ad hoc vs
 functionally redundant back-to-back with a delta report).
@@ -229,8 +229,7 @@ def _solve_and_report(config: RunConfig, args, command: str, modes: tuple[str, .
 
 
 def cmd_solve(config: RunConfig, args) -> int:
-    modes = MODES if args.mode == "both" else (args.mode,)
-    return _solve_and_report(config, args, "solve", modes)
+    return _solve_and_report(config, args, "solve", (args.mode,))
 
 
 def cmd_compare(config: RunConfig, args) -> int:
@@ -300,7 +299,7 @@ def _build_parser() -> argparse.ArgumentParser:
     solve_parser = sub.add_parser(
         "solve", parents=[common], help="solve a toolpath and write reports"
     )
-    solve_parser.add_argument("--mode", choices=("frik", "adhoc", "both"), default="frik")
+    solve_parser.add_argument("--mode", choices=MODES, default="frik")
     sub.add_parser("workspace", parents=[common], help="workpiece placement sweep")
     sub.add_parser("compare", parents=[common], help="ad hoc vs FRIK delta report")
     return parser

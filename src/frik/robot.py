@@ -7,13 +7,9 @@ linear part taken about the TCP point. The Halley step needs the kinematic
 Hessian (the 6 x n x n tensor of Jacobian partials, ``H[:, :, j] =
 dJ/dq_j``) only through its product ``H dq`` with one joint step, which is
 formed in O(n) from the Jacobian's own column data, without building the
-tensor. ``chain_frames_lanes`` walks a (V, n) stack of configurations,
-one lane each, and rounds every lane exactly as ``chain_frames`` does; it
-is separate because a lane axis slows the (n,) walk that every ``solve``
-iteration takes. The Jacobian and the Halley product need no second form:
-they take a lane stack with its lane axis last, where the (n,) kernels'
-row slices and running sums work on it as written, and round each lane as
-its own (n,) call.
+tensor. The Jacobian and the Halley product take one walk or a lane stack
+with its lane axis last, where the (n,) kernels' row slices and running
+sums work on it as written, and round each lane as its own (n,) call.
 
 Cross products are spelled out component-wise, component k as
 ``a[k+1] b[k+2] - a[k+2] b[k+1]`` (indices mod 3), on rolled row buffers
@@ -27,14 +23,19 @@ product, ``rolled_hessian_product``, crosses those rolled rows of w and v
 as they are, and takes its running sums with ``np.add.accumulate``, the
 ufunc method that ``np.cumsum`` wraps.
 
-The chain walk, ``chain_stack``, returns one (n + 1, 4, 4) frame stack
-(``chain_frames`` gives views of it) and skips its products with the
-identity: the stack starts from a copy of the first link, not the identity
-times it, and a model whose tool is the identity (checked once, when the
-model is built) skips the tool product. A product with exact ones and zeros
-gives back every nonzero entry to the bit, so the walk can differ from the
-identity products only in the sign of an exact zero (the second joint
-axis's x entry is -0.0, not +0.0, when sin(q1 + offset1) is +0.0).
+A chain walk has one format, a frame stack: frame i < n carries joint i's
+axis as its z column and a point on it as its origin, and frame n is the
+TCP pose. ``chain_stack`` walks one configuration into an (n + 1, 4, 4)
+stack and ``chain_stack_lanes`` a (V, n) stack of them into (n + 1, V, 4,
+4), lane v rounded exactly as ``chain_stack`` of its joints. The walks
+stay two functions because a lane axis slows the (n,) walk that every
+``solve`` iteration takes. Both skip their products with the identity: the
+stack starts from a copy of the first link, not the identity times it, and
+a model whose tool is the identity (checked once, when the model is built)
+skips the tool product. A product with exact ones and zeros gives back
+every nonzero entry to the bit, so the walk can differ from the identity
+products only in the sign of an exact zero (the second joint axis's x
+entry is -0.0, not +0.0, when sin(q1 + offset1) is +0.0).
 """
 
 from __future__ import annotations
@@ -155,27 +156,11 @@ def chain_stack(model: RobotModel, q: np.ndarray) -> np.ndarray:
     return frames
 
 
-def chain_frames(model: RobotModel, q: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """TCP pose plus each joint's rotation axis and origin in the base frame.
-
-    Returns ``(tcp, axes, origins)`` with ``axes``/``origins`` of shape (n,
-    3), as views of ``chain_stack(model, q)``: its last frame, and the z
-    columns and origins of the others.
-    """
-    frames = chain_stack(model, q)
-    n = model.n
-    return frames[n], frames[:n, :3, 2], frames[:n, :3, 3]
-
-
-def chain_frames_lanes(
-    model: RobotModel, q: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``chain_frames`` of each configuration in a (V, n) stack.
-
-    Returns (V, 4, 4) TCP poses and (V, n, 3) axes and origins, each lane
-    rounded exactly as its own ``chain_frames`` call: the link and frame
-    stacks gain a lane axis after the link index, so every running product
-    is still one 4 x 4 matmul per lane.
+def chain_stack_lanes(model: RobotModel, q: np.ndarray) -> np.ndarray:
+    """``chain_stack`` of each configuration in a (V, n) stack, as one (n +
+    1, V, 4, 4) frame stack: lane v, ``walk[:, v]``, is ``chain_stack(model,
+    q[v])`` to the bit. The lane axis follows the frame index, so every
+    running product is still one 4 x 4 matmul per lane.
     """
     q = np.asarray(q, dtype=float)
     n = model.n
@@ -195,16 +180,14 @@ def chain_frames_lanes(
     frames[1] = links[0]
     for i in range(1, n):
         np.matmul(frames[i], links[i], out=frames[i + 1])
-    axes = frames[:n, :, :3, 2].swapaxes(0, 1)
-    origins = frames[:n, :, :3, 3].swapaxes(0, 1)
-    tcp = frames[n] if model._identity_tool else frames[n] @ model.tool
-    return tcp, axes, origins
+    if not model._identity_tool:
+        frames[n] = frames[n] @ model.tool
+    return frames
 
 
 def forward_kinematics(model: RobotModel, q: np.ndarray) -> np.ndarray:
     """Base-to-TCP pose: the DH chain product composed with the tool transform."""
-    tcp, _, _ = chain_frames(model, q)
-    return tcp
+    return chain_stack(model, q)[model.n]
 
 
 def jacobian_from_frames(
@@ -243,8 +226,8 @@ def geometric_jacobian(model: RobotModel, q: np.ndarray) -> np.ndarray:
 
     Column i is ``[z_{i-1} x (p_tcp - p_{i-1}); z_{i-1}]``.
     """
-    tcp, axes, origins = chain_frames(model, q)
-    return jacobian_from_frames(tcp[:3, 3], axes, origins)[0]
+    frames, n = chain_stack(model, q), model.n
+    return jacobian_from_frames(frames[n, :3, 3], frames[:n, :3, 2], frames[:n, :3, 3])[0]
 
 
 def rolled_hessian_product(rolled: np.ndarray, dq: np.ndarray) -> np.ndarray:

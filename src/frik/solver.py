@@ -25,10 +25,11 @@ stack as ``walk``, so a caller that starts the next solve from the returned
 joints hands the walk on instead of walking again: every warm-started
 target of ``solve_toolpath`` after the first walks once less (after a kept
 k = 0 wrist flip, from the check solve's walk). ``solve_lanes`` carries its
-lanes' walks the same way (``LaneSolves.walk``, as ``(tcp, axes,
-origins)``) from one target of the workspace sweep to the next. A walk is a
-pure function of model and joints, so no result changes, and every walk is
-still computed inside some solve's timer.
+lanes' walks the same way, in the same format (``LaneSolves.walk``, the
+(n + 1, L, 4, 4) stack of ``robot.chain_stack_lanes``, lane v a
+``chain_stack``), from one target of the workspace sweep to the next. A
+walk is a pure function of model and joints, so no result changes, and
+every walk is still computed inside some solve's timer.
 
 The error is the position difference plus an orientation error tuned to
 the task. For r = 6 the orientation error is the rotation vector taking the
@@ -41,12 +42,13 @@ tolerance).
 
 ``solve_lanes`` iterates ``solve`` for a stack of problems in lockstep, each
 lane rounding exactly as its own ``solve`` (the workspace sweep's kernel).
-Its lanes keep their own chain walk, error and damped step, which measured
-faster on stacks: they rotate the TCP before the convergence check and the
-axes and origins of the lanes that go on after it. The Jacobian and the
-Halley product are ``solve``'s kernels, called once on a lane stack whose
-lane axis is last. ``solve_toolpath`` and the sweep share ``wrist_flip`` and
-``joint_limit_failures``, the rules that end or adjust a path.
+Its lanes keep their own walk function, error and damped step, which
+measured faster on stacks: they rotate the TCP before the convergence check
+and the axes and origins of the lanes that go on after it, sliced from the
+frame stack. The Jacobian and the Halley product are ``solve``'s kernels,
+called once on a lane stack whose lane axis is last. ``solve_toolpath`` and
+the sweep share ``wrist_flip`` and ``joint_limit_failures``, the rules that
+end or adjust a path.
 """
 
 from __future__ import annotations
@@ -66,8 +68,8 @@ from .errors import DimensionMismatch, PathFailed, PathFailure, RotationNearPi
 from .liegroup import PI_MARGIN, SMALL_ANGLE, _dot, so3_log
 from .robot import (
     RobotModel,
-    chain_frames_lanes,
     chain_stack,
+    chain_stack_lanes,
     jacobian_from_frames,
     rolled_hessian_product,
 )
@@ -264,8 +266,6 @@ def solve(
     rd_t = t_d[:3, :3].T
     p_d = (rd_t @ t_d[:3, 3:])[:, 0]
     converged = False
-    iterations = 0
-    residual = np.zeros(r)
     for it in range(settings.max_iterations + 1):
         if it or walk is None:
             walk = chain_stack(model, q)
@@ -315,15 +315,16 @@ class LaneSolves(NamedTuple):
     """Outcome of ``solve_lanes``, one entry per lane: the joints (L, n),
     whether the lane converged, its iteration count, whether it stopped on a
     half-turn orientation error, where ``solve`` raises RotationNearPi, and
-    the base-frame chain walk at its joints, ``(tcp, axes, origins)`` as
-    ``chain_frames_lanes`` returns it: each lane's walk is the one it took at
-    the iteration where it left (converged, half-turn or cap)."""
+    the base-frame chain walk at its joints as the (n + 1, L, 4, 4) frame
+    stack of ``chain_stack_lanes``: lane v, ``walk[:, v]``, is the walk it
+    took at the iteration where it left (converged, half-turn or cap), its
+    ``solve``'s ``walk``."""
 
     q: np.ndarray
     converged: np.ndarray
     iterations: np.ndarray
     half_turn: np.ndarray
-    walk: tuple
+    walk: np.ndarray
 
 
 def _lane_rotation_vector(rotation: np.ndarray, vee: np.ndarray) -> np.ndarray:
@@ -400,7 +401,7 @@ def solve_lanes(
     q0: np.ndarray,
     proj: TaskProjector,
     settings: SolverSettings = SolverSettings(),
-    walk: tuple | None = None,
+    walk: np.ndarray | None = None,
 ) -> LaneSolves:
     """``solve`` for a stack of L problems at once: targets ``t_d``
     (L, 4, 4) from starts ``q0`` (L, n), iterated in lockstep.
@@ -415,7 +416,7 @@ def solve_lanes(
     joints and walk are stored once, as it leaves, and until the first lane
     leaves the joints are stepped in place, with no lane indexing. As
     ``solve`` does, the first iteration takes ``walk``, when given, in place
-    of walking: it must be ``chain_frames_lanes(model, q0)``, e.g. the
+    of walking: it must be ``chain_stack_lanes(model, q0)``, e.g. the
     ``walk`` of the ``solve_lanes`` that returned ``q0``. The returned walk
     holds each lane's last walk, at its returned joints.
     """
@@ -425,7 +426,7 @@ def solve_lanes(
         raise DimensionMismatch(
             f"expected (L, {model.n}) starts and (L, 4, 4) targets, got {q.shape} and {t_d.shape}"
         )
-    r = proj.r
+    n, r = model.n, proj.r
     use_halley = settings.method == "halley"
     bound_factor = 1.0 / (2.0 * settings.lam)
     converged = np.zeros(lanes, dtype=bool)
@@ -439,9 +440,8 @@ def solve_lanes(
     final_walk = None
     for it in range(settings.max_iterations + 1):
         if it or walk is None:
-            walk = chain_frames_lanes(model, q_active)
-        tcp, axes, origins = walk
-        tcp = rd.swapaxes(-1, -2) @ tcp[:, :3]
+            walk = chain_stack_lanes(model, q_active)
+        tcp = rd.swapaxes(-1, -2) @ walk[n, :, :3]
         dx_hat, turned = _lane_task_error(tcp, p_d, r)
         res_norm = np.sqrt(_dot(dx_hat, dx_hat))
         done = res_norm < settings.epsilon
@@ -461,16 +461,16 @@ def solve_lanes(
                 final_walk = walk
             else:
                 if final_walk is None:
-                    final_walk = tuple(np.empty((lanes, *part.shape[1:])) for part in walk)
-                for part, kept in zip(walk, final_walk):
-                    kept[gone] = part[leave]
+                    final_walk = np.empty((n + 1, lanes, 4, 4))
+                final_walk[:, gone] = walk[:, leave]
         if stop:
             break
         if moving < len(active):
             active, rd, p_d, q_active = active[go], rd[go], p_d[go], q_active[go]
-            tcp, axes, origins = tcp[go], axes[go], origins[go]
+            walk, tcp = walk[:, go], tcp[go]
             dx_hat, res_norm = dx_hat[go], res_norm[go]
-        axes, origins = axes @ rd, origins @ rd
+        axes = walk[:n, :, :3, 2].swapaxes(0, 1) @ rd
+        origins = walk[:n, :, :3, 3].swapaxes(0, 1) @ rd
 
         jac, rolled = jacobian_from_frames(tcp[:, :, 3], axes, origins)
         dq = _lane_task_step(jac, rolled if use_halley else None, dx_hat, res_norm, r, settings)

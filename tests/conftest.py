@@ -6,7 +6,7 @@ import pytest
 from frik.config import DEFAULT_Q0_DEG, default_workpiece_frame
 from frik.errors import RotationNearPi
 from frik.liegroup import PI_MARGIN, SMALL_ANGLE
-from frik.robot import RobotModel, chain_frames, irb4600
+from frik.robot import RobotModel, chain_stack, irb4600
 
 
 @pytest.fixture(scope="session")
@@ -48,12 +48,21 @@ def twist_rotation(rd: np.ndarray) -> np.ndarray:
     return out
 
 
+def walk_parts(walk: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The TCP pose and the joint axes and origins of a frame stack: (4, 4),
+    (n, 3) and (n, 3) of a ``chain_stack``, (L, 4, 4), (L, n, 3) and (L, n,
+    3) of a ``chain_stack_lanes``."""
+    n = len(walk) - 1
+    axes, origins = walk[:n, ..., :3, 2], walk[:n, ..., :3, 3]
+    return walk[n], np.moveaxis(axes, 0, -2), np.moveaxis(origins, 0, -2)
+
+
 def target_frame_walk(model, q: np.ndarray, t_d: np.ndarray):
     """The chain walk at ``q`` along the axes of target ``t_d``, as ``solve``
     forms it: the TCP's (3, 4) ``[R | p]``, the (n, 3) joint axes and
     origins, and the target position."""
     rd = t_d[:3, :3]
-    tcp, axes, origins = chain_frames(model, q)
+    tcp, axes, origins = walk_parts(chain_stack(model, q))
     return rd.T @ tcp[:3], axes @ rd, origins @ rd, (rd.T @ t_d[:3, 3:])[:, 0]
 
 
@@ -114,7 +123,7 @@ def kinematic_hessian(model, q: np.ndarray) -> np.ndarray:
     Linear block:  dv_i/dq_j = w_j x v_i for j <= i and w_i x v_j for j > i,
     where (v_i, w_i) are the Jacobian's column halves.
     """
-    tcp, axes, origins = chain_frames(model, q)
+    tcp, axes, origins = walk_parts(chain_stack(model, q))
     n = model.n
     v = cross_rows(axes, tcp[:3, 3] - origins, np.empty((n, 3)))
     col = np.arange(n)[:, None]

@@ -24,7 +24,7 @@ from frik.cli import REFERENCE_NOTE, REFERENCE_TRAVEL_DEG, REFERENCE_WORKSPACE_V
 from frik.config import default_workpiece_frame
 from frik.liegroup import make_pose, rot_z, so3_exp, so3_log
 from frik.robot import (
-    chain_frames,
+    chain_stack,
     forward_kinematics,
     geometric_jacobian,
     jacobian_from_frames,
@@ -32,7 +32,7 @@ from frik.robot import (
 )
 from frik.solver import SolverSettings, TaskProjector, solve, solve_toolpath
 
-from conftest import target_frame_walk, unskew
+from conftest import target_frame_walk, unskew, walk_parts
 
 
 def report(line: str) -> None:
@@ -95,7 +95,7 @@ def test_c02_hessian_matches_finite_differences(model):
     unit_steps = np.eye(model.n)
     for _ in range(200):
         q = rng.uniform(model.joint_min, model.joint_max)
-        tcp, axes, origins = chain_frames(model, q)
+        tcp, axes, origins = walk_parts(chain_stack(model, q))
         jac, rolled = jacobian_from_frames(tcp[:3, 3], axes, origins)
         analytic = np.stack([rolled_hessian_product(rolled, e_j) for e_j in unit_steps], -1)
         fd = np.zeros_like(analytic)
@@ -280,7 +280,6 @@ def test_c09_workspace_expansion(model, q0_benchmark, workpiece_frame):
     assert frik_count >= adhoc_count
     assert adhoc_count > 0
     expansion = 100.0 * (frik_count - adhoc_count) / adhoc_count
-    assert expansion >= 20.0
     report(
         "criterion 9 workspace: "
         f"adhoc {adhoc_count} voxels, frik {frik_count} voxels ({expansion:+.1f}%); "
@@ -290,6 +289,7 @@ def test_c09_workspace_expansion(model, q0_benchmark, workpiece_frame):
         f"exceptions (adhoc-only reachable) {summary['adhoc_reachable_frik_not']}; "
         f"swept in {wall / 60:.1f} min at jobs={jobs}"
     )
+    assert expansion >= 20.0
 
 
 # -- criterion 10: throughput ---------------------------------------------------
@@ -315,7 +315,7 @@ def test_c11_determinism_golden(tmp_path):
     }
     config_file = tmp_path / "config.json"
     config_file.write_text(json.dumps(config))
-    argv = ["solve", "--config", str(config_file), "--mode", "both", "--no-timing"]
+    argv = ["compare", "--config", str(config_file), "--no-timing"]
     snapshots = []
     for _ in range(2):
         assert main(argv) == 0

@@ -19,7 +19,7 @@ from frik.analysis import (
 from frik.errors import DimensionMismatch, OutOfLimits, PathFailed, PathFailure
 from frik.liegroup import make_pose, pose_inverse, rot_x, rot_y
 from frik.robot import forward_kinematics, geometric_jacobian
-from frik.solver import SolverSettings, TaskProjector, solve_toolpath
+from frik.solver import SolverSettings, TaskProjector, solve, solve_toolpath
 from frik.toolpath import ConeSpec, Toolpath, generate_cone_spiral
 
 
@@ -313,7 +313,7 @@ def _counted_sweep(monkeypatch, events):
     """``_sweep_mode``, recording in ``events`` each ``solve_lanes`` call as
     ``("solve", lanes, max iterations)`` and each chain walk of the solver
     and of the manipulability as ``("solver", lanes)`` and ``("w", lanes)``."""
-    walk, solve_lanes = solver_module.chain_frames_lanes, analysis_module.solve_lanes
+    walk, solve_lanes = solver_module.chain_stack_lanes, analysis_module.solve_lanes
 
     def counted_walk(site):
         def walked(m, q):
@@ -326,8 +326,8 @@ def _counted_sweep(monkeypatch, events):
         events.append(("solve", len(t_d), int(lanes.iterations.max(initial=0))))
         return lanes
 
-    monkeypatch.setattr(solver_module, "chain_frames_lanes", counted_walk("solver"))
-    monkeypatch.setattr(analysis_module, "chain_frames_lanes", counted_walk("w"))
+    monkeypatch.setattr(solver_module, "chain_stack_lanes", counted_walk("solver"))
+    monkeypatch.setattr(analysis_module, "chain_stack_lanes", counted_walk("w"))
     monkeypatch.setattr(analysis_module, "solve_lanes", counted_solve)
     return analysis_module._sweep_mode
 
@@ -413,6 +413,45 @@ def test_sweep_blocks_keep_per_target_manipulability(
         assert causes.get(v) == cause
 
 
+def test_sweep_hands_on_the_flipped_lanes_solve_walks(
+    model, q0_benchmark, workpiece_frame, monkeypatch
+):
+    # the k = 0 wrist flip patches a flipped lane's walk with its check
+    # solve's: every lane's walk handed on to target 1 must be the walk the
+    # scalar k = 0 solve and its wrist-branch step return, byte for byte
+    calls = []
+    solve_lanes = analysis_module.solve_lanes
+
+    def spied(m, t_d, q, proj, settings, walk=None):
+        calls.append((t_d, q.copy(), None if walk is None else walk.copy()))
+        return solve_lanes(m, t_d, q, proj, settings, walk)
+
+    monkeypatch.setattr(analysis_module, "solve_lanes", spied)
+    template = generate_cone_spiral(ConeSpec(pitch=10.0, samples_per_rev=16)).with_frame(
+        workpiece_frame
+    )
+    frames = _grid_frames(
+        workpiece_frame, np.arange(-2550.0, 600.0, 900.0), np.arange(-150.0, 3000.0, 900.0)
+    )
+    settings = SolverSettings()
+    path, proj = mode_problem(template, "frik", 5)
+    analysis_module._sweep_mode(model, path, proj, frames, q0_benchmark, settings)
+    # target 0, its wrist check, then target 1 from the walks handed on
+    t_d, q, walk = calls[2]
+    poses = [path.with_frame(frame).base_poses() for frame in frames]
+    flips = 0
+    for lane, target in enumerate(t_d):
+        (v,) = [v for v, base in enumerate(poses) if np.array_equal(base[1], target)]
+        first = solve(model, poses[v][0], q0_benchmark, proj, settings)
+        alone = solver_module._start_wrist_branch(
+            model, poses[v][0], q0_benchmark, first, proj, settings
+        )
+        flips += alone.walk is not first.walk
+        assert np.array_equal(q[lane], alone.q)
+        assert walk[:, lane].tobytes() == alone.walk.tobytes()
+    assert flips
+
+
 def test_sweep_takes_the_solver_kernels_on_lane_stacks(
     model, q0_benchmark, workpiece_frame, monkeypatch
 ):
@@ -423,6 +462,9 @@ def test_sweep_takes_the_solver_kernels_on_lane_stacks(
     # robot.jacobian_from_frames. Events are (name, lanes)
     assert not hasattr(robot_module, "jacobian_from_frames_lanes")
     assert not hasattr(robot_module, "hessian_product")
+    # nor a walk format of its own: the lanes walk chain_stack's frame stacks
+    assert not hasattr(robot_module, "chain_frames")
+    assert not hasattr(robot_module, "chain_frames_lanes")
     events = []
 
     def counted(owner, attr, name, lanes):

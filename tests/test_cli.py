@@ -264,6 +264,8 @@ def test_run_config_is_immutable():
         ["solve", "--task-dof", "4"],
         ["solve", "--bogus"],
         ["workspace", "--mode", "adhoc"],
+        # both modes are ``compare``'s
+        ["solve", "--mode", "both"],
         ["solve", "--seed", "1"],
     ],
 )
@@ -318,7 +320,7 @@ def test_compare_small_cone_writes_delta_report(tmp_path, capsys):
 def test_solve_runs_are_deterministic(tmp_path):
     config = write_config(tmp_path)
     for _ in range(2):
-        assert main(["solve", "--config", str(config), "--mode", "both", "--no-timing"]) == 0
+        assert main(["compare", "--config", str(config), "--no-timing"]) == 0
         files = sorted((tmp_path / "out").glob("*.csv"))
         snapshot = {f.name: f.read_bytes() for f in files}
         if "first" not in locals():
@@ -330,7 +332,7 @@ def test_solve_runs_are_deterministic(tmp_path):
 def test_solve_small_cone_matches_golden_rows(tmp_path):
     # c11's small cone; the golden rows omit the "# config:" audit line
     config = write_config(tmp_path, cone={"samples_per_rev": 16, "pitch_mm": 10.0})
-    assert main(["solve", "--config", str(config), "--mode", "both", "--no-timing"]) == 0
+    assert main(["compare", "--config", str(config), "--no-timing"]) == 0
     goldens = sorted(GOLDEN.glob("*.csv"))
     assert [f.name for f in goldens] == sorted(f.name for f in (tmp_path / "out").glob("*.csv"))
     for golden in goldens:

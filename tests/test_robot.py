@@ -11,8 +11,8 @@ from frik.liegroup import make_pose, rot_y
 from frik.robot import (
     DHRow,
     RobotModel,
-    chain_frames,
-    chain_frames_lanes,
+    chain_stack,
+    chain_stack_lanes,
     forward_kinematics,
     geometric_jacobian,
     irb4600,
@@ -21,7 +21,14 @@ from frik.robot import (
     rolled_hessian_product,
 )
 
-from conftest import cross_rows, hessian_product, kinematic_hessian, robot_to_dict, unskew
+from conftest import (
+    cross_rows,
+    hessian_product,
+    kinematic_hessian,
+    robot_to_dict,
+    unskew,
+    walk_parts,
+)
 
 # ---------------------------------------------------------------------------
 # oracles: hand-assembled chain product and finite differences
@@ -133,11 +140,10 @@ def test_chain_axes_and_origins_match_link_products(model):
     for q in random_in_limits(model, rng, 25):
         links = [link_oracle(row, qi) for row, qi in zip(model.dh, q)]
         frames = list(accumulate(links, np.matmul, initial=np.eye(4)))
-        _, axes, origins = chain_frames(model, q)
-        assert axes.shape == origins.shape == (model.n, 3)
+        walk = chain_stack(model, q)
+        assert walk.shape == (model.n + 1, 4, 4)
         for i in range(model.n):
-            assert np.abs(axes[i] - frames[i][:3, 2]).max() < 1e-9
-            assert np.abs(origins[i] - frames[i][:3, 3]).max() < 1e-9
+            assert np.abs(walk[i] - frames[i]).max() < 1e-9
 
 
 def _formula_links(model: RobotModel, q: np.ndarray) -> np.ndarray:
@@ -155,16 +161,17 @@ def _formula_links(model: RobotModel, q: np.ndarray) -> np.ndarray:
     return np.array(rows).transpose(2, 0, 1)
 
 
-def _identity_product_walk(model: RobotModel, q: np.ndarray) -> tuple[np.ndarray, ...]:
-    """The chain walk with its identity products: frames from the identity,
+def _identity_product_walk(model: RobotModel, q: np.ndarray) -> np.ndarray:
+    """The frame stack with its identity products: frames from the identity,
     TCP times the tool even when it is the identity."""
     links = _formula_links(model, q)
     frames = np.array(list(accumulate(links, np.matmul, initial=np.eye(4))))
-    return frames[-1] @ model.tool, frames[:-1, :3, 2], frames[:-1, :3, 3]
+    frames[-1] = frames[-1] @ model.tool
+    return frames
 
 
 def test_link_build_keeps_the_formula_signs_of_zero(model):
-    # chain_frames gathers (cos, sin) and multiplies by per-model factors
+    # the walks gather (cos, sin) and multiply by per-model factors
     # (1, -ca, sa, a, 1, ca, -sa, a); each product must give the formula's
     # bits, the sign of an exact zero included: q0 = 0 and q1 = 0 make
     # sin(theta) +0.0 on joint 1, and alpha = 0 makes sin(alpha) +0.0
@@ -172,30 +179,27 @@ def test_link_build_keeps_the_formula_signs_of_zero(model):
     q[:300, 0] = 0.0
     q[150:450, 1] = 0.0
     q[-50:] = 0.0
-    lanes = chain_frames_lanes(model, q)
+    lanes = chain_stack_lanes(model, q)
     for lane, q_lane in enumerate(q):
         # the first frame is the first link itself, not the identity times it
-        frames = np.array([np.eye(4), *accumulate(_formula_links(model, q_lane), np.matmul)])
-        want = frames[-1], frames[:-1, :3, 2], frames[:-1, :3, 3]
-        for got, stacked, expected in zip(chain_frames(model, q_lane), lanes, want):
-            for walk in (got, stacked[lane]):
-                assert np.array_equal(walk, expected)
-                assert np.array_equal(np.signbit(walk), np.signbit(expected))
+        want = np.array([np.eye(4), *accumulate(_formula_links(model, q_lane), np.matmul)])
+        for walk in (chain_stack(model, q_lane), lanes[:, lane]):
+            assert np.array_equal(walk, want)
+            assert np.array_equal(np.signbit(walk), np.signbit(want))
 
 
 def test_walk_without_identity_products_rounds_as_with_them(model):
-    # chain_frames starts from the first link and skips an identity tool;
+    # the walks start from the first link and skip an identity tool;
     # both walks must round as the products with the identity, bit for bit
     tool = make_pose(rot_y(0.3), np.array([10.0, -5.0, 250.0]))
     tooled = replace(model, tool=tool)
     q = np.array(random_in_limits(model, np.random.default_rng(59), 200))
     for walker in (model, tooled):
-        lanes = chain_frames_lanes(walker, q)
+        lanes = chain_stack_lanes(walker, q)
         for lane, q_lane in enumerate(q):
-            want = _identity_product_walk(walker, q_lane)
-            for got, stacked, expected in zip(chain_frames(walker, q_lane), lanes, want):
-                assert got.tobytes() == expected.tobytes()
-                assert stacked[lane].tobytes() == expected.tobytes()
+            want = _identity_product_walk(walker, q_lane).tobytes()
+            assert chain_stack(walker, q_lane).tobytes() == want
+            assert lanes[:, lane].tobytes() == want
 
 
 def _cross_rows_jacobian(p_tcp, axes, origins):
@@ -206,15 +210,22 @@ def _cross_rows_jacobian(p_tcp, axes, origins):
     return j
 
 
-def signed_zero_walks(model):
-    """Lane walks with exact zeros: q1 = 0 makes the second joint axis's x
-    entry -0.0, and q2 = 0 or a zero q more exact zeros. Taken in the base
-    frame and, as the solver takes them, rotated into a target frame."""
+def signed_zero_configurations(model):
+    """400 configurations whose walks hold exact zeros: q1 = 0 makes the
+    second joint axis's x entry -0.0, and q2 = 0 or a zero q more exact
+    zeros."""
     q = np.array(random_in_limits(model, np.random.default_rng(71), 400))
     q[:200, 0] = 0.0
     q[100:300, 1] = 0.0
     q[-20:] = 0.0
-    tcp, axes, origins = chain_frames_lanes(model, q)
+    return q
+
+
+def signed_zero_walks(model):
+    """The TCP points and joint axes and origins of the signed-zero lane
+    walks, taken in the base frame and, as the solver takes them, rotated
+    into a target frame."""
+    tcp, axes, origins = walk_parts(chain_stack_lanes(model, signed_zero_configurations(model)))
     assert np.signbit(axes[:200, 1, 0]).all()
     rd = tcp[0, :3, :3]
     return ((tcp[:, :3, 3], axes, origins), (tcp[:, :3, 3] @ rd, axes @ rd, origins @ rd))
@@ -330,7 +341,7 @@ def test_hessian_product_matches_tensor_contraction(model, name):
     rng = np.random.default_rng(41)
     for q in random_in_limits(chain, rng, 200):
         dq = rng.normal(size=chain.n) * rng.choice([1e-3, 0.1, 1.0])
-        tcp, axes, origins = chain_frames(chain, q)
+        tcp, axes, origins = walk_parts(chain_stack(chain, q))
         _, rolled = jacobian_from_frames(tcp[:3, 3], axes, origins)
         reference = kinematic_hessian(chain, q) @ dq
         product = rolled_hessian_product(rolled, dq)
@@ -357,7 +368,7 @@ def test_rolled_hessian_product_rounds_as_hessian_product(model):
 
 
 def test_hessian_product_of_zero_step_or_axes_is_zero(model, q0_benchmark):
-    tcp, axes, origins = chain_frames(model, q0_benchmark)
+    tcp, axes, origins = walk_parts(chain_stack(model, q0_benchmark))
     _, rolled = jacobian_from_frames(tcp[:3, 3], axes, origins)
     # rows 5: hold the axes w, rows 0:5 the linear rows v, kept nonzero
     no_axes = rolled.copy()
@@ -396,17 +407,23 @@ def test_hessian_product_lanes_round_as_one_call(model):
 
 
 def test_lanes_round_as_one_configuration_calls(model):
-    # the lane walk is the sweep's; each lane must equal its own (n,) call
-    # bit for bit, so that the scalar solver stays the sweep's oracle
-    rng = np.random.default_rng(37)
-    q = random_in_limits(model, rng, 200)
-    tcp, axes, origins = chain_frames_lanes(model, q)
-    assert tcp.shape == (200, 4, 4) and axes.shape == origins.shape == (200, 6, 3)
-    for lane, q_lane in enumerate(q):
-        for stacked, alone in zip((tcp, axes, origins), chain_frames(model, q_lane)):
-            assert np.array_equal(stacked[lane], alone)
+    # the lane walk is the sweep's; lane v of it must be chain_stack of its
+    # joints byte for byte, so that the scalar solver stays the sweep's
+    # oracle: stacks of 1 and 7 lanes (the bench sweep's) and 69 (the full
+    # grid's), the signed-zero walks' exact zeros included, with and without
+    # a tool
+    tool = make_pose(rot_y(0.3), np.array([10.0, -5.0, 250.0]))
+    q = signed_zero_configurations(model)
+    assert chain_stack_lanes(model, q).shape == (model.n + 1, len(q), 4, 4)
     with pytest.raises(DimensionMismatch):
-        chain_frames_lanes(model, q[0])
+        chain_stack_lanes(model, q[0])
+    for walker in (model, replace(model, tool=tool)):
+        for size in (1, 7, 69):
+            for start in range(0, len(q), size):
+                stack = q[start : start + size]
+                walk = chain_stack_lanes(walker, stack)
+                for lane, q_lane in enumerate(stack):
+                    assert walk[:, lane].tobytes() == chain_stack(walker, q_lane).tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -10,9 +10,8 @@ from frik.analysis import mode_problem
 from frik.errors import PathFailed, PathFailure, RotationNearPi
 from frik.liegroup import make_pose, rot_x, rot_y, rot_z, so3_exp, so3_log
 from frik.robot import (
-    chain_frames,
-    chain_frames_lanes,
     chain_stack,
+    chain_stack_lanes,
     forward_kinematics,
     geometric_jacobian,
     jacobian_from_frames,
@@ -37,6 +36,7 @@ from conftest import (
     target_frame_walk,
     task_error_concatenated,
     twist_rotation,
+    walk_parts,
 )
 
 SETTINGS = SolverSettings()
@@ -102,7 +102,7 @@ def test_decompose_identity_frame_full_task(model, q0_benchmark):
     assert np.array_equal(j, geometric_jacobian(model, q0_benchmark))
     t_e = forward_kinematics(model, q0_benchmark)
     assert np.array_equal(err, base_frame_error(t_e, BASE_AXES_TARGET, 6))
-    tcp, axes, origins = chain_frames(model, q0_benchmark)
+    tcp, axes, origins = walk_parts(chain_stack(model, q0_benchmark))
     hdq = rolled_hessian_product(jacobian_from_frames(tcp[:3, 3], axes, origins)[1], dq)
     assert np.array_equal(rolled_hessian_product(rolled, dq), hdq)
 
@@ -115,7 +115,7 @@ def test_decompose_identity_frame_five_dof(model, q0_benchmark):
     assert np.array_equal(j[:5], base[:5])
     dx = base_frame_error(forward_kinematics(model, q0_benchmark), BASE_AXES_TARGET, 5)
     assert np.abs(err - dx[:5]).max() <= 1e-12 * np.abs(dx).max()
-    tcp, axes, origins = chain_frames(model, q0_benchmark)
+    tcp, axes, origins = walk_parts(chain_stack(model, q0_benchmark))
     hdq = rolled_hessian_product(jacobian_from_frames(tcp[:3, 3], axes, origins)[1], dq)
     assert np.array_equal(rolled_hessian_product(rolled, dq)[:5], hdq[:5])
 
@@ -331,7 +331,7 @@ def test_full_task_step_unchanged_by_twist_rotation(model, q0_benchmark):
 
 
 def test_task_step_zero_error(model, q0_benchmark):
-    tcp, axes, origins = chain_frames(model, q0_benchmark)
+    tcp, axes, origins = walk_parts(chain_stack(model, q0_benchmark))
     j, rolled = jacobian_from_frames(tcp[:3, 3], axes, origins)
     for halley_rows in (None, rolled):
         step = task_step(j, halley_rows, np.zeros(5), 0.0, 5, SETTINGS)
@@ -504,11 +504,15 @@ def lane_problems(model, q0_benchmark):
 @pytest.mark.parametrize("r", [3, 5, 6])
 @pytest.mark.parametrize("method", ["halley", "newton"])
 def test_solve_lanes_round_as_solve(model, q0_benchmark, method, r):
-    # every lane of lane_problems must take solve's steps bit for bit
+    # every lane of lane_problems must take solve's steps bit for bit, and
+    # hand back solve's walk byte for byte, both when the lanes leave at
+    # different iterations, each walk stored as its lane leaves, and when
+    # all of them leave together, where the last walk is handed back whole
     targets, starts = lane_problems(model, q0_benchmark)
     settings = SolverSettings(method=method)
     lanes = solve_lanes(model, targets, starts, TaskProjector(r), settings)
     assert lanes.half_turn.tolist() == [False] * 31 + [r == 6]
+    assert len(set(lanes.iterations.tolist())) >= 3
     for lane, t_d in enumerate(targets):
         try:
             alone = solve(model, t_d, starts[lane], TaskProjector(r), settings)
@@ -516,11 +520,19 @@ def test_solve_lanes_round_as_solve(model, q0_benchmark, method, r):
             # solve raises at its first error, as the lane stops there
             assert lanes.half_turn[lane] and not lanes.converged[lane]
             assert lanes.iterations[lane] == 0
+            assert lanes.walk[:, lane].tobytes() == chain_stack(model, starts[lane]).tobytes()
             continue
         assert lanes.converged[lane] == alone.converged
         assert lanes.iterations[lane] == alone.iterations
         assert np.array_equal(lanes.q[lane], alone.q)
+        assert lanes.walk[:, lane].tobytes() == alone.walk.tobytes()
     assert not lanes.converged[30] and lanes.iterations[30] == settings.max_iterations
+    # four copies of one problem step and leave together
+    together = solve_lanes(model, targets[[0] * 4], starts[[0] * 4], TaskProjector(r), settings)
+    alone = solve(model, targets[0], starts[0], TaskProjector(r), settings)
+    assert together.iterations.tolist() == [alone.iterations] * 4 and alone.iterations > 0
+    for lane in range(4):
+        assert together.walk[:, lane].tobytes() == alone.walk.tobytes()
 
 
 @pytest.mark.parametrize("r", [3, 5, 6])
@@ -535,18 +547,20 @@ def test_solve_lanes_carry_their_last_walk(model, q0_benchmark, method, r):
     lanes = solve_lanes(model, targets, starts, proj, settings)
     assert lanes.converged[:30].all() and lanes.half_turn[31] == (r == 6)
     assert not lanes.converged[30]
-    for got, walked in zip(lanes.walk, chain_frames_lanes(model, lanes.q)):
-        assert np.array_equal(got, walked)
+    assert lanes.walk.tobytes() == chain_stack_lanes(model, lanes.q).tobytes()
     turn = make_pose(rot_z(0.1) @ rot_x(0.05), np.array([2.0, -1.0, 3.0]))
     following = (targets @ turn, lanes.q, proj, settings)
     carried = solve_lanes(model, *following, lanes.walk)
     walked = solve_lanes(model, *following)
     for got, expected in zip(carried, walked):
-        if isinstance(got, tuple):
-            for part, walked_part in zip(got, expected):
-                assert np.array_equal(part, walked_part)
-        else:
-            assert np.array_equal(got, expected)
+        assert got.tobytes() == expected.tobytes()
+    # converged lanes restarted on their own target all leave at the first
+    # iteration, and hand back the walk they were given, not a copy
+    done = np.flatnonzero(lanes.converged)
+    handed = lanes.walk[:, done]
+    again = solve_lanes(model, targets[done], lanes.q[done], proj, settings, handed)
+    assert again.converged.all() and not again.iterations.any()
+    assert again.walk is handed
 
 
 @pytest.mark.parametrize("method", ["halley", "newton"])
@@ -695,8 +709,8 @@ def test_wrist_flip_keeps_tcp_pose_with_offset_tool(model, q0_benchmark):
     q[::2, 4] *= -1.0
     left, flipped = wrist_flip(offset, q0_benchmark, q)
     assert left.tolist() == [True, False] * 4
-    tcp, _, _ = chain_frames_lanes(offset, q)
-    assert np.abs(chain_frames_lanes(offset, flipped)[0] - tcp).max() < 1e-9
+    tcp = chain_stack_lanes(offset, q)[-1]
+    assert np.abs(chain_stack_lanes(offset, flipped)[-1] - tcp).max() < 1e-9
     one_left, one_flipped = wrist_flip(offset, q0_benchmark, q[0])
     assert one_left and np.abs(forward_kinematics(offset, one_flipped) - tcp[0]).max() < 1e-9
     # the TCP is off joint 6's axis: half a turn of joint 6 alone moves it
