@@ -14,14 +14,14 @@ import numpy as np
 # manipulability_jl)
 from numpy.linalg import _umath_linalg
 
-from .errors import DimensionMismatch, OutOfLimits, PathFailure
+from .errors import DimensionMismatch, OutOfLimits, PathFailure, RotationNearPi
 from .robot import RobotModel, chain_stack_lanes, jacobian_from_frames
 from .solver import (
     SolverSettings,
     TaskProjector,
-    joint_limit_failures,
     solve_lanes,
-    wrist_flip,
+    target_failures,
+    wrist_branch_check,
 )
 from .toolpath import Toolpath, assign_adhoc_orientation
 
@@ -173,20 +173,21 @@ def _sweep_mode(
     """Solve ``path`` placed at each of the (V, 4, 4) ``frames`` from ``q0``,
     all placements in lockstep, one lane per voxel.
 
-    Each lane meets the same targets, failures and wrist-branch step as
-    ``solve_toolpath`` of its placement, and rounds as it does, so the
-    results are that call's: whether the voxel is reachable, its mean
-    manipulability (NaN when not) and the PathFailure of each voxel that is
-    not, keyed by voxel. A voxel with a target beyond the reach bound fails
-    as ``out_of_reach`` before any solve. Targets are re-framed one at a
-    time, for the live lanes only, and each target's lanes start from the
-    chain walk their last solve ended on (``solve_lanes``' ``walk``). The
-    live lanes' joints are kept over a block of targets, at most
-    ``W_BLOCK`` lane-targets (one target when more lanes than that are
-    live), and their manipulability is taken in one ``manipulability_jl``
-    call per block; a lane that fails leaves the block with its joints, and
-    the last target closes the last block. Each value is a pure function of
-    its joints, so it is the one a call per target would give.
+    Each lane meets the targets of ``solve_toolpath`` of its placement and
+    its path rules, ``wrist_branch_check`` at k = 0 and ``target_failures``,
+    and rounds as it does, so the results are that call's: whether the
+    voxel is reachable, its mean manipulability (NaN when not) and the
+    PathFailure of each voxel that is not, keyed by voxel. A voxel with a
+    target beyond the reach bound fails as ``out_of_reach`` before any
+    solve. Targets are re-framed one at a time, for the live lanes only, and
+    each target's lanes start from the chain walk their last solve ended on
+    (``solve_lanes``' ``walk``). The live lanes' joints are kept over a
+    block of targets, at most ``W_BLOCK`` lane-targets (one target when more
+    lanes than that are live), and their manipulability is taken in one
+    ``manipulability_jl`` call per block; a lane that fails leaves the block
+    with its joints, and the last target closes the last block. Each value
+    is a pure function of its joints, so it is the one a call per target
+    would give.
     """
     reach = model.reach_bound()
     causes: dict[int, PathFailure] = {}
@@ -206,18 +207,15 @@ def _sweep_mode(
         t_d = frames[live] @ pose
         q, converged, _, half_turn, walk = solve_lanes(model, t_d, q, proj, settings, walk)
         if k == 0:
-            left, flipped = wrist_flip(model, q0, q)
-            picked = np.flatnonzero(converged & left)
-            check = solve_lanes(model, t_d[picked], flipped[picked], proj, settings)
-            kept = check.converged & (check.iterations == 0)
-            q[picked[kept]] = check.q[kept]
-            walk[:, picked[kept]] = check.walk[:, kept]
-            half_turn[picked[check.half_turn]] = True
-        # later records override earlier ones, in solve_toolpath's order of checks
-        failures = joint_limit_failures(model, q, k)
-        if np.count_nonzero(converged) < len(live) or np.count_nonzero(half_turn):
-            for kind, lanes_out in (("not_converged", ~converged), ("rotation_near_pi", half_turn)):
-                failures.update((lane, PathFailure(kind, k)) for lane in np.flatnonzero(lanes_out))
+            for lane in np.flatnonzero(converged):
+                try:
+                    check = wrist_branch_check(model, t_d[lane], q0, q[lane], proj, settings)
+                except RotationNearPi:
+                    half_turn[lane] = True
+                    continue
+                if check is not None:
+                    q[lane], walk[:, lane] = check.q, check.walk
+        failures = target_failures(model, q, converged, half_turn, k)
         for lane, failure in failures.items():
             causes[int(live[lane])] = failure
         if failures:

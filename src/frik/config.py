@@ -165,6 +165,12 @@ def _parse_q0(block) -> np.ndarray:
     return np.radians(q) if unit == "deg" else q
 
 
+def _string(raw: dict, key: str) -> str:
+    if not isinstance(raw[key], str) or not raw[key]:
+        raise ConfigError(f"{key} must be a non-empty string, got {raw[key]!r}")
+    return raw[key]
+
+
 def _from_dict(raw) -> RunConfig:
     raw = _check_block("top-level", raw, TOP_LEVEL_KEYS)
     if "toolpath" in raw and "cone" in raw:
@@ -172,13 +178,13 @@ def _from_dict(raw) -> RunConfig:
 
     config = RunConfig()
     if raw.get("robot") is not None:
-        config = replace(config, robot_file=str(raw["robot"]))
+        config = replace(config, robot_file=_string(raw, "robot"))
     if "solver" in raw:
         block = _check_block("solver", raw["solver"], [*SOLVER_KEYS, "task_dof"])
         config = replace(config, solver=_build(config.solver, SOLVER_KEYS, block, "solver block"))
         config = _build(config, {"task_dof": "task_dof"}, block, "solver block")
     if "toolpath" in raw:
-        config = replace(config, source=str(raw["toolpath"]))
+        config = replace(config, source=_string(raw, "toolpath"))
     if "cone" in raw:
         block = _check_block("cone", raw["cone"], CONE_KEYS)
         config = replace(config, source=_build(ConeSpec(), CONE_KEYS, block, "cone block"))
@@ -190,7 +196,7 @@ def _from_dict(raw) -> RunConfig:
         block = _check_block("sweep", raw["sweep"], SWEEP_KEYS)
         config = replace(config, sweep=_build(config.sweep, SWEEP_KEYS, block, "sweep block"))
     if "out_dir" in raw:
-        config = replace(config, out_dir=str(raw["out_dir"]))
+        config = replace(config, out_dir=_string(raw, "out_dir"))
     return _build(config, {"jobs": "jobs"}, raw, "top-level block")
 
 

@@ -46,9 +46,9 @@ Its lanes keep their own walk function, error and damped step, which
 measured faster on stacks: they rotate the TCP before the convergence check
 and the axes and origins of the lanes that go on after it, sliced from the
 frame stack. The Jacobian and the Halley product are ``solve``'s kernels,
-called once on a lane stack whose lane axis is last. ``solve_toolpath`` and
-the sweep share ``wrist_flip`` and ``joint_limit_failures``, the rules that
-end or adjust a path.
+called once on a lane stack whose lane axis is last. The rules that end or
+adjust a path, ``target_failures`` and ``wrist_branch_check``, are kept here
+once, scalar code that ``solve_toolpath`` and the sweep both call.
 """
 
 from __future__ import annotations
@@ -123,13 +123,11 @@ class SolverSettings:
 class SolveResult:
     """Outcome of one ``solve``.
 
-    ``residual_norms`` (with ``record_residuals``) holds the target-frame
-    task error norm at every iterate and ``saturation_flags`` whether each
-    step was clamped to ``e_max``. The norm adds mm to rad, so it can rise on
-    an unsaturated step when the orientation error dominates; it is not
-    promised to fall on every step. ``walk`` is the base-frame chain walk
-    at ``q`` as its (n + 1, 4, 4) frame stack (``chain_stack``), the one the
-    last iteration took, for the next solve from ``q`` to start from.
+    ``saturation_flags`` (with ``record_residuals``) holds, for each step,
+    whether its target-frame task error norm exceeded ``e_max``, so that the
+    step was clamped. ``walk`` is the base-frame chain walk at ``q`` as its
+    (n + 1, 4, 4) frame stack (``chain_stack``), the one the last iteration
+    took, for the next solve from ``q`` to start from.
     """
 
     q: np.ndarray
@@ -137,7 +135,6 @@ class SolveResult:
     iterations: int
     residual: np.ndarray
     wall_time_us: float
-    residual_norms: list[float] | None = field(default=None, repr=False)
     saturation_flags: list[bool] | None = field(default=None, repr=False)
     walk: np.ndarray | None = field(default=None, repr=False, compare=False)
 
@@ -258,9 +255,7 @@ def solve(
     n, r = model.n, proj.r
     use_halley = settings.method == "halley"
     bound_factor = 1.0 / (2.0 * settings.lam)
-    record = settings.record_residuals
-    norms: list[float] | None = [] if record else None
-    sats: list[bool] | None = [] if record else None
+    sats: list[bool] | None = [] if settings.record_residuals else None
 
     start = time.perf_counter()
     rd_t = t_d[:3, :3].T
@@ -274,8 +269,6 @@ def solve(
         tcp = turned[n]
         dx_hat = task_error(tcp, p_d, r)
         res_norm = _norm(dx_hat)
-        if record:
-            norms.append(res_norm)
         residual = dx_hat
         iterations = it
         if res_norm < settings.epsilon:
@@ -283,7 +276,7 @@ def solve(
             break
         if it == settings.max_iterations:
             break
-        if record:
+        if sats is not None:
             sats.append(res_norm > settings.e_max)
 
         jac, rolled = jacobian_from_frames(tcp[:, 3], turned[:n, :, 2], turned[:n, :, 3])
@@ -305,7 +298,6 @@ def solve(
         iterations=iterations,
         residual=residual,
         wall_time_us=wall_us,
-        residual_norms=norms,
         saturation_flags=sats,
         walk=walk,
     )
@@ -503,47 +495,54 @@ def wrist_flip(
     return left, flipped
 
 
-def joint_limit_failures(model: RobotModel, q: np.ndarray, k: int) -> dict[int, PathFailure]:
-    """The ``joint_limit`` record at target ``k`` of each row of joints ``q``
-    (V, n) that lies outside the limits, keyed by row; an (n,) ``q`` is row
-    0. The record names the 1-based joint with the smallest margin and that
-    margin in degrees (< 0)."""
+def target_failures(model: RobotModel, q, converged, half_turn, k: int) -> dict[int, PathFailure]:
+    """The PathFailure at target ``k`` of each row of joints ``q`` (V, n)
+    that the path cannot take, keyed by row, from the row's solve outcome
+    ``converged`` and ``half_turn`` (V,); an (n,) ``q`` with scalar flags is
+    row 0. A half-turn error (where ``solve`` raises RotationNearPi) is
+    ``rotation_near_pi``, else an unconverged solve ``not_converged``, else
+    joints outside the limits ``joint_limit``, naming the 1-based joint with
+    the smallest margin and that margin in degrees (< 0)."""
     q = np.atleast_2d(q)
+    converged, half_turn = np.atleast_1d(converged), np.atleast_1d(half_turn)
     inside = (q >= model.joint_min) & (q <= model.joint_max)
-    if np.count_nonzero(inside) == inside.size:
+    taken = converged & ~half_turn
+    if np.count_nonzero(taken) == len(taken) and np.count_nonzero(inside) == inside.size:
         return {}
-    rows = np.flatnonzero(~inside.all(-1))
-    margin = np.degrees(np.minimum(q[rows] - model.joint_min, model.joint_max - q[rows]))
-    return {
-        int(row): PathFailure("joint_limit", k, int(m.argmin()) + 1, m.min())
-        for row, m in zip(rows, margin)
-    }
+    failures = {}
+    for row in np.flatnonzero(~(taken & inside.all(-1))):
+        if taken[row]:
+            margin = np.degrees(np.minimum(q[row] - model.joint_min, model.joint_max - q[row]))
+            failure = PathFailure("joint_limit", k, int(margin.argmin()) + 1, margin.min())
+        else:
+            failure = PathFailure("rotation_near_pi" if half_turn[row] else "not_converged", k)
+        failures[int(row)] = failure
+    return failures
 
 
-def _start_wrist_branch(
-    model: RobotModel,
-    t_d: np.ndarray,
-    q_start: np.ndarray,
-    result: SolveResult,
-    proj: TaskProjector,
-    settings: SolverSettings,
-) -> SolveResult:
-    """Flip a first solution whose q5 sign differs from ``q_start``'s back
-    onto the start wrist branch, as ``solve_toolpath`` describes; a kept
-    flip takes the check solve's walk."""
-    left, flipped = wrist_flip(model, q_start, result.q)
+def wrist_branch_check(
+    model: RobotModel, t_d: np.ndarray, q_start: np.ndarray, q: np.ndarray, proj, settings
+) -> SolveResult | None:
+    """The k = 0 wrist-branch step of ``solve_toolpath`` for a first
+    solution ``q`` to ``t_d``: when q5 has the opposite sign to
+    ``q_start``'s, what ``solve`` from the flipped joints (``wrist_flip``)
+    returns if it converges in 0 iterations, else None. Only that solve's
+    iteration 0 is taken (the same walk, error and test), so a flip that
+    misses is not iterated; a half-turn error there raises RotationNearPi.
+    On a six-axis spherical wrist the flip reaches the same TCP pose, and
+    the test keeps other robots on the unflipped solution. So a path keeps
+    its start's wrist branch, and is not wound toward the asymmetric q5
+    limits by whichever branch a cold solve's saturated steps reach."""
+    left, flipped = wrist_flip(model, q_start, q)
     if not left:
-        return result
-    check = solve(model, t_d, flipped, proj, settings)
-    if not (check.converged and check.iterations == 0):
-        return result
-    return replace(
-        result,
-        q=check.q,
-        residual=check.residual,
-        wall_time_us=result.wall_time_us + check.wall_time_us,
-        walk=check.walk,
-    )
+        return None
+    start = time.perf_counter()
+    walk = chain_stack(model, flipped)
+    rd_t = t_d[:3, :3].T
+    error = task_error((rd_t @ walk[:, :3])[model.n], (rd_t @ t_d[:3, 3:])[:, 0], proj.r)
+    if not _norm(error) < settings.epsilon:
+        return None
+    return SolveResult(flipped, True, 0, error, (time.perf_counter() - start) * 1e6, walk=walk)
 
 
 def solve_toolpath(
@@ -557,16 +556,10 @@ def solve_toolpath(
 
     Warm starting is what keeps the greedy per-target updates continuous and
     the accumulated joint travel low. The first, cold solve may carry the
-    wrist across q5 = 0; when its q5 has the opposite sign to q0's, it is
-    replaced by the flipped wrist (q4 + pi * s, -q5, q6 + pi), with s moving
-    q4 toward the middle of its range. On a six-axis spherical wrist the flip
-    reaches the same TCP pose; it is kept only if ``solve`` converges from it
-    in 0 iterations, which keeps other robots on the unflipped solution. So
-    both modes keep q0's wrist branch, and the path is not wound toward the
-    asymmetric q5 limits by whichever branch the first saturated steps
-    happen to reach. Stops at the first target the robot cannot take
-    (``rotation_near_pi``, ``not_converged``, or ``joint_limit`` after the
-    wrist-branch step) and raises PathFailed with its PathFailure.
+    wrist across q5 = 0, and ``wrist_branch_check`` may move it back onto
+    q0's branch. Stops at the first target the robot cannot take (after the
+    wrist-branch step) and raises PathFailed with its ``target_failures``
+    record.
 
     Each solve hands its final chain walk to the next (``solve``'s
     ``walk``), and the kept results drop it once it is handed on.
@@ -579,13 +572,14 @@ def solve_toolpath(
         try:
             result = solve(model, t_d, q, proj, settings, walk)
             if result.converged and k == 0:
-                result = _start_wrist_branch(model, t_d, q, result, proj, settings)
+                check = wrist_branch_check(model, t_d, q, result.q, proj, settings)
+                if check is not None:
+                    result = replace(result, q=check.q, residual=check.residual, walk=check.walk,
+                                     wall_time_us=result.wall_time_us + check.wall_time_us)
         except RotationNearPi:
-            raise PathFailed(PathFailure("rotation_near_pi", k)) from None
-        if not result.converged:
-            raise PathFailed(PathFailure("not_converged", k))
-        if not model.within_limits(result.q):
-            raise PathFailed(joint_limit_failures(model, result.q, k)[0])
+            raise PathFailed(target_failures(model, q, False, True, k)[0]) from None
+        if not (result.converged and model.within_limits(result.q)):
+            raise PathFailed(target_failures(model, result.q, result.converged, False, k)[0])
         results.append(result)
         q, walk = result.q, result.walk
         result.walk = None

@@ -1,5 +1,7 @@
-"""Acceptance suite: one test per shipped criterion, each printing a
-PASS line with the measured numbers (run with ``pytest -s`` to see them).
+"""Acceptance suite: one test per shipped criterion, each printing a line
+with the measured numbers (run with ``pytest -s`` to see them). A line
+claims no pass: some tests print it before their gate, and pytest reports
+the outcome.
 
 The heavyweight entries (full cone benchmark, full wall sweep) run at their
 stated budgets; the wall sweep is also marked ``slow`` so it can be skipped
@@ -36,7 +38,7 @@ from conftest import target_frame_walk, unskew, walk_parts
 
 
 def report(line: str) -> None:
-    print(f"\nPASS: {line}")
+    print(f"\n{line}")
 
 
 @pytest.fixture(scope="module")

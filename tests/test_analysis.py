@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,7 +20,14 @@ from frik.analysis import (
 from frik.errors import DimensionMismatch, OutOfLimits, PathFailed, PathFailure
 from frik.liegroup import make_pose, pose_inverse, rot_x, rot_y
 from frik.robot import forward_kinematics, geometric_jacobian
-from frik.solver import SolverSettings, TaskProjector, solve, solve_toolpath
+from frik.solver import (
+    SolverSettings,
+    TaskProjector,
+    solve,
+    solve_toolpath,
+    wrist_branch_check,
+    wrist_flip,
+)
 from frik.toolpath import ConeSpec, Toolpath, generate_cone_spiral
 
 
@@ -64,6 +72,8 @@ def test_weights_reject_out_of_limits(model):
     q[1] = model.joint_max[1] + 1e-6
     with pytest.raises(OutOfLimits):
         joint_limit_weights(model, q)
+    with pytest.raises(DimensionMismatch, match="expected q of length 6"):
+        joint_limit_weights(model, q[:5])
 
 
 # ---------------------------------------------------------------------------
@@ -309,6 +319,70 @@ def test_lane_sweep_matches_scalar_solves(model, q0_benchmark, workpiece_frame, 
                 assert wmap.causes.get((iy, iz)) == cause
 
 
+def test_sweep_keeps_a_rejected_wrist_flip_unflipped(model, q0_benchmark, workpiece_frame):
+    # with a 30 mm offset on joint 5 the wrist is not spherical: the k = 0
+    # flip of this voxel's first FRIK solve moves the TCP, a solve from it
+    # would iterate, and the check rejects it. The sweep must keep the
+    # unflipped lane, and end each mode as the scalar solver does, bit for
+    # bit
+    offset = replace(model, dh=(*model.dh[:4], replace(model.dh[4], d=30.0), model.dh[5]))
+    template = generate_cone_spiral(ConeSpec(pitch=10.0, samples_per_rev=16)).with_frame(
+        workpiece_frame
+    )
+    spec = one_voxel_spec(-1000.0, 1000.0)
+    frame = workpiece_frame.copy()
+    (frame[1, 3],), (frame[2, 3],) = spec.centers()
+    settings = SolverSettings()
+    path, proj = mode_problem(template, "frik", 5)
+    t_0 = path.with_frame(frame).base_poses()[0]
+    first = solve(offset, t_0, q0_benchmark, proj, settings)
+    left, flipped = wrist_flip(offset, q0_benchmark, first.q)
+    assert first.converged and left
+    assert solve(offset, t_0, flipped, proj, settings).iterations > 0
+    assert wrist_branch_check(offset, t_0, q0_benchmark, first.q, proj, settings) is None
+    for wmap in workspace_sweep(offset, template, spec, q0_benchmark, settings):
+        path, proj = mode_problem(template, wmap.mode, 5)
+        ok, mean_w, cause = scalar_voxel_oracle(
+            offset, path.with_frame(frame), q0_benchmark, proj, settings
+        )
+        assert wmap.reachable[0, 0] == ok
+        assert np.array_equal(wmap.mean_w[0, 0], mean_w, equal_nan=True)
+        assert wmap.causes.get((0, 0)) == cause
+
+
+def test_half_turn_at_the_checked_flip_ends_the_path(
+    model, q0_benchmark, workpiece_frame, monkeypatch
+):
+    # a k = 0 wrist check that meets a half-turn error (here a flip that
+    # turns joint 6 by pi on the 6-DOF task) raises RotationNearPi:
+    # solve_toolpath and the sweep both end the path at target 0 on it
+    def half_turned(m, q_start, q):
+        flipped = np.array(q, dtype=float)
+        flipped[..., 5] += np.pi
+        return np.ones(q.shape[:-1], dtype=bool), flipped
+
+    monkeypatch.setattr(solver_module, "wrist_flip", half_turned)
+    template = generate_cone_spiral(ConeSpec(pitch=10.0, samples_per_rev=16)).with_frame(
+        workpiece_frame
+    )
+    path, proj = mode_problem(template, "adhoc", 5)
+    with pytest.raises(PathFailed) as excinfo:
+        solve_toolpath(model, path, q0_benchmark, proj)
+    assert excinfo.value.failure == PathFailure("rotation_near_pi", 0)
+    frames = _grid_frames(workpiece_frame, np.array([-750.0, -150.0]), np.array([1050.0]))
+    reachable, _, causes = analysis_module._sweep_mode(
+        model, path, proj, frames, q0_benchmark, SolverSettings()
+    )
+    assert not reachable.any()
+    assert causes == {0: PathFailure("rotation_near_pi", 0), 1: PathFailure("rotation_near_pi", 0)}
+
+
+def test_mode_problem_rejects_unknown_mode(workpiece_frame):
+    template = generate_cone_spiral(ConeSpec()).with_frame(workpiece_frame)
+    with pytest.raises(ValueError, match="unknown solve mode 'spray'"):
+        mode_problem(template, "spray", 5)
+
+
 def _counted_sweep(monkeypatch, events):
     """``_sweep_mode``, recording in ``events`` each ``solve_lanes`` call as
     ``("solve", lanes, max iterations)`` and each chain walk of the solver
@@ -343,10 +417,11 @@ def _grid_frames(workpiece_frame, y, z):
 def test_sweep_walks_once_per_lane_step(model, q0_benchmark, workpiece_frame, monkeypatch):
     # each target's lanes start from the chain walk their last solve ended
     # on: a mode's solves walk its lane stack once per lockstep step, plus
-    # the first target's first walk and the k = 0 wrist check's. Its
-    # manipulability walks once per block, on the block's targets times its
-    # live lanes: a block closes when one more target of the live lanes
-    # would take it past W_BLOCK lane-targets, and at the last target
+    # the first target's first walk (the k = 0 wrist check walks each
+    # flipped lane alone, with chain_stack). Its manipulability walks once
+    # per block, on the block's targets times its live lanes: a block
+    # closes when one more target of the live lanes would take it past
+    # W_BLOCK lane-targets, and at the last target
     events = []
     sweep_mode = _counted_sweep(monkeypatch, events)
     template = generate_cone_spiral(ConeSpec(pitch=10.0, samples_per_rev=16)).with_frame(
@@ -361,11 +436,10 @@ def test_sweep_walks_once_per_lane_step(model, q0_benchmark, workpiece_frame, mo
         path, proj = mode_problem(template, mode, 5)
         reachable, _, _ = sweep_mode(model, path, proj, frames, q0_benchmark, SolverSettings())
         solves = [event[1:] for event in events if event[0] == "solve"]
-        assert len(solves) == len(path) + 1
-        assert sum(event[0] == "solver" for event in events) == sum(s for _, s in solves) + 2
-        # the lanes live after target k enter target k + 1 (solves[0] and
-        # solves[1] are target 0's solve and wrist check)
-        live = [lanes for lanes, _ in solves[2:]] + [int(reachable.sum())]
+        assert len(solves) == len(path)
+        assert sum(event[0] == "solver" for event in events) == sum(s for _, s in solves) + 1
+        # the lanes live after target k enter target k + 1
+        live = [lanes for lanes, _ in solves[1:]] + [int(reachable.sum())]
         assert live[-1] > 0
         blocks, held = [], 0
         for k, lanes in enumerate(live):
@@ -397,9 +471,9 @@ def test_sweep_blocks_keep_per_target_manipulability(
     path, proj = mode_problem(template, "frik", 5)
     reachable, mean_w, causes = sweep_mode(model, path, proj, frames, q0_benchmark, settings)
     # the first block closes at the target of the last solve before the first
-    # manipulability walk (solves 0 and 1 are both target 0's)
+    # manipulability walk
     first_walk = next(i for i, event in enumerate(events) if event[0] == "w")
-    first_block_end = sum(event[0] == "solve" for event in events[:first_walk]) - 2
+    first_block_end = sum(event[0] == "solve" for event in events[:first_walk]) - 1
     assert sum(event[0] == "w" for event in events) >= 3
     fail_at = [cause.k for cause in causes.values() if cause.kind != "out_of_reach"]
     assert min(fail_at) <= first_block_end < max(fail_at)
@@ -416,9 +490,10 @@ def test_sweep_blocks_keep_per_target_manipulability(
 def test_sweep_hands_on_the_flipped_lanes_solve_walks(
     model, q0_benchmark, workpiece_frame, monkeypatch
 ):
-    # the k = 0 wrist flip patches a flipped lane's walk with its check
-    # solve's: every lane's walk handed on to target 1 must be the walk the
-    # scalar k = 0 solve and its wrist-branch step return, byte for byte
+    # the k = 0 wrist flip patches a flipped lane's walk with its check's:
+    # every lane's joints and walk handed on to target 1 must be those of
+    # the scalar k = 0 solve, or of the solve from its flip where that one
+    # converges in 0 iterations, byte for byte
     calls = []
     solve_lanes = analysis_module.solve_lanes
 
@@ -436,17 +511,22 @@ def test_sweep_hands_on_the_flipped_lanes_solve_walks(
     settings = SolverSettings()
     path, proj = mode_problem(template, "frik", 5)
     analysis_module._sweep_mode(model, path, proj, frames, q0_benchmark, settings)
-    # target 0, its wrist check, then target 1 from the walks handed on
-    t_d, q, walk = calls[2]
+    # target 0, then target 1 from the walks handed on
+    t_d, q, walk = calls[1]
     poses = [path.with_frame(frame).base_poses() for frame in frames]
     flips = 0
     for lane, target in enumerate(t_d):
         (v,) = [v for v, base in enumerate(poses) if np.array_equal(base[1], target)]
         first = solve(model, poses[v][0], q0_benchmark, proj, settings)
-        alone = solver_module._start_wrist_branch(
-            model, poses[v][0], q0_benchmark, first, proj, settings
-        )
-        flips += alone.walk is not first.walk
+        left, flipped = wrist_flip(model, q0_benchmark, first.q)
+        from_flip = solve(model, poses[v][0], flipped, proj, settings)
+        kept = left and from_flip.converged and from_flip.iterations == 0
+        alone = from_flip if kept else first
+        check = wrist_branch_check(model, poses[v][0], q0_benchmark, first.q, proj, settings)
+        assert (check is not None) == kept
+        if kept:
+            assert np.array_equal(check.residual, from_flip.residual)
+        flips += kept
         assert np.array_equal(q[lane], alone.q)
         assert walk[:, lane].tobytes() == alone.walk.tobytes()
     assert flips

@@ -192,6 +192,11 @@ def test_config_with_unknown_top_level_key_rejected(tmp_path, capsys):
         ({"solver": {"epsilon": math.inf}}, "bad solver block: epsilon must be a number, got inf"),
         ({"sweep": {"voxel_mm": -math.inf}}, "bad sweep block: voxel_mm must be a number, got -inf"),
         ({"solver": {"max_iterations": math.nan}}, "max_iterations must be an integer, got nan"),
+        ({"out_dir": None}, "out_dir must be a non-empty string, got None"),
+        ({"out_dir": ["a", 1]}, "out_dir must be a non-empty string, got ['a', 1]"),
+        ({"out_dir": ""}, "out_dir must be a non-empty string, got ''"),
+        ({"robot": 5}, "robot must be a non-empty string, got 5"),
+        ({"robot": ""}, "robot must be a non-empty string, got ''"),
     ],
     ids=[
         "cone-typo", "sweep-typo", "workpiece-typo", "q0-both", "cone-scalar", "solver-scalar",
@@ -201,7 +206,8 @@ def test_config_with_unknown_top_level_key_rejected(tmp_path, capsys):
         "workpiece-null-position", "workpiece-string-position", "workpiece-null-quat",
         "workpiece-string-quat", "workpiece-null-rot", "workpiece-string-rot", "q0-null",
         "q0-string", "solver-string", "cone-string", "solver-bool", "solver-nan", "cone-nan",
-        "solver-infinity", "sweep-infinity", "integer-nan",
+        "solver-infinity", "sweep-infinity", "integer-nan", "out-dir-null", "out-dir-list",
+        "out-dir-empty", "robot-number", "robot-empty",
     ],
 )
 def test_malformed_config_block_rejected(tmp_path, capsys, block, message):
@@ -210,6 +216,14 @@ def test_malformed_config_block_rejected(tmp_path, capsys, block, message):
     err = capsys.readouterr().err
     assert err.startswith("error:") and str(config) in err and message in err
     assert "Traceback" not in err
+
+
+def test_toolpath_setting_must_be_a_string(tmp_path, capsys):
+    # str() would take the number as the toolpath file "7"
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"toolpath": 7}))
+    assert main(["solve", "--config", str(config)]) == 1
+    assert "toolpath must be a non-empty string, got 7" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import frik.solver as solver_module
 from frik.analysis import mode_problem
-from frik.errors import PathFailed, PathFailure, RotationNearPi
+from frik.errors import DimensionMismatch, PathFailed, PathFailure, RotationNearPi
 from frik.liegroup import make_pose, rot_x, rot_y, rot_z, so3_exp, so3_log
 from frik.robot import (
     chain_stack,
@@ -22,9 +22,9 @@ from frik.solver import (
     TaskProjector,
     damped_step,
     solve,
-    joint_limit_failures,
     solve_lanes,
     solve_toolpath,
+    target_failures,
     task_error,
     task_step,
     wrist_flip,
@@ -123,6 +123,20 @@ def test_decompose_identity_frame_five_dof(model, q0_benchmark):
 def test_projector_rejects_bad_dimension():
     with pytest.raises(ValueError):
         TaskProjector(4)
+
+
+def test_solver_entry_points_reject_bad_input(model, q0_benchmark):
+    with pytest.raises(ValueError, match="unknown method"):
+        SolverSettings(method="gauss")
+    with pytest.raises(ValueError, match="lam must be positive"):
+        damped_step(np.eye(6), np.ones(6), 0.0)
+    t_d = forward_kinematics(model, q0_benchmark)
+    with pytest.raises(DimensionMismatch, match="expected q0 of length 6"):
+        solve(model, t_d, q0_benchmark[:5], TaskProjector(6))
+    with pytest.raises(DimensionMismatch, match="expected \\(L, 6\\) starts"):
+        solve_lanes(model, t_d[None], q0_benchmark[None, :5], TaskProjector(6))
+    with pytest.raises(DimensionMismatch, match="expected \\(L, 6\\) starts"):
+        solve_lanes(model, t_d, q0_benchmark[None], TaskProjector(6))
 
 
 # ---------------------------------------------------------------------------
@@ -443,6 +457,25 @@ def test_solve_five_dof_places_position_exactly(model, q0_benchmark):
     assert t_e[:3, 2] @ t_d[:3, 2] > 1.0 - 1e-10
 
 
+def test_saturation_flags_mark_the_clamped_steps(model, q0_benchmark):
+    # one flag per step, True exactly when the task error norm the step
+    # starts from exceeds e_max; None when recording is off
+    t_d = forward_kinematics(model, q0_benchmark + 0.4)
+    proj = TaskProjector(6)
+    settings = SolverSettings(record_residuals=True)
+    result = solve(model, t_d, q0_benchmark, proj, settings)
+    flags = result.saturation_flags
+    assert result.converged and len(flags) == result.iterations
+    assert True in flags and False in flags
+    q = q0_benchmark
+    for flag in flags:
+        tcp, _, _, p_d = target_frame_walk(model, q, t_d)
+        assert flag == (np.linalg.norm(task_error(tcp, p_d, 6)) > settings.e_max)
+        q = solve(model, t_d, q, proj, replace(settings, max_iterations=1)).q
+    assert np.array_equal(q, result.q)
+    assert solve(model, t_d, q0_benchmark, proj).saturation_flags is None
+
+
 def test_solve_unreachable_target_is_soft(model, q0_benchmark):
     t_d = make_pose(np.eye(3), np.array([10_000.0, 0.0, 0.0]))
     res = solve(model, t_d, q0_benchmark, TaskProjector(6), SETTINGS)
@@ -673,8 +706,8 @@ def test_solve_toolpath_stops_at_first_limit_breach(model, q0_benchmark):
 
 
 def test_path_rules_on_one_configuration_and_a_stack(model, q0_benchmark):
-    # solve_toolpath and the sweep share these two rules: each row of a
-    # stack must get what the row gets alone
+    # solve_toolpath and the sweep share these rules: each row of a stack
+    # must get what the row gets alone
     q = np.array([q0_benchmark, -q0_benchmark, q0_benchmark])
     q[1, 3] = np.radians(20.0)
     q[2, 4] = np.radians(-130.0)
@@ -691,12 +724,18 @@ def test_path_rules_on_one_configuration_and_a_stack(model, q0_benchmark):
         assert np.allclose(
             forward_kinematics(model, flipped[row]), forward_kinematics(model, q[row]), atol=1e-9
         )
-    failures = joint_limit_failures(model, q, 7)
+    failures = target_failures(model, q, np.ones(3, dtype=bool), np.zeros(3, dtype=bool), 7)
     assert list(failures) == [2]
     assert (failures[2].kind, failures[2].k, failures[2].joint) == ("joint_limit", 7, 5)
     assert failures[2].margin_deg == pytest.approx(-5.0, abs=1e-9)
-    assert joint_limit_failures(model, q[2], 7) == {0: failures[2]}
-    assert joint_limit_failures(model, q0_benchmark, 7) == {}
+    assert target_failures(model, q[2], True, False, 7) == {0: failures[2]}
+    assert target_failures(model, q0_benchmark, True, False, 7) == {}
+    # a half-turn error outranks an unconverged solve, which outranks the
+    # limits; rows inside and outside them alike
+    for half_turn, kind in ((True, "rotation_near_pi"), (False, "not_converged")):
+        stack = target_failures(model, q, np.zeros(3, dtype=bool), np.full(3, half_turn), 7)
+        assert stack == {row: PathFailure(kind, 7) for row in range(3)}
+        assert target_failures(model, q[2], False, half_turn, 7) == {0: PathFailure(kind, 7)}
 
 
 def test_wrist_flip_keeps_tcp_pose_with_offset_tool(model, q0_benchmark):

@@ -256,11 +256,17 @@ def json_targets(*ks, **fields) -> str:
         ("rot.json", json_targets(0, rot=[[1, 0, 0], [0, 1, 0], [0, 0, None]]), "rot must be"),
         ("rot.json", json_targets(0, rot=[[1, 0, 0], [0, 1, 0], [0, 0, "1"]]), "rot must be"),
         ("nan.csv", "k,x_mm,y_mm,z_mm,qx,qy,qz,qw\n0,1,nan,3,0,0,0,1\n", "line 2: pos_mm must be"),
+        ("list.json", "[]", "top level must be an object"),
+        ("empty.csv", "", "empty file"),
+        ("word.csv", "k,x_mm,y_mm,z_mm,qx,qy,qz,qw\n0,1,two,3,0,0,0,1\n", "line 2: could not"),
+        ("short.csv", "k,x_mm,y_mm,z_mm,qx,qy,qz,qw\n0,1,2\n", "line 2: float()"),
+        ("header.csv", "k,x_mm,y_mm,z_mm,qx,qy,qz,qw\n", "no targets"),
     ],
     ids=[
         "json-gap", "json-string", "json-fraction", "json-bool", "csv-gap", "targets-scalar",
         "pos-null", "pos-string", "quat-null", "quat-string", "quat-and-rot", "rot-null",
-        "rot-string", "csv-nan",
+        "rot-string", "csv-nan", "json-list", "csv-empty", "csv-word", "csv-short",
+        "csv-header-only",
     ],
 )
 def test_load_rejects_bad_index_or_target_list(tmp_path, capsys, name, text, record):
