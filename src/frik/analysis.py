@@ -17,6 +17,7 @@ from numpy.linalg import _umath_linalg
 from .errors import DimensionMismatch, OutOfLimits, PathFailure, RotationNearPi
 from .robot import RobotModel, chain_stack_lanes, jacobian_from_frames
 from .solver import (
+    LaneWorkspace,
     SolverSettings,
     TaskProjector,
     solve_lanes,
@@ -181,7 +182,9 @@ def _sweep_mode(
     target beyond the reach bound fails as ``out_of_reach`` before any
     solve. Targets are re-framed one at a time, for the live lanes only, and
     each target's lanes start from the chain walk their last solve ended on
-    (``solve_lanes``' ``walk``). The live lanes' joints are kept over a
+    (``solve_lanes``' ``walk``). Every solve writes into one
+    ``LaneWorkspace`` for the live lanes, built again only when a voxel
+    fails. The live lanes' joints are kept over a
     block of targets, at most ``W_BLOCK`` lane-targets (one target when more
     lanes than that are live), and their manipulability is taken in one
     ``manipulability_jl`` call per block; a lane that fails leaves the block
@@ -198,14 +201,16 @@ def _sweep_mode(
             causes[v] = PathFailure("out_of_reach", int(beyond.argmax()))
     live = np.array([v for v in range(len(frames)) if v not in causes], dtype=int)
     q = np.tile(q0, (len(live), 1))
-    walk = None
+    walk = work = None
     w = np.empty((len(frames), len(path)))
     block: list[np.ndarray] = []
     for k, pose in enumerate(path.poses):
         if not live.size:
             break
+        if work is None or work.lanes != len(live):
+            work = LaneWorkspace(model, proj.r, len(live))
         t_d = frames[live] @ pose
-        q, converged, _, half_turn, walk = solve_lanes(model, t_d, q, proj, settings, walk)
+        q, converged, _, half_turn, walk = solve_lanes(model, t_d, q, proj, settings, walk, work)
         if k == 0:
             for lane in np.flatnonzero(converged):
                 try:

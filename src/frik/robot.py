@@ -9,7 +9,10 @@ dJ/dq_j``) only through its product ``H dq`` with one joint step, which is
 formed in O(n) from the Jacobian's own column data, without building the
 tensor. The Jacobian and the Halley product take one walk or a lane stack
 with its lane axis last, where the (n,) kernels' row slices and running
-sums work on it as written, and round each lane as its own (n,) call.
+sums work on it as written, and round each lane as its own (n,) call. They
+and the lane walk write into buffers they are handed, made with their views
+once (``JacobianWork``, ``HalleyWork``, ``LaneWalk``), or that they make for
+the call, and return views of them.
 
 Cross products are spelled out component-wise, component k as
 ``a[k+1] b[k+2] - a[k+2] b[k+1]`` (indices mod 3), on rolled row buffers
@@ -156,30 +159,64 @@ def chain_stack(model: RobotModel, q: np.ndarray) -> np.ndarray:
     return frames
 
 
-def chain_stack_lanes(model: RobotModel, q: np.ndarray) -> np.ndarray:
+class LaneWalk:
+    """The buffers ``chain_stack_lanes`` writes for one model and lane
+    count, with their views sliced once. A call builds one when it is given
+    none; a caller that walks stacks of the same size again holds one
+    (``solver.LaneWorkspace``). The identity first frame and the links'
+    constant bottom rows are written here, once. ``empty(shape)`` makes each
+    buffer (``np.empty``, or views of a larger workspace's buffers: the
+    lane walk rounds each lane as its own call on either)."""
+
+    def __init__(self, model: RobotModel, lanes: int, empty=np.empty):
+        n = model.n
+        _, top, bottom = model._link_constants
+        self.lanes = lanes
+        self.theta = empty((lanes, n))
+        self.theta_t = self.theta.T
+        trig = empty((n, lanes, 2))
+        self.trig, self.cos, self.sin = trig, trig[..., 0], trig[..., 1]
+        self.gathered = empty((n, lanes, 2, 4))
+        self.top = top[:, None]
+        links = empty((n, lanes, 4, 4))
+        links[:, :, 2:] = bottom[:, None]
+        self.link_tops = links[:, :, :2]
+        frames = empty((n + 1, lanes, 4, 4))
+        frames[0] = _EYE4
+        self.frames, self.first, self.first_link = frames, frames[1], links[0]
+        # (frame i, link i, frame i + 1) of each running product
+        self.products = [(frames[i], links[i], frames[i + 1]) for i in range(1, n)]
+
+
+def chain_stack_lanes(
+    model: RobotModel, q: np.ndarray, work: LaneWalk | None = None
+) -> np.ndarray:
     """``chain_stack`` of each configuration in a (V, n) stack, as one (n +
     1, V, 4, 4) frame stack: lane v, ``walk[:, v]``, is ``chain_stack(model,
     q[v])`` to the bit. The lane axis follows the frame index, so every
-    running product is still one 4 x 4 matmul per lane.
+    running product is still one 4 x 4 matmul per lane. The stack is
+    written into ``work``, a ``LaneWalk`` of the model for V lanes, and is
+    its ``frames``: the next walk into it overwrites it.
     """
     q = np.asarray(q, dtype=float)
     n = model.n
     if q.ndim != 2 or q.shape[1] != n:
         raise DimensionMismatch(f"expected q of shape (V, {n}), got {q.shape}")
-    lanes = len(q)
-    offset, top, bottom = model._link_constants
-    theta = (q + offset).T
-    trig = np.empty((n, lanes, 2))
-    np.cos(theta, out=trig[..., 0])
-    np.sin(theta, out=trig[..., 1])
-    links = np.empty((n, lanes, 4, 4))
-    np.multiply(trig[..., _LINK_TRIG], top[:, None], out=links[:, :, :2])
-    links[:, :, 2:] = bottom[:, None]
-    frames = np.empty((n + 1, lanes, 4, 4))
-    frames[0] = _EYE4
-    frames[1] = links[0]
-    for i in range(1, n):
-        np.matmul(frames[i], links[i], out=frames[i + 1])
+    if work is None:
+        work = LaneWalk(model, len(q))
+    elif work.lanes != len(q):
+        raise DimensionMismatch(f"a walk of {len(q)} lanes in buffers for {work.lanes}")
+    np.add(q, model._link_constants[0], out=work.theta)
+    np.cos(work.theta_t, out=work.cos)
+    np.sin(work.theta_t, out=work.sin)
+    # into a buffer, take skips the copy that mode "raise" makes of its out
+    work.trig.take(_LINK_TRIG, axis=2, out=work.gathered, mode="clip")
+    np.multiply(work.gathered, work.top, out=work.link_tops)
+    # the stack starts from a copy of the first link, not the identity times it
+    work.first[...] = work.first_link
+    for frame, link, product in work.products:
+        np.matmul(frame, link, out=product)
+    frames = work.frames
     if not model._identity_tool:
         frames[n] = frames[n] @ model.tool
     return frames
@@ -190,8 +227,27 @@ def forward_kinematics(model: RobotModel, q: np.ndarray) -> np.ndarray:
     return chain_stack(model, q)[model.n]
 
 
+class JacobianWork:
+    """The buffers ``jacobian_from_frames`` writes for one shape of a row of
+    ``axes.T``, (n,) for one walk or (n, L) for a lane stack, with their
+    views sliced once. A call builds one when it is given none; ``empty``
+    makes each buffer, as for ``LaneWalk``."""
+
+    def __init__(self, shape: tuple[int, ...], empty=np.empty):
+        rolled, arms = empty((12,) + shape), empty((7,) + shape)
+        self.rolled, self.jac, self.cross = rolled, rolled[2:8], rolled[:5]
+        # rows 5:11 and 0:6 as two copies of the three components
+        self.axes = rolled[5:11].reshape((2, 3) + shape)
+        self.arms = arms[:6].reshape((2, 3) + shape)
+        self.first_axis, self.last_axis = rolled[5], rolled[11]
+        self.first_arm, self.last_arm = arms[0], arms[6]
+        # the two products of component k of w x arm, k = 1..5
+        self.factors = (rolled[7:], arms[:5], rolled[5:10], arms[2:])
+        self.products = empty((2, 5) + shape)
+
+
 def jacobian_from_frames(
-    p_tcp: np.ndarray, axes: np.ndarray, origins: np.ndarray
+    p_tcp: np.ndarray, axes: np.ndarray, origins: np.ndarray, work: JacobianWork | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """The (6, n) Jacobian of a chain walk's (n, 3) axes and origins about
     the TCP point ``p_tcp`` (column i is ``[w_i x (p_tcp - o_i); w_i]``),
@@ -205,20 +261,24 @@ def jacobian_from_frames(
     ``rolled_hessian_product`` crosses, and rows 2:8 are [v0 v1 v2 w0 w1 w2].
 
     A lane stack, (L, n, 3) axes and origins and (L, 3) TCP points, gives
-    (6, n, L) and (12, n, L), with each lane rounded as its own call.
+    (6, n, L) and (12, n, L), with each lane rounded as its own call. Both
+    are views of ``work``'s buffers (a ``JacobianWork`` of the row shape),
+    which the next call into it overwrites.
     """
-    # (n,) for one walk, (n, L) for a lane stack: the shape of a row of axes.T
-    shape = origins.shape[-2::-1]
-    rolled, arms = np.empty((12,) + shape), np.empty((7,) + shape)
-    rolled[5:8] = axes.T
-    rolled[8:11] = rolled[5:8]
-    rolled[11] = rolled[5]
-    np.subtract(p_tcp.T[:, None], origins.T, out=arms[:3])
-    arms[3:6] = arms[:3]
-    arms[6] = arms[0]
+    if work is None:
+        # (n,) for one walk, (n, L) for a lane stack: the shape of a row of axes.T
+        work = JacobianWork(origins.shape[-2::-1])
+    work.axes[...] = axes.T
+    work.last_axis[...] = work.first_axis
+    np.subtract(p_tcp.T[:, None], origins.T, out=work.arms)
+    work.last_arm[...] = work.first_arm
     # component k of w x arm, w[k+1] arm[k+2] - w[k+2] arm[k+1], for k = 1..5
-    np.subtract(rolled[7:] * arms[:5], rolled[5:10] * arms[2:], out=rolled[:5])
-    return rolled[2:8], rolled
+    w_next, arm_next, w_last, arm_last = work.factors
+    left, right = work.products
+    np.multiply(w_next, arm_next, out=left)
+    np.multiply(w_last, arm_last, out=right)
+    np.subtract(left, right, out=work.cross)
+    return work.jac, work.rolled
 
 
 def geometric_jacobian(model: RobotModel, q: np.ndarray) -> np.ndarray:
@@ -230,12 +290,44 @@ def geometric_jacobian(model: RobotModel, q: np.ndarray) -> np.ndarray:
     return jacobian_from_frames(frames[n, :3, 3], frames[:n, :3, 2], frames[:n, :3, 3])[0]
 
 
-def rolled_hessian_product(rolled: np.ndarray, dq: np.ndarray) -> np.ndarray:
+class HalleyWork:
+    """The buffers ``rolled_hessian_product`` writes for one ``rolled``
+    buffer of ``jacobian_from_frames``, with its views of that buffer and of
+    its own sliced once. A call builds one when it is given none; ``empty``
+    makes each buffer, as for ``LaneWalk``."""
+
+    def __init__(self, rolled: np.ndarray, empty=np.empty):
+        shape = rolled.shape[1:]
+        # rows 0:4 and 6:10 of rolled, v and w rolled by one, as one (2, 4) stack
+        vw = rolled.reshape((2, 6) + shape)[:, :4]
+        self.vw, self.vw_dq = vw, empty((2, 4) + shape)
+        sum_w, sum_v = empty((2, 4) + shape)
+        # S_i sums from the chain's far end; S_{n-1} is empty
+        sum_v[:, -1] = 0.0
+        self.sum_w, self.w_dq = sum_w, self.vw_dq[1]
+        self.sum_v_back, self.v_dq_back = sum_v[:, -2::-1], self.vw_dq[0, :, :0:-1]
+        # the products of the rolled cross products, for (v, w) pairs and single rows
+        self.pair_left, self.pair_right = empty((2, 2, 3) + shape)
+        self.left, self.right = self.pair_left[0], self.pair_right[0]
+        # the rolled cross products' operands, rows 0:3 and 1:4 of each
+        self.sum_w_now, self.sum_w_next = sum_w[:3], sum_w[1:]
+        self.vw_now, self.vw_next = vw[:, :3], vw[:, 1:]
+        self.w_now, self.w_next = vw[1, :3], vw[1, 1:]
+        self.sum_v_now, self.sum_v_next = sum_v[:3], sum_v[1:]
+        self.out = empty((6,) + shape)
+        self.out_pair, self.linear = self.out.reshape((2, 3) + shape), self.out[:3]
+
+
+def rolled_hessian_product(
+    rolled: np.ndarray, dq: np.ndarray, work: HalleyWork | None = None
+) -> np.ndarray:
     """``H dq``, the Jacobian's derivative along the joint step ``dq``,
     without building the n x n Hessian: (6, n) from the (12, n) ``rolled``
     rows of a chain walk's ``jacobian_from_frames`` and the (n,) ``dq``, or
     (6, n, L) from a lane stack's (12, n, L) rows and (n, L) steps, each
-    lane rounded as its own call.
+    lane rounded as its own call. ``work``, when given, is a ``HalleyWork``
+    of this ``rolled`` buffer, and the result is its ``out``, which the
+    next call into it overwrites.
 
     The Hessian's cells are dw_i/dq_j = w_j x w_i and dv_i/dq_j = w_j x v_i
     for j <= i, and dw_i/dq_j = 0 and dv_i/dq_j = w_i x v_j for j > i, where
@@ -248,20 +340,22 @@ def rolled_hessian_product(rolled: np.ndarray, dq: np.ndarray) -> np.ndarray:
     ``a[k] b[k+1] - a[k+1] b[k]`` on rows 0:4 of the rolled factors. Every
     w_i comes from the axes, so zero axes give exact zeros.
     """
-    w, v = rolled[6:10], rolled[:4]
-    sum_w = np.add.accumulate(w * dq, 1)
-    # S_i sums from the chain's far end; S_{n-1} is empty
-    sum_v = np.empty(v.shape)
-    np.add.accumulate((v * dq)[:, :0:-1], 1, out=sum_v[:, -2::-1])
-    sum_v[:, -1] = 0.0
-    out = np.empty((6, *dq.shape))
-    np.subtract(sum_w[:3] * w[1:], sum_w[1:] * w[:3], out=out[3:])
-    np.add(
-        sum_w[:3] * v[1:] - sum_w[1:] * v[:3],
-        w[:3] * sum_v[1:] - w[1:] * sum_v[:3],
-        out=out[:3],
-    )
-    return out
+    if work is None:
+        work = HalleyWork(rolled)
+    np.multiply(work.vw, dq, out=work.vw_dq)
+    np.add.accumulate(work.w_dq, 1, out=work.sum_w)
+    np.add.accumulate(work.v_dq_back, 1, out=work.sum_v_back)
+    # W x v and W x w, as one (2, 3) stack: out[:3] holds W x v until w x S is added
+    np.multiply(work.sum_w_now, work.vw_next, out=work.pair_left)
+    np.multiply(work.sum_w_next, work.vw_now, out=work.pair_right)
+    np.subtract(work.pair_left, work.pair_right, out=work.out_pair)
+    # w x S
+    left, right = work.left, work.right
+    np.multiply(work.w_now, work.sum_v_next, out=left)
+    np.multiply(work.w_next, work.sum_v_now, out=right)
+    np.subtract(left, right, out=left)
+    np.add(work.linear, left, out=work.linear)
+    return work.out
 
 
 def irb4600() -> RobotModel:

@@ -42,6 +42,10 @@ tolerance).
 
 ``solve_lanes`` iterates ``solve`` for a stack of problems in lockstep, each
 lane rounding exactly as its own ``solve`` (the workspace sweep's kernel).
+It writes every iteration with ``out=`` into a ``LaneWorkspace``, buffers
+and views made once for a lane count, which the sweep holds across its
+targets; ``solve`` builds its Jacobian's and Halley product's buffers once
+per call.
 Its lanes keep their own walk function, error and damped step, which
 measured faster on stacks: they rotate the TCP before the convergence check
 and the axes and origins of the lanes that go on after it, sliced from the
@@ -65,8 +69,11 @@ import numpy as np
 from numpy.linalg import _umath_linalg
 
 from .errors import DimensionMismatch, PathFailed, PathFailure, RotationNearPi
-from .liegroup import PI_MARGIN, SMALL_ANGLE, _dot, so3_log
+from .liegroup import PI_MARGIN, SMALL_ANGLE, so3_log
 from .robot import (
+    HalleyWork,
+    JacobianWork,
+    LaneWalk,
     RobotModel,
     chain_stack,
     chain_stack_lanes,
@@ -203,6 +210,7 @@ def task_step(
     err_norm: float,
     r: int,
     settings: SolverSettings,
+    work: HalleyWork | None = None,
 ) -> np.ndarray:
     """The joint update ``solve`` takes from a target-frame Jacobian and error.
 
@@ -214,7 +222,8 @@ def task_step(
     first r rows of J + H dq / 2 (Halley), ``H dq`` from
     ``rolled_hessian_product``, which turns with the frame as J does; with
     ``None`` the damped Newton step is returned. The result is bounded by
-    the clamped error's norm over 2 lam.
+    the clamped error's norm over 2 lam. ``work``, when given, is the
+    ``HalleyWork`` of ``rolled`` that the product is written into.
     """
     if err_norm > settings.e_max:
         step_err = err_hat * (settings.e_max / err_norm)
@@ -222,7 +231,7 @@ def task_step(
         step_err = err_hat
     dq = damped_step(jac[:r], step_err, settings.lam)
     if rolled is not None:
-        halley = jac + 0.5 * rolled_hessian_product(rolled, dq)
+        halley = jac + 0.5 * rolled_hessian_product(rolled, dq, work)
         dq = damped_step(halley[:r], step_err, settings.lam)
     return dq
 
@@ -258,6 +267,9 @@ def solve(
     sats: list[bool] | None = [] if settings.record_residuals else None
 
     start = time.perf_counter()
+    # the Jacobian's and the Halley product's buffers, for this call's steps
+    jac_work = JacobianWork((n,))
+    halley_work = HalleyWork(jac_work.rolled) if use_halley else None
     rd_t = t_d[:3, :3].T
     p_d = (rd_t @ t_d[:3, 3:])[:, 0]
     converged = False
@@ -279,8 +291,12 @@ def solve(
         if sats is not None:
             sats.append(res_norm > settings.e_max)
 
-        jac, rolled = jacobian_from_frames(tcp[:, 3], turned[:n, :, 2], turned[:n, :, 3])
-        dq = task_step(jac, rolled if use_halley else None, dx_hat, res_norm, r, settings)
+        jac, rolled = jacobian_from_frames(
+            tcp[:, 3], turned[:n, :, 2], turned[:n, :, 3], jac_work
+        )
+        dq = task_step(
+            jac, rolled if use_halley else None, dx_hat, res_norm, r, settings, halley_work
+        )
         # Damping guarantee sigma/(sigma^2 + lam^2) <= 1/(2 lam) on the
         # clamped error; a violation means the step math is broken, not that
         # the pose is hard.
@@ -319,71 +335,225 @@ class LaneSolves(NamedTuple):
     walk: np.ndarray
 
 
-def _lane_rotation_vector(rotation: np.ndarray, vee: np.ndarray) -> np.ndarray:
-    """``so3_log`` of each rotation in an (L, 3, 3) stack, written to the
-    (L, 3) ``vee``, and which lanes it would refuse as within PI_MARGIN of a
-    half-turn."""
-    trace = rotation[:, 0, 0] + rotation[:, 1, 1] + rotation[:, 2, 2]
-    # np.clip without its dispatch; a NaN passes through as there
-    theta = np.arccos(np.minimum(np.maximum(0.5 * (trace - 1.0), -1.0), 1.0))
-    np.subtract(rotation[:, 2, 1], rotation[:, 1, 2], out=vee[:, 0])
-    np.subtract(rotation[:, 0, 2], rotation[:, 2, 0], out=vee[:, 1])
-    np.subtract(rotation[:, 1, 0], rotation[:, 0, 1], out=vee[:, 2])
-    vee *= 0.5
-    turned = theta >= SMALL_ANGLE
-    if np.count_nonzero(turned) == len(turned):
-        vee *= (theta / np.sin(theta))[:, None]
+class _StepWork:
+    """The buffers ``_lane_damped_step`` writes for one (L, r, n) ``j_hat``
+    buffer, with its views sliced once; ``empty`` makes each buffer, as for
+    ``robot.LaneWalk``."""
+
+    def __init__(self, j_hat: np.ndarray, empty=np.empty):
+        lanes, r, n = j_hat.shape
+        self.j_t = j_hat.swapaxes(-1, -2)
+        self.gram = empty((lanes, r, r))
+        # each lane's diagonal, as a strided view of the contiguous (L, r, r) stack
+        self.diagonal = self.gram.reshape(lanes, r * r)[:, :: r + 1]
+        self.y, self.step = empty((lanes, r, 1)), empty((lanes, n, 1))
+        self.dq = self.step[..., 0]
+
+
+# how many lane counts a LaneWorkspace keeps views for: a call's start and
+# a few counts its lanes leave it at
+KEPT_SIZES = 5
+
+
+class LaneWorkspace:
+    """``solve_lanes``' buffers for one model, task dimension ``r`` and lane
+    count, with their views sliced once, so that its iterations write into
+    them with ``out=`` rather than allocate and slice anew: the frame stack
+    and links (``robot.LaneWalk``), the target-frame TCP, axes and origins,
+    the error and its norm, the Jacobian's rolled rows and lever arms
+    (``robot.JacobianWork``), the Halley product's terms
+    (``robot.HalleyWork``), the C-contiguous (L, r, n) copies of the
+    Jacobian and the Halley Jacobian that the damped steps take, and their
+    grams and steps. The workspace sweep holds one for its live lanes,
+    hands it to every ``solve_lanes`` call and builds the next only when a
+    voxel fails. A workspace serves one call at a time.
+
+    ``for_lanes`` gives the workspace for fewer lanes as views of these
+    buffers, the leading lanes of each, so no memory is added and the
+    constants are shared. Each lane still rounds as in buffers of its own
+    size: the leading lanes of a lane-leading buffer are C-contiguous, as a
+    smaller buffer is, and on the stacks whose lane axis is inside, the
+    kernels only copy, combine elementwise, take running sums and matmuls
+    whose strides take numpy's path for buffers of any size (the lane-parity
+    tests run through such views). A call whose lanes leave at different
+    iterations goes on there for the lanes that remain. The views are kept
+    for the ``KEPT_SIZES`` lane counts asked for last, not for every count
+    seen: at the full grid's 513 lanes the buffers take about 3 MB.
+    """
+
+    def __init__(self, model: RobotModel, r: int, lanes: int, base: LaneWorkspace | None = None):
+        n = model.n
+        self.model, self.r, self.lanes = model, r, lanes
+        # the views for_lanes made, by lane count, least recently asked first
+        self._kept: dict[int, LaneWorkspace] = {}
+        if base is None:
+            # the buffers, in the order they are made, for for_lanes to slice
+            self._buffers: list[np.ndarray] = []
+
+            def empty(shape, dtype=float):
+                self._buffers.append(np.empty(shape, dtype))
+                return self._buffers[-1]
+        else:
+            self._buffers = base._buffers
+            buffers = iter(base._buffers)
+
+            def empty(shape, dtype=float):
+                return next(buffers)[tuple(map(slice, shape))]
+        self.walk = LaneWalk(model, lanes, empty)
+        frames = self.walk.frames
+        self.frames, self.tcp_frame = frames, frames[n, :, :3]
+        self.axes_frame = frames[:n, :, :3, 2].swapaxes(0, 1)
+        self.origins_frame = frames[:n, :, :3, 3].swapaxes(0, 1)
+        self.tcp = empty((lanes, 3, 4))
+        self.p_tcp = self.tcp[:, :, 3]
+        self.axes, self.origins = empty((2, lanes, n, 3))
+        self.jacobian = JacobianWork((n, lanes), empty)
+        self.halley = HalleyWork(self.jacobian.rolled, empty)
+        # the damped steps' (L, r, n) rows of J and of H dq
+        self.jac_rows = self.jacobian.jac[:r].transpose(2, 0, 1)
+        self.hdq_rows = self.halley.out[:r].transpose(2, 0, 1)
+        self.j_hat = empty((lanes, r, n))
+        self.step = _StepWork(self.j_hat, empty)
+        dq = self.step.dq
+        self.dq_t, self.dq_row, self.dq_col = dq.T, dq[:, None, :], dq[:, :, None]
+        self.err = empty((lanes, r))
+        self.err_pos = self.err[:, :3]
+        self.err_row, self.err_col = self.err[:, None], self.err[..., None]
+        # lane vectors: the error norm, the step's norm and bound, three scratch rows
+        self.norm, self.step_norm, self.limit, *self.scratch = empty((6, lanes))
+        # the dot products of error and step, (L, 1, 1) as _dot's matmul writes them
+        self.dots = empty((2, lanes, 1, 1))
+        self.err_dot, self.dq_dot = self.dots[:, :, 0, 0]
+        # lane masks: converged, going on, scratch, half-turned (all False but at r = 6)
+        self.done, self.go, self.mask, self.turned = empty((4, lanes), bool)
+        self.turned[...] = False
+        tcp = self.tcp
+        if r == 5:
+            self.tcp_z = tcp[:, 0, 2], tcp[:, 1, 2], tcp[:, 2, 2]
+            self.err_tilt = self.err[:, 3], self.err[:, 4]
+        elif r == 6:
+            # R_d^T R_e is the transpose of the TCP's rotation rows
+            self.trace_terms = tcp[:, 0, 0], tcp[:, 1, 1], tcp[:, 2, 2]
+            self.skew_pairs = (
+                (tcp[:, 1, 2], tcp[:, 2, 1]),
+                (tcp[:, 2, 0], tcp[:, 0, 2]),
+                (tcp[:, 0, 1], tcp[:, 1, 0]),
+            )
+            self.vee = self.err[:, 3:]
+            self.vee_cols = self.vee.T
+            self.ratio_col = self.scratch[2][:, None]
+
+    def for_lanes(self, lanes: int) -> LaneWorkspace:
+        """The workspace of this model and task for ``lanes`` lanes: views of
+        the buffers this one is made of or a view of, or, for more lanes than
+        those hold, a workspace of its own."""
+        if lanes == self.lanes:
+            return self
+        if lanes > len(self._buffers[0]):
+            return LaneWorkspace(self.model, self.r, lanes)
+        work = self._kept.pop(lanes, None)
+        if work is None:
+            work = LaneWorkspace(self.model, self.r, lanes, self)
+            if len(self._kept) >= KEPT_SIZES:
+                del self._kept[next(iter(self._kept))]
+        self._kept[lanes] = work
+        return work
+
+
+def _lane_rotation_vector(work: LaneWorkspace) -> np.ndarray:
+    """``so3_log`` of each lane's R_d^T R_e, from ``work.tcp``, written to
+    the rotation rows of ``work.err``, and which lanes it would refuse as
+    within PI_MARGIN of a half-turn."""
+    trace, theta, ratio = work.scratch
+    d0, d1, d2 = work.trace_terms
+    np.add(d0, d1, out=trace)
+    np.add(trace, d2, out=trace)
+    # 0.5 (trace - 1) into [-1, 1]: np.clip without its dispatch; a NaN
+    # passes through as there
+    np.subtract(trace, 1.0, out=trace)
+    np.multiply(0.5, trace, out=trace)
+    np.maximum(trace, -1.0, out=trace)
+    np.minimum(trace, 1.0, out=trace)
+    np.arccos(trace, out=theta)
+    for (a, b), vee in zip(work.skew_pairs, work.vee_cols):
+        np.subtract(a, b, out=vee)
+    np.multiply(work.vee, 0.5, out=work.vee)
+    moved = np.greater_equal(theta, SMALL_ANGLE, out=work.mask)
+    if np.count_nonzero(moved) == len(moved):
+        np.sin(theta, out=ratio)
+        np.divide(theta, ratio, out=ratio)
+        np.multiply(work.vee, work.ratio_col, out=work.vee)
     else:
-        vee[turned] *= (theta[turned] / np.sin(theta[turned]))[:, None]
-    return theta >= np.pi - PI_MARGIN
+        work.vee[moved] *= (theta[moved] / np.sin(theta[moved]))[:, None]
+    return np.greater_equal(theta, np.pi - PI_MARGIN, out=work.turned)
 
 
-def _lane_task_error(tcp: np.ndarray, p_d: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray]:
-    """``task_error`` of each lane of an (L, 3, 4) target-frame TCP stack and
-    (L, 3) target positions, and the lanes whose 6-DOF error is a half-turn."""
-    if r == 3:
-        return p_d - tcp[:, :, 3], np.zeros(len(tcp), dtype=bool)
-    err = np.empty((len(tcp), r))
-    np.subtract(p_d, tcp[:, :, 3], out=err[:, :3])
-    if r == 6:
-        return err, _lane_rotation_vector(tcp[:, :, :3].swapaxes(-1, -2), err[:, 3:])
-    e0, e1, e2 = tcp[:, 0, 2], tcp[:, 1, 2], tcp[:, 2, 2]
-    s = np.sqrt(e0 * e0 + e1 * e1)
-    bent = s >= 1e-12
-    flat = np.count_nonzero(bent) < len(bent)
-    k = np.arctan2(s, e2) / (np.where(bent, s, 1.0) if flat else s)
-    np.multiply(k, e1, out=err[:, 3])
-    np.multiply(-k, e0, out=err[:, 4])
-    if flat:
-        # (anti)parallel axes take the scalar rule's constants
-        err[~bent, 3:] = 0.0
-        err[~bent & ~(e2 > 0.0), 4] = np.pi
-    return err, np.zeros(len(tcp), dtype=bool)
+def _lane_task_error(work: LaneWorkspace, p_d: np.ndarray) -> np.ndarray:
+    """``task_error`` of each lane of ``work.tcp``, the (L, 3, 4)
+    target-frame TCP stack, and the (L, 3) target positions ``p_d``, written
+    to ``work.err`` with its norms in ``work.norm``; returns which lanes'
+    6-DOF error is a half-turn."""
+    np.subtract(p_d, work.p_tcp, out=work.err_pos)
+    turned = _lane_rotation_vector(work) if work.r == 6 else work.turned
+    if work.r == 5:
+        e0, e1, e2 = work.tcp_z
+        s, k, _ = work.scratch
+        np.multiply(e0, e0, out=s)
+        np.multiply(e1, e1, out=k)
+        np.add(s, k, out=s)
+        np.sqrt(s, out=s)
+        bent = np.greater_equal(s, 1e-12, out=work.mask)
+        flat = np.count_nonzero(bent) < len(bent)
+        np.arctan2(s, e2, out=k)
+        np.divide(k, np.where(bent, s, 1.0) if flat else s, out=k)
+        tilt_x, tilt_y = work.err_tilt
+        np.multiply(k, e1, out=tilt_x)
+        np.negative(k, out=k)
+        np.multiply(k, e0, out=tilt_y)
+        if flat:
+            # (anti)parallel axes take the scalar rule's constants
+            work.err[~bent, 3:] = 0.0
+            work.err[~bent & ~(e2 > 0.0), 4] = np.pi
+    # each lane's norm, rounded as _dot rounds it
+    np.matmul(work.err_row, work.err_col, out=work.dots[0])
+    np.sqrt(work.err_dot, out=work.norm)
+    return turned
 
 
-def _lane_damped_step(j_hat: np.ndarray, dx_hat: np.ndarray, lam: float) -> np.ndarray:
-    """``damped_step`` of each lane: ``j_hat`` (L, r, n), ``dx_hat`` (L, r)."""
-    gram = j_hat @ j_hat.swapaxes(-1, -2)
-    # each lane's diagonal, as a strided view of the contiguous (L, r, r) stack
-    gram.reshape(len(gram), -1)[:, :: gram.shape[-1] + 1] += lam * lam
-    y = _umath_linalg.solve(gram, dx_hat[..., None], signature="dd->d")
-    return (j_hat.swapaxes(-1, -2) @ y)[..., 0]
+def _lane_damped_step(
+    j_hat: np.ndarray, dx_hat: np.ndarray, lam: float, work: _StepWork | None = None
+) -> np.ndarray:
+    """``damped_step`` of each lane: ``j_hat`` (L, r, n), ``dx_hat`` (L, r).
+    ``work``, when given, is the ``_StepWork`` of this ``j_hat`` buffer, and
+    the step is its ``dq``, which the next call into it overwrites."""
+    if work is None:
+        work = _StepWork(j_hat)
+    np.matmul(j_hat, work.j_t, out=work.gram)
+    np.add(work.diagonal, lam * lam, out=work.diagonal)
+    _umath_linalg.solve(work.gram, dx_hat[..., None], signature="dd->d", out=work.y)
+    np.matmul(work.j_t, work.y, out=work.step)
+    return work.dq
 
 
-def _lane_task_step(jac, rolled, err_hat, err_norm, r, settings: SolverSettings) -> np.ndarray:
-    """``task_step`` of each lane: ``jac`` (6, n, L) and ``rolled`` (12, n,
-    L) or None, as ``jacobian_from_frames`` returns them for a lane stack,
-    ``err_hat`` (L, r) and its norms ``err_norm`` (L,)."""
+def _lane_task_step(work: LaneWorkspace, halley: bool, settings: SolverSettings) -> np.ndarray:
+    """``task_step`` of each lane, from ``work``'s Jacobian (and, with
+    ``halley``, its rolled rows), error and norms: the (L, n) step
+    ``work.step.dq``."""
+    err_hat, err_norm = work.err, work.norm
     if np.count_nonzero(err_norm > settings.e_max):
         clamp = np.where(err_norm > settings.e_max, settings.e_max / err_norm, 1.0)
         err_hat = err_hat * clamp[:, None]
     lam = settings.lam
     # numpy's stacked matmul rounds the strided rows of a transposed view
     # otherwise than solve's (r, n) rows, so the steps take (L, r, n) copies
-    dq = _lane_damped_step(np.ascontiguousarray(jac[:r].transpose(2, 0, 1)), err_hat, lam)
-    if rolled is not None:
-        halley = jac + 0.5 * rolled_hessian_product(rolled, dq.T)
-        dq = _lane_damped_step(np.ascontiguousarray(halley[:r].transpose(2, 0, 1)), err_hat, lam)
+    work.j_hat[...] = work.jac_rows
+    dq = _lane_damped_step(work.j_hat, err_hat, lam, work.step)
+    if halley:
+        rolled_hessian_product(work.jacobian.rolled, work.dq_t, work.halley)
+        # the first r rows of J + H dq / 2
+        np.multiply(work.hdq_rows, 0.5, out=work.hdq_rows)
+        np.add(work.jac_rows, work.hdq_rows, out=work.j_hat)
+        dq = _lane_damped_step(work.j_hat, err_hat, lam, work.step)
     return dq
 
 
@@ -394,6 +564,7 @@ def solve_lanes(
     proj: TaskProjector,
     settings: SolverSettings = SolverSettings(),
     walk: np.ndarray | None = None,
+    work: LaneWorkspace | None = None,
 ) -> LaneSolves:
     """``solve`` for a stack of L problems at once: targets ``t_d``
     (L, 4, 4) from starts ``q0`` (L, n), iterated in lockstep.
@@ -402,15 +573,20 @@ def solve_lanes(
     its own target and start: the chain is walked on (L, ...) stacks, the
     Jacobian and Halley product are taken with the lane axis last, the
     damped systems are solved on (L, r, r) stacks, and dot products and
-    norms use ``_dot``. A lane leaves the iteration when it converges, when
-    its error is a half-turn (``solve`` would raise RotationNearPi) or at
-    the iteration cap; the rest go on. A lane's iteration count, outcome,
-    joints and walk are stored once, as it leaves, and until the first lane
-    leaves the joints are stepped in place, with no lane indexing. As
-    ``solve`` does, the first iteration takes ``walk``, when given, in place
-    of walking: it must be ``chain_stack_lanes(model, q0)``, e.g. the
-    ``walk`` of the ``solve_lanes`` that returned ``q0``. The returned walk
-    holds each lane's last walk, at its returned joints.
+    norms take ``_dot``'s form. A lane leaves the iteration when it
+    converges, when its error is a half-turn (``solve`` would raise
+    RotationNearPi) or at the iteration cap; the rest go on. A lane's
+    iteration count, outcome, joints and walk are stored once, as it leaves,
+    and until the first lane leaves the joints are stepped in place, with no
+    lane indexing. As ``solve`` does, the first iteration takes ``walk``,
+    when given, in place of walking: it must be ``chain_stack_lanes(model,
+    q0)``, e.g. the ``walk`` of the ``solve_lanes`` that returned ``q0``.
+    The returned walk holds each lane's last walk, at its returned joints.
+
+    Every iteration writes into ``work``, a ``LaneWorkspace`` of the model
+    and task (built for the call when None), and the lanes that go on after
+    others leave go on in its ``for_lanes`` workspace. No array returned is
+    one of its buffers, so a later call into it changes no result.
     """
     q = np.array(q0, dtype=float)
     lanes = len(q)
@@ -419,6 +595,11 @@ def solve_lanes(
             f"expected (L, {model.n}) starts and (L, 4, 4) targets, got {q.shape} and {t_d.shape}"
         )
     n, r = model.n, proj.r
+    if work is None:
+        work = LaneWorkspace(model, r, lanes)
+    elif work.r != r or (work.model is not model and work.model != model):
+        raise ValueError("the workspace was built for another model or task dimension")
+    start, work = work, work.for_lanes(lanes)
     use_halley = settings.method == "halley"
     bound_factor = 1.0 / (2.0 * settings.lam)
     converged = np.zeros(lanes, dtype=bool)
@@ -428,16 +609,19 @@ def solve_lanes(
     active = np.arange(lanes)
     q_active = q
     rd = t_d[:, :3, :3]
-    p_d = (rd.swapaxes(-1, -2) @ t_d[:, :3, 3:])[..., 0]
+    rd_t = rd.swapaxes(-1, -2)
+    p_d = (rd_t @ t_d[:, :3, 3:])[..., 0]
     final_walk = None
     for it in range(settings.max_iterations + 1):
         if it or walk is None:
-            walk = chain_stack_lanes(model, q_active)
-        tcp = rd.swapaxes(-1, -2) @ walk[n, :, :3]
-        dx_hat, turned = _lane_task_error(tcp, p_d, r)
-        res_norm = np.sqrt(_dot(dx_hat, dx_hat))
-        done = res_norm < settings.epsilon
-        go = ~(done | turned)
+            chain_stack_lanes(model, q_active, work.walk)
+        else:
+            work.frames[...] = walk
+        np.matmul(rd_t, work.tcp_frame, out=work.tcp)
+        turned = _lane_task_error(work, p_d)
+        done = np.less(work.norm, settings.epsilon, out=work.done)
+        go = np.logical_or(done, turned, out=work.go)
+        np.logical_not(go, out=go)
         moving = np.count_nonzero(go)
         stop = it == settings.max_iterations or not moving
         if stop or moving < len(active):
@@ -450,26 +634,38 @@ def solve_lanes(
             if q_active is not q:
                 q[gone] = q_active[leave]
             if stop and len(active) == lanes:
-                final_walk = walk
+                final_walk = walk if it == 0 and walk is not None else work.frames.copy()
             else:
                 if final_walk is None:
                     final_walk = np.empty((n + 1, lanes, 4, 4))
-                final_walk[:, gone] = walk[:, leave]
+                final_walk[:, gone] = work.frames[:, leave]
         if stop:
             break
         if moving < len(active):
             active, rd, p_d, q_active = active[go], rd[go], p_d[go], q_active[go]
-            walk, tcp = walk[:, go], tcp[go]
-            dx_hat, res_norm = dx_hat[go], res_norm[go]
-        axes = walk[:n, :, :3, 2].swapaxes(0, 1) @ rd
-        origins = walk[:n, :, :3, 3].swapaxes(0, 1) @ rd
-
-        jac, rolled = jacobian_from_frames(tcp[:, :, 3], axes, origins)
-        dq = _lane_task_step(jac, rolled if use_halley else None, dx_hat, res_norm, r, settings)
+            rd_t = rd.swapaxes(-1, -2)
+            # the lanes that go on, in the workspace for that many
+            # (views of the same buffers: the going lanes are copied out first)
+            going = start.for_lanes(moving)
+            going.frames[...] = work.frames[:, go]
+            going.tcp[...] = work.tcp[go]
+            going.err[...] = work.err[go]
+            going.norm[...] = work.norm[go]
+            work = going
+        np.matmul(work.axes_frame, rd, out=work.axes)
+        np.matmul(work.origins_frame, rd, out=work.origins)
+        jacobian_from_frames(work.p_tcp, work.axes, work.origins, work.jacobian)
+        dq = _lane_task_step(work, use_halley, settings)
         # the damping bound of solve, lane by lane
-        limit = bound_factor * np.minimum(1.0, settings.e_max / res_norm) * res_norm
-        step_norm = np.sqrt(_dot(dq, dq))
-        within = (step_norm <= limit * (1.0 + 1e-9)) & np.isfinite(step_norm)
+        res_norm, limit, step_norm = work.norm, work.limit, work.step_norm
+        np.divide(settings.e_max, res_norm, out=limit)
+        np.minimum(1.0, limit, out=limit)
+        np.multiply(bound_factor, limit, out=limit)
+        np.multiply(limit, res_norm, out=limit)
+        np.matmul(work.dq_row, work.dq_col, out=work.dots[1])
+        np.sqrt(work.dq_dot, out=step_norm)
+        within = np.less_equal(step_norm, limit * (1.0 + 1e-9), out=work.mask)
+        within &= np.isfinite(step_norm)
         assert np.count_nonzero(within) == len(within), (
             f"damped step {step_norm.max()} exceeds bound"
         )

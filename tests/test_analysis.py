@@ -390,9 +390,9 @@ def _counted_sweep(monkeypatch, events):
     walk, solve_lanes = solver_module.chain_stack_lanes, analysis_module.solve_lanes
 
     def counted_walk(site):
-        def walked(m, q):
+        def walked(m, q, *work):
             events.append((site, len(q)))
-            return walk(m, q)
+            return walk(m, q, *work)
         return walked
 
     def counted_solve(m, t_d, *args):
@@ -497,9 +497,9 @@ def test_sweep_hands_on_the_flipped_lanes_solve_walks(
     calls = []
     solve_lanes = analysis_module.solve_lanes
 
-    def spied(m, t_d, q, proj, settings, walk=None):
+    def spied(m, t_d, q, proj, settings, walk=None, work=None):
         calls.append((t_d, q.copy(), None if walk is None else walk.copy()))
-        return solve_lanes(m, t_d, q, proj, settings, walk)
+        return solve_lanes(m, t_d, q, proj, settings, walk, work)
 
     monkeypatch.setattr(analysis_module, "solve_lanes", spied)
     template = generate_cone_spiral(ConeSpec(pitch=10.0, samples_per_rev=16)).with_frame(
@@ -532,6 +532,42 @@ def test_sweep_hands_on_the_flipped_lanes_solve_walks(
     assert flips
 
 
+def test_sweep_hands_on_walks_its_workspace_does_not_overwrite(
+    model, q0_benchmark, workpiece_frame, monkeypatch
+):
+    # every solve of the sweep writes into the workspace the sweep holds for
+    # its live lanes; the walk each call is handed (the last call's, lanes
+    # dropped where voxels failed) must come through every later call
+    # unchanged
+    calls, works = [], []
+    solve_lanes = analysis_module.solve_lanes
+
+    def spied(m, t_d, q, proj, settings, walk=None, work=None):
+        works.append(work)
+        if walk is not None:
+            calls.append((walk, walk.copy()))
+        return solve_lanes(m, t_d, q, proj, settings, walk, work)
+
+    monkeypatch.setattr(analysis_module, "solve_lanes", spied)
+    template = generate_cone_spiral(ConeSpec(pitch=10.0, samples_per_rev=16)).with_frame(
+        workpiece_frame
+    )
+    frames = _grid_frames(
+        workpiece_frame, np.arange(-2550.0, 600.0, 900.0), np.arange(-150.0, 3000.0, 900.0)
+    )
+    for mode in MODES:
+        calls.clear()
+        path, proj = mode_problem(template, mode, 5)
+        reachable, _, causes = analysis_module._sweep_mode(
+            model, path, proj, frames, q0_benchmark, SolverSettings()
+        )
+        assert reachable.any() and causes
+        assert len(calls) == len(path) - 1
+        for walk, copy in calls:
+            assert walk.tobytes() == copy.tobytes()
+    assert all(isinstance(work, solver_module.LaneWorkspace) for work in works)
+
+
 def test_sweep_takes_the_solver_kernels_on_lane_stacks(
     model, q0_benchmark, workpiece_frame, monkeypatch
 ):
@@ -556,8 +592,9 @@ def test_sweep_takes_the_solver_kernels_on_lane_stacks(
 
         monkeypatch.setattr(owner, attr, call)
 
-    counted(solver_module, "jacobian_from_frames", "jac", lambda _, axes, __: axes.shape[:-2])
-    counted(solver_module, "rolled_hessian_product", "hdq", lambda _, dq: dq.shape[1:])
+    # the lane kernels take their workspace as a last argument
+    counted(solver_module, "jacobian_from_frames", "jac", lambda _, axes, *__: axes.shape[:-2])
+    counted(solver_module, "rolled_hessian_product", "hdq", lambda _, dq, *__: dq.shape[1:])
     counted(solver_module, "_lane_damped_step", "step", lambda j, *_: j.shape[:-2])
     counted(analysis_module, "jacobian_from_frames", "w_jac", lambda _, axes, __: axes.shape[:-2])
     counted(analysis_module, "manipulability_jl", "w", lambda _, q: q.shape[:-1])

@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -594,6 +595,84 @@ def test_solve_lanes_carry_their_last_walk(model, q0_benchmark, method, r):
     again = solve_lanes(model, targets[done], lanes.q[done], proj, settings, handed)
     assert again.converged.all() and not again.iterations.any()
     assert again.walk is handed
+
+
+def workspace_targets(model, q0_benchmark, r):
+    """Consecutive solve_lanes calls as the sweep makes them, each from the
+    last one's joints and walk: the 32 lane_problems, whose lanes leave at
+    different iterations; their targets turned slightly, from the returned
+    joints; the converged lanes alone (fewer lanes); none; and the 32
+    again."""
+    targets, starts = lane_problems(model, q0_benchmark)
+    turn = make_pose(rot_z(0.1) @ rot_x(0.05), np.array([2.0, -1.0, 3.0]))
+    first = solve_lanes(model, targets, starts, TaskProjector(r))
+    done = np.flatnonzero(first.converged)
+    assert 0 < len(done) < len(targets)
+    return [
+        (targets, starts, None),
+        (targets @ turn, first.q, first.walk),
+        (targets[done] @ turn, first.q[done], first.walk[:, done]),
+        (targets[:0], starts[:0], None),
+        (targets, starts, None),
+    ]
+
+
+@pytest.mark.parametrize("r", [3, 5, 6])
+@pytest.mark.parametrize("method", ["halley", "newton"])
+def test_solve_lanes_through_one_workspace_round_as_fresh_calls(model, q0_benchmark, method, r):
+    # the sweep hands its LaneWorkspace to call after call: calls whose
+    # lanes leave at different iterations, go on in views for fewer lanes,
+    # or come with fewer or more lanes than it was built for must return
+    # what a call that builds its own returns, byte for byte, with no warning
+    settings, proj = SolverSettings(method=method), TaskProjector(r)
+    calls = workspace_targets(model, q0_benchmark, r)
+    first = solve_lanes(model, *calls[0][:2], proj, settings)
+    assert len(set(first.iterations.tolist())) >= 3
+    for built_for in (32, 7):
+        work = solver_module.LaneWorkspace(model, r, built_for)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for targets, starts, walk in calls:
+                held = solve_lanes(model, targets, starts, proj, settings, walk, work)
+                fresh = solve_lanes(model, targets, starts, proj, settings, walk)
+                for got, want in zip(held, fresh):
+                    assert got.dtype == want.dtype and got.shape == want.shape
+                    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("r", [3, 5, 6])
+def test_solve_lanes_returns_no_workspace_buffer(model, q0_benchmark, r):
+    # a returned LaneSolves, its walk included, shares no memory with the
+    # workspace, and later calls through it leave it as it was returned
+    proj, work = TaskProjector(r), solver_module.LaneWorkspace(model, r, 32)
+    calls = workspace_targets(model, q0_benchmark, r)
+    kept = []
+    for targets, starts, walk in calls:
+        lanes = solve_lanes(model, targets, starts, proj, SETTINGS, walk, work)
+        for array in lanes:
+            for buffer in work._buffers:
+                assert not np.shares_memory(array, buffer)
+        kept.append((lanes, [array.copy() for array in lanes]))
+    for lanes, copies in kept:
+        for array, copy in zip(lanes, copies):
+            assert array.tobytes() == copy.tobytes()
+
+
+def test_lane_workspace_views_share_its_buffers(model):
+    # for_lanes gives fewer lanes views of the workspace's own buffers, and
+    # keeps them for a few lane counts only; more lanes get buffers of their own
+    work = solver_module.LaneWorkspace(model, 5, 20)
+    fewer = work.for_lanes(6)
+    assert fewer.frames.shape == (model.n + 1, 6, 4, 4)
+    assert np.shares_memory(fewer.frames, work.frames)
+    assert np.shares_memory(fewer.jacobian.rolled, work.jacobian.rolled)
+    assert np.shares_memory(fewer.for_lanes(3).step.gram, work.step.gram)
+    assert work.for_lanes(6) is fewer and work.for_lanes(20) is work
+    for lanes in range(1, 20):
+        work.for_lanes(lanes)
+    assert len(work._kept) == solver_module.KEPT_SIZES
+    more = work.for_lanes(21)
+    assert not np.shares_memory(more.frames, work.frames)
 
 
 @pytest.mark.parametrize("method", ["halley", "newton"])
