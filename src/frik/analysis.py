@@ -43,18 +43,24 @@ def joint_limit_weights(model: RobotModel, q: np.ndarray) -> np.ndarray:
     return (model.joint_max - q) * (q - model.joint_min) / (span * span)
 
 
-def manipulability_jl(model: RobotModel, q: np.ndarray) -> float | np.ndarray:
+def manipulability_jl(
+    model: RobotModel, q: np.ndarray, walk: np.ndarray | None = None
+) -> float | np.ndarray:
     """Joint-limit-weighted manipulability sqrt(det(J W J^T)).
 
     W is the diagonal of ``joint_limit_weights``; the Jacobian carries mm
     linear rows, so magnitudes are mm^3-scaled. Zero when any joint sits at a
     limit or the Jacobian is rank-deficient. A (V, n) lane stack of ``q``
     gives (V,) values from one chain walk of the stack, each rounded as its
-    lane's own call. The determinant is the LAPACK gufunc that
-    ``np.linalg.det`` wraps, with the same bits.
+    lane's own call. ``walk``, when given, must be that walk,
+    ``chain_stack_lanes(model, q)`` (e.g. the ``walk`` of the ``solve_lanes``
+    that returned ``q``), and is taken in place of walking. The determinant
+    is the LAPACK gufunc that ``np.linalg.det`` wraps, with the same bits.
     """
     weights = np.atleast_2d(joint_limit_weights(model, q))
-    walk, n = chain_stack_lanes(model, np.atleast_2d(q)), model.n
+    if walk is None:
+        walk = chain_stack_lanes(model, np.atleast_2d(q))
+    n = model.n
     axes, origins = walk[:n, :, :3, 2].swapaxes(0, 1), walk[:n, :, :3, 3].swapaxes(0, 1)
     jac, _ = jacobian_from_frames(walk[n, :, :3, 3], axes, origins)
     # an (L, 6, n) copy, as solve_lanes' damped steps take: the gram's
@@ -190,7 +196,8 @@ def _sweep_mode(
     ``manipulability_jl`` call per block; a lane that fails leaves the block
     with its joints, and the last target closes the last block. Each value
     is a pure function of its joints, so it is the one a call per target
-    would give.
+    would give. A block of one target takes the walk its solve returned, the
+    walk at the same joints, rather than walking again.
     """
     reach = model.reach_bound()
     causes: dict[int, PathFailure] = {}
@@ -233,7 +240,7 @@ def _sweep_mode(
         if live.size and ((len(block) + 1) * len(live) > W_BLOCK or k == len(path) - 1):
             held = np.stack(block, 1)
             w[live, k + 1 - len(block) : k + 1] = manipulability_jl(
-                model, held.reshape(-1, model.n)
+                model, held.reshape(-1, model.n), walk if len(block) == 1 else None
             ).reshape(held.shape[:2])
             block = []
     mean_w = np.full(len(frames), math.nan)

@@ -10,9 +10,10 @@ formed in O(n) from the Jacobian's own column data, without building the
 tensor. The Jacobian and the Halley product take one walk or a lane stack
 with its lane axis last, where the (n,) kernels' row slices and running
 sums work on it as written, and round each lane as its own (n,) call. They
-and the lane walk write into buffers they are handed, made with their views
-once (``JacobianWork``, ``HalleyWork``, ``LaneWalk``), or that they make for
-the call, and return views of them.
+and the walks write into buffers they are handed, made with their views
+once (``JacobianWork``, ``HalleyWork``, ``ChainWork``, ``LaneWalk``), or
+that they make for the call; the Jacobian, the Halley product and the lane
+walk return views of them, and ``chain_stack`` a frame stack of its own.
 
 Cross products are spelled out component-wise, component k as
 ``a[k+1] b[k+2] - a[k+2] b[k+1]`` (indices mod 3), on rolled row buffers
@@ -124,7 +125,25 @@ class RobotModel(_ValueEquality):
         return 0.5 * (self.joint_min + self.joint_max)
 
 
-def chain_stack(model: RobotModel, q: np.ndarray) -> np.ndarray:
+class ChainWork:
+    """The buffers ``chain_stack`` writes for one model, with their views
+    sliced once: the joint angles, their (cos, sin) pairs, the gathered
+    pairs and the (n, 4, 4) link stack, whose constant bottom rows are
+    written here, once. A call builds one when it is given none; ``solve``
+    holds one in its ``SolveWorkspace``. The frame stack is not among them:
+    a walk is carried and returned, so each walk's stack is its own."""
+
+    def __init__(self, model: RobotModel):
+        n = model.n
+        self.theta, self.trig = np.empty(n), np.empty((n, 2))
+        self.cos, self.sin = self.trig[:, 0], self.trig[:, 1]
+        self.gathered = np.empty((n, 2, 4))
+        self.links = np.empty((n, 4, 4))
+        self.links[:, 2:] = model._link_constants[2]
+        self.link_tops = self.links[:, :2]
+
+
+def chain_stack(model: RobotModel, q: np.ndarray, work: ChainWork | None = None) -> np.ndarray:
     """The chain walk at ``q`` as one (n + 1, 4, 4) frame stack in the base
     frame: frame i < n is the frame whose z-axis is joint i's rotation axis
     and whose origin lies on it, and frame n is the TCP pose (tool applied).
@@ -133,21 +152,25 @@ def chain_stack(model: RobotModel, q: np.ndarray) -> np.ndarray:
     products down the chain fill the frame stack. This single walk backs
     forward kinematics, the Jacobian and the Hessian product, so solver
     iterations pay for it once; ``solve`` carries it whole and rotates it
-    onto a target's axes with one matmul.
+    onto a target's axes with one matmul. The links are written into
+    ``work``, a ``ChainWork`` of the model (built for the call when None);
+    the returned stack is new on every call.
     """
     q = np.asarray(q, dtype=float)
     n = model.n
     if q.shape != (n,):
         raise DimensionMismatch(f"expected q of length {n}, got shape {q.shape}")
-    offset, top, bottom = model._link_constants
-    theta = q + offset
-    trig = np.empty((n, 2))
-    np.cos(theta, out=trig[:, 0])
-    np.sin(theta, out=trig[:, 1])
-    links = np.empty((n, 4, 4))
-    # ndarray.take gathers as fancy indexing does, in a third of its time
-    np.multiply(trig.take(_LINK_TRIG, axis=1), top, out=links[:, :2])
-    links[:, 2:] = bottom
+    if work is None:
+        work = ChainWork(model)
+    offset, top, _ = model._link_constants
+    np.add(q, offset, out=work.theta)
+    np.cos(work.theta, out=work.cos)
+    np.sin(work.theta, out=work.sin)
+    # ndarray.take gathers as fancy indexing does, in a third of its time;
+    # into a buffer, mode "clip" skips the copy that mode "raise" makes of its out
+    work.trig.take(_LINK_TRIG, axis=1, out=work.gathered, mode="clip")
+    np.multiply(work.gathered, top, out=work.link_tops)
+    links = work.links
     frames = np.empty((n + 1, 4, 4))
     frames[0] = _EYE4
     frames[1] = links[0]

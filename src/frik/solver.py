@@ -40,19 +40,22 @@ round-off, to re-spinning the target about its own z-axis, and a converged
 r = 5 solve places the TCP position on the target exactly (within
 tolerance).
 
+``solve`` writes every iteration with ``out=`` into a ``SolveWorkspace``,
+buffers and views made once for a model, task dimension and method, which
+``solve_toolpath`` builds once per path and hands to every target's solve
+(a call given none builds its own). The walk's frame stack, the error and
+the joints stay new arrays on each iteration, since a solve returns them.
 ``solve_lanes`` iterates ``solve`` for a stack of problems in lockstep, each
 lane rounding exactly as its own ``solve`` (the workspace sweep's kernel).
-It writes every iteration with ``out=`` into a ``LaneWorkspace``, buffers
-and views made once for a lane count, which the sweep holds across its
-targets; ``solve`` builds its Jacobian's and Halley product's buffers once
-per call.
-Its lanes keep their own walk function, error and damped step, which
-measured faster on stacks: they rotate the TCP before the convergence check
-and the axes and origins of the lanes that go on after it, sliced from the
-frame stack. The Jacobian and the Halley product are ``solve``'s kernels,
-called once on a lane stack whose lane axis is last. The rules that end or
-adjust a path, ``target_failures`` and ``wrist_branch_check``, are kept here
-once, scalar code that ``solve_toolpath`` and the sweep both call.
+It writes every iteration into a ``LaneWorkspace`` the same way, made once
+for a lane count, which the sweep holds across its targets. Its lanes keep
+their own walk function, error and damped step, which measured faster on
+stacks: they rotate the TCP before the convergence check and the axes and
+origins of the lanes that go on after it, sliced from the frame stack. The
+Jacobian and the Halley product are ``solve``'s kernels, called once on a
+lane stack whose lane axis is last. The rules that end or adjust a path,
+``target_failures`` and ``wrist_branch_check``, are kept here once, scalar
+code that ``solve_toolpath`` and the sweep both call.
 """
 
 from __future__ import annotations
@@ -71,6 +74,7 @@ from numpy.linalg import _umath_linalg
 from .errors import DimensionMismatch, PathFailed, PathFailure, RotationNearPi
 from .liegroup import PI_MARGIN, SMALL_ANGLE, so3_log
 from .robot import (
+    ChainWork,
     HalleyWork,
     JacobianWork,
     LaneWalk,
@@ -183,7 +187,19 @@ def _norm(v: np.ndarray) -> float:
     return math.sqrt(v.dot(v))
 
 
-def damped_step(j_hat: np.ndarray, dx_hat: np.ndarray, lam: float) -> np.ndarray:
+class DampedWork:
+    """The buffers ``damped_step`` writes for an (r, n) ``j_hat``: the gram,
+    its diagonal as a view, the solve's ``y`` and the step ``dq``."""
+
+    def __init__(self, r: int, n: int):
+        self.gram = np.empty((r, r))
+        self.diagonal = self.gram.reshape(r * r)[:: r + 1]
+        self.y, self.dq = np.empty(r), np.empty(n)
+
+
+def damped_step(
+    j_hat: np.ndarray, dx_hat: np.ndarray, lam: float, work: DampedWork | None = None
+) -> np.ndarray:
     """Damped least-squares joint update J^T (J J^T + lam^2 I)^-1 dx.
 
     Minimises ||dx - J dq||^2 + lam^2 ||dq||^2. lam > 0 keeps the r x r
@@ -195,12 +211,18 @@ def damped_step(j_hat: np.ndarray, dx_hat: np.ndarray, lam: float) -> np.ndarray
     type dispatch and error-state handling cost about twice the solve. Its
     singular-matrix error cannot arise with lam > 0, and a non-finite input
     gives a non-finite step, which ``solve`` refuses at its step bound.
+    ``work``, when given, is a ``DampedWork`` of ``j_hat``'s shape, and the
+    step is its ``dq``, which the next call into it overwrites.
     """
     if lam <= 0:
         raise ValueError("lam must be positive")
-    gram = j_hat @ j_hat.T
-    gram.flat[:: gram.shape[0] + 1] += lam * lam
-    return j_hat.T @ _umath_linalg.solve1(gram, dx_hat, signature="dd->d")
+    if work is None:
+        work = DampedWork(*j_hat.shape)
+    j_t = j_hat.T
+    np.matmul(j_hat, j_t, out=work.gram)
+    np.add(work.diagonal, lam * lam, out=work.diagonal)
+    _umath_linalg.solve1(work.gram, dx_hat, signature="dd->d", out=work.y)
+    return np.matmul(j_t, work.y, out=work.dq)
 
 
 def task_step(
@@ -210,7 +232,7 @@ def task_step(
     err_norm: float,
     r: int,
     settings: SolverSettings,
-    work: HalleyWork | None = None,
+    work: SolveWorkspace | None = None,
 ) -> np.ndarray:
     """The joint update ``solve`` takes from a target-frame Jacobian and error.
 
@@ -223,17 +245,49 @@ def task_step(
     ``rolled_hessian_product``, which turns with the frame as J does; with
     ``None`` the damped Newton step is returned. The result is bounded by
     the clamped error's norm over 2 lam. ``work``, when given, is the
-    ``HalleyWork`` of ``rolled`` that the product is written into.
+    ``SolveWorkspace`` whose Jacobian ``jac`` and ``rolled`` are: the damped
+    steps and the Halley product are written into its buffers, and so is the
+    returned step, which the next call into it overwrites.
     """
     if err_norm > settings.e_max:
         step_err = err_hat * (settings.e_max / err_norm)
     else:
         step_err = err_hat
-    dq = damped_step(jac[:r], step_err, settings.lam)
+    step, halley = (None, None) if work is None else (work.step, work.halley)
+    dq = damped_step(jac[:r], step_err, settings.lam, step)
     if rolled is not None:
-        halley = jac + 0.5 * rolled_hessian_product(rolled, dq, work)
-        dq = damped_step(halley[:r], step_err, settings.lam)
+        # the first r rows of J + H dq / 2, written over those of H dq
+        rows = rolled_hessian_product(rolled, dq, halley)[:r]
+        np.multiply(rows, 0.5, out=rows)
+        np.add(jac[:r], rows, out=rows)
+        dq = damped_step(rows, step_err, settings.lam, step)
     return dq
+
+
+class SolveWorkspace:
+    """``solve``'s buffers for one model, task dimension ``r`` and method,
+    with their views sliced once, so that its iterations write into them
+    with ``out=`` rather than allocate and slice anew: the walk's angles and
+    links (``robot.ChainWork``), the (n + 1, 3, 4) walk rotated onto the
+    target's axes, with its TCP, axes and origins as views, the Jacobian's
+    rolled rows and lever arms (``robot.JacobianWork``), the Halley
+    product's terms (``robot.HalleyWork``, "halley" only), into whose first
+    r rows the Halley Jacobian is written, and the damped steps' gram and
+    step (``DampedWork``). ``solve_toolpath`` holds one for a path and hands
+    it to every target's ``solve``. A workspace serves one call at a time.
+    """
+
+    def __init__(self, model: RobotModel, r: int, method: str):
+        n = model.n
+        self.model, self.r, self.method = model, r, method
+        self.walk = ChainWork(model)
+        self.turned = np.empty((n + 1, 3, 4))
+        self.tcp = self.turned[n]
+        self.p_tcp = self.tcp[:, 3]
+        self.axes, self.origins = self.turned[:n, :, 2], self.turned[:n, :, 3]
+        self.jacobian = JacobianWork((n,))
+        self.halley = HalleyWork(self.jacobian.rolled) if method == "halley" else None
+        self.step = DampedWork(r, n)
 
 
 def solve(
@@ -243,6 +297,7 @@ def solve(
     proj: TaskProjector,
     settings: SolverSettings = SolverSettings(),
     walk: np.ndarray | None = None,
+    work: SolveWorkspace | None = None,
 ) -> SolveResult:
     """Iterate from ``q0`` until the target-frame task error norm drops
     below epsilon.
@@ -257,29 +312,36 @@ def solve(
     ``walk``, when given, must be ``chain_stack(model, q0)``, e.g. the
     ``walk`` of the solve that returned ``q0``; the first iteration takes it
     in place of walking (see the module docstring).
+
+    Every iteration writes into ``work``, a ``SolveWorkspace`` of the model,
+    task and method (built for the call when None). No array returned is one
+    of its buffers, so a later call into it changes no result.
     """
     q = np.array(q0, dtype=float)
     if q.shape != (model.n,):
         raise DimensionMismatch(f"expected q0 of length {model.n}, got shape {q.shape}")
-    n, r = model.n, proj.r
+    r = proj.r
+    start = time.perf_counter()
+    if work is None:
+        work = SolveWorkspace(model, r, settings.method)
+    elif (
+        work.r != r
+        or work.method != settings.method
+        or (work.model is not model and work.model != model)
+    ):
+        raise ValueError("the workspace was built for another model, task dimension or method")
     use_halley = settings.method == "halley"
     bound_factor = 1.0 / (2.0 * settings.lam)
     sats: list[bool] | None = [] if settings.record_residuals else None
-
-    start = time.perf_counter()
-    # the Jacobian's and the Halley product's buffers, for this call's steps
-    jac_work = JacobianWork((n,))
-    halley_work = HalleyWork(jac_work.rolled) if use_halley else None
     rd_t = t_d[:3, :3].T
     p_d = (rd_t @ t_d[:3, 3:])[:, 0]
     converged = False
     for it in range(settings.max_iterations + 1):
         if it or walk is None:
-            walk = chain_stack(model, q)
+            walk = chain_stack(model, q, work.walk)
         # the walk along the target's axes: one rotation per iteration
-        turned = rd_t @ walk[:, :3]
-        tcp = turned[n]
-        dx_hat = task_error(tcp, p_d, r)
+        np.matmul(rd_t, walk[:, :3], out=work.turned)
+        dx_hat = task_error(work.tcp, p_d, r)
         res_norm = _norm(dx_hat)
         residual = dx_hat
         iterations = it
@@ -291,12 +353,8 @@ def solve(
         if sats is not None:
             sats.append(res_norm > settings.e_max)
 
-        jac, rolled = jacobian_from_frames(
-            tcp[:, 3], turned[:n, :, 2], turned[:n, :, 3], jac_work
-        )
-        dq = task_step(
-            jac, rolled if use_halley else None, dx_hat, res_norm, r, settings, halley_work
-        )
+        jac, rolled = jacobian_from_frames(work.p_tcp, work.axes, work.origins, work.jacobian)
+        dq = task_step(jac, rolled if use_halley else None, dx_hat, res_norm, r, settings, work)
         # Damping guarantee sigma/(sigma^2 + lam^2) <= 1/(2 lam) on the
         # clamped error; a violation means the step math is broken, not that
         # the pose is hard.
@@ -758,15 +816,17 @@ def solve_toolpath(
     record.
 
     Each solve hands its final chain walk to the next (``solve``'s
-    ``walk``), and the kept results drop it once it is handed on.
+    ``walk``), and the kept results drop it once it is handed on. Every
+    solve writes into one ``SolveWorkspace``, built once for the path.
     """
     poses = toolpath.base_poses()
     results: list[SolveResult] = []
     q = np.asarray(q0, dtype=float)
     walk = None
+    work = SolveWorkspace(model, proj.r, settings.method)
     for k, t_d in enumerate(poses):
         try:
-            result = solve(model, t_d, q, proj, settings, walk)
+            result = solve(model, t_d, q, proj, settings, walk, work)
             if result.converged and k == 0:
                 check = wrist_branch_check(model, t_d, q, result.q, proj, settings)
                 if check is not None:

@@ -19,7 +19,7 @@ from frik.analysis import (
 )
 from frik.errors import DimensionMismatch, OutOfLimits, PathFailed, PathFailure
 from frik.liegroup import make_pose, pose_inverse, rot_x, rot_y
-from frik.robot import forward_kinematics, geometric_jacobian
+from frik.robot import chain_stack_lanes, forward_kinematics, geometric_jacobian
 from frik.solver import (
     SolverSettings,
     TaskProjector,
@@ -104,6 +104,15 @@ def test_manipulability_matches_svd_oracle(model):
         value = manipulability_jl(model, q)
         oracle = svd_manipulability_oracle(model, q)
         assert abs(value - oracle) < 1e-9 * max(1.0, oracle)
+
+
+def test_manipulability_takes_the_walk_at_its_joints(model):
+    # handed the lane walk at its joints (the sweep's solve_lanes walk), the
+    # manipulability is the one its own walk gives, bit for bit
+    rng = np.random.default_rng(47)
+    q = rng.uniform(model.joint_min, model.joint_max, (9, model.n))
+    walk = chain_stack_lanes(model, q)
+    assert manipulability_jl(model, q, walk).tobytes() == manipulability_jl(model, q).tobytes()
 
 
 def test_manipulability_weight_scaling_is_cubic(model):
@@ -419,9 +428,25 @@ def test_sweep_walks_once_per_lane_step(model, q0_benchmark, workpiece_frame, mo
     # on: a mode's solves walk its lane stack once per lockstep step, plus
     # the first target's first walk (the k = 0 wrist check walks each
     # flipped lane alone, with chain_stack). Its manipulability walks once
-    # per block, on the block's targets times its live lanes: a block
-    # closes when one more target of the live lanes would take it past
-    # W_BLOCK lane-targets, and at the last target
+    # per block of two or more targets, on the block's targets times its
+    # live lanes: a block closes when one more target of the live lanes
+    # would take it past W_BLOCK lane-targets, and at the last target
+    _check_sweep_walks(model, q0_benchmark, workpiece_frame, monkeypatch, None)
+
+
+def test_sweep_takes_one_target_blocks_from_the_solver_walk(
+    model, q0_benchmark, workpiece_frame, monkeypatch
+):
+    # a block of one target (every block while more than W_BLOCK / 2 lanes
+    # live, as on the full grid) takes the walk its solve returned, so it
+    # does not walk; its manipulability is the one a walk gives, bit for bit
+    _check_sweep_walks(model, q0_benchmark, workpiece_frame, monkeypatch, 4)
+
+
+def _check_sweep_walks(model, q0_benchmark, workpiece_frame, monkeypatch, w_block):
+    """The walks of each mode's ``_sweep_mode`` on a 16-voxel grid, with
+    ``W_BLOCK`` set to ``w_block`` (None keeps it), and its ``mean_w``
+    against that of the sweep at the default ``W_BLOCK``."""
     events = []
     sweep_mode = _counted_sweep(monkeypatch, events)
     template = generate_cone_spiral(ConeSpec(pitch=10.0, samples_per_rev=16)).with_frame(
@@ -431,10 +456,18 @@ def test_sweep_walks_once_per_lane_step(model, q0_benchmark, workpiece_frame, mo
     frames = _grid_frames(
         workpiece_frame, np.arange(-2550.0, 600.0, 900.0), np.arange(-150.0, 3000.0, 900.0)
     )
+    settings = SolverSettings()
+    walked = {
+        mode: sweep_mode(model, *mode_problem(template, mode, 5), frames, q0_benchmark, settings)
+        for mode in MODES
+    }
+    if w_block is not None:
+        monkeypatch.setattr(analysis_module, "W_BLOCK", w_block)
     for mode in MODES:
         events.clear()
         path, proj = mode_problem(template, mode, 5)
-        reachable, _, _ = sweep_mode(model, path, proj, frames, q0_benchmark, SolverSettings())
+        reachable, mean_w, _ = sweep_mode(model, path, proj, frames, q0_benchmark, settings)
+        assert mean_w.tobytes() == walked[mode][1].tobytes()
         solves = [event[1:] for event in events if event[0] == "solve"]
         assert len(solves) == len(path)
         assert sum(event[0] == "solver" for event in events) == sum(s for _, s in solves) + 1
@@ -445,10 +478,13 @@ def test_sweep_walks_once_per_lane_step(model, q0_benchmark, workpiece_frame, mo
         for k, lanes in enumerate(live):
             held += 1
             if (held + 1) * lanes > analysis_module.W_BLOCK or k == len(path) - 1:
-                blocks.append(held * lanes)
+                blocks.append((held, held * lanes))
                 held = 0
-        assert len(blocks) >= 2 and max(blocks) <= analysis_module.W_BLOCK
-        assert [event[1] for event in events if event[0] == "w"] == blocks
+        walks = [size for targets, size in blocks if targets > 1]
+        assert len(walks) >= 2 and max(walks) <= analysis_module.W_BLOCK
+        ones = len(blocks) - len(walks)
+        assert ones > 10 if w_block else ones == 0
+        assert [event[1] for event in events if event[0] == "w"] == walks
 
 
 def test_sweep_blocks_keep_per_target_manipulability(
@@ -597,7 +633,8 @@ def test_sweep_takes_the_solver_kernels_on_lane_stacks(
     counted(solver_module, "rolled_hessian_product", "hdq", lambda _, dq, *__: dq.shape[1:])
     counted(solver_module, "_lane_damped_step", "step", lambda j, *_: j.shape[:-2])
     counted(analysis_module, "jacobian_from_frames", "w_jac", lambda _, axes, __: axes.shape[:-2])
-    counted(analysis_module, "manipulability_jl", "w", lambda _, q: q.shape[:-1])
+    # the manipulability takes its block's walk as a last argument
+    counted(analysis_module, "manipulability_jl", "w", lambda _, q, __: q.shape[:-1])
     template = generate_cone_spiral(ConeSpec(pitch=10.0, samples_per_rev=16)).with_frame(
         workpiece_frame
     )

@@ -675,6 +675,123 @@ def test_lane_workspace_views_share_its_buffers(model):
     assert not np.shares_memory(more.frames, work.frames)
 
 
+def workspace_solves(model, q0_benchmark):
+    """The targets of consecutive solves as solve_toolpath makes them
+    through one workspace: one 150 mm off the start's pose, so that its
+    cold solve's first errors exceed e_max, then three, each nudged from the
+    last, whose warm solves stay below it."""
+    lift = make_pose(rot_y(0.2), np.array([150.0, -80.0, 60.0]))
+    targets = [forward_kinematics(model, q0_benchmark + 0.3) @ lift]
+    nudge = make_pose(rot_z(0.1) @ rot_x(0.05), np.array([2.0, -1.0, 3.0]))
+    for _ in range(3):
+        targets.append(targets[-1] @ nudge)
+    return targets
+
+
+def solve_workspace_arrays(work):
+    """Every array a SolveWorkspace holds, views included, but the model's."""
+    items = [value for key, value in vars(work).items() if key != "model"]
+    while items:
+        value = items.pop()
+        if isinstance(value, np.ndarray):
+            yield value
+        elif isinstance(value, (tuple, list)):
+            items.extend(value)
+        elif hasattr(value, "__dict__"):
+            items.extend(vars(value).values())
+
+
+OFFSET_TOOL = make_pose(rot_y(np.radians(30.0)), np.array([200.0, 0.0, 150.0]))
+
+
+@pytest.mark.parametrize("tool", [None, OFFSET_TOOL], ids=["flange", "offset_tool"])
+@pytest.mark.parametrize("r", [3, 5, 6])
+@pytest.mark.parametrize("method", ["halley", "newton"])
+def test_solves_through_one_workspace_round_as_fresh_calls(model, q0_benchmark, method, r, tool):
+    # solve_toolpath hands one SolveWorkspace to every target's solve: a
+    # solve through a workspace that earlier solves wrote into, saturated
+    # or not, must return what a solve that builds its own returns, byte for
+    # byte, walk included; and no returned array may be one of its buffers,
+    # so overwriting the workspace afterwards changes no result
+    if tool is not None:
+        model = replace(model, tool=tool)
+    settings, proj = SolverSettings(method=method), TaskProjector(r)
+    work = solver_module.SolveWorkspace(model, r, method)
+    q, walk, kept = q0_benchmark, None, []
+    for k, t_d in enumerate(workspace_solves(model, q0_benchmark)):
+        held = solve(model, t_d, q, proj, settings, walk, work)
+        fresh = solve(model, t_d, q, proj, settings, walk)
+        assert held.converged and held.iterations > 0
+        saturated = np.linalg.norm(target_frame_step_terms(model, q, t_d, r)[0]) > settings.e_max
+        assert saturated == (k == 0)
+        assert held.iterations == fresh.iterations
+        returned = (held.q, held.residual, held.walk)
+        for got, want in zip(returned, (fresh.q, fresh.residual, fresh.walk)):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+        for array in returned:
+            for buffer in solve_workspace_arrays(work):
+                assert not np.shares_memory(array, buffer)
+        kept.append((returned, [array.copy() for array in returned]))
+        q, walk = held.q, held.walk
+    for buffer in solve_workspace_arrays(work):
+        buffer[...] = np.nan
+    for returned, copies in kept:
+        for array, copy in zip(returned, copies):
+            assert array.tobytes() == copy.tobytes()
+
+
+def test_solve_rejects_a_workspace_of_another_problem(model, q0_benchmark):
+    t_d = forward_kinematics(model, q0_benchmark + 0.1)
+    work = solver_module.SolveWorkspace(model, 5, "halley")
+    solve(model, t_d, q0_benchmark, TaskProjector(5), SETTINGS, work=work)
+    # an equal model built apart serves
+    solve(replace(model), t_d, q0_benchmark, TaskProjector(5), SETTINGS, work=work)
+    for other, proj, settings in (
+        (replace(model, tool=OFFSET_TOOL), TaskProjector(5), SETTINGS),
+        (model, TaskProjector(6), SETTINGS),
+        (model, TaskProjector(3), SETTINGS),
+        (model, TaskProjector(5), SolverSettings(method="newton")),
+    ):
+        with pytest.raises(ValueError, match="another model, task dimension or method"):
+            solve(other, t_d, q0_benchmark, proj, settings, work=work)
+
+
+@pytest.mark.parametrize("method", ["halley", "newton"])
+def test_solve_toolpath_builds_one_workspace_per_path(
+    model, q0_benchmark, workpiece_frame, monkeypatch, method
+):
+    """Every target's solve of a path writes into one SolveWorkspace, built
+    once by ``solve_toolpath``. This guards the measured per-target gain of
+    holding the buffers per path (about a fifth of each warm solve on the
+    bundled cone): a path loop that lets each solve build its own, or builds
+    one per target, fails here rather than slowing every ``frik compare``."""
+    built, handed = [], []
+
+    class Counted(solver_module.SolveWorkspace):
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append(self)
+
+    solve_one = solver_module.solve
+
+    def spied(*args):
+        handed.append(args[6])
+        return solve_one(*args)
+
+    monkeypatch.setattr(solver_module, "SolveWorkspace", Counted)
+    monkeypatch.setattr(solver_module, "solve", spied)
+    cone = generate_cone_spiral(ConeSpec(samples_per_rev=16, pitch=10.0)).with_frame(workpiece_frame)
+    for mode in ("adhoc", "frik"):
+        built.clear()
+        handed.clear()
+        path, proj = mode_problem(cone, mode, 5)
+        results = solve_toolpath(model, path, q0_benchmark, proj, SolverSettings(method=method))
+        assert len(results) == len(path) == len(handed) > 1
+        assert len(built) == 1
+        assert all(work is built[0] for work in handed)
+
+
 @pytest.mark.parametrize("method", ["halley", "newton"])
 def test_five_dof_antiparallel_axis_steps_bounded(model, q0_benchmark, method):
     # a target whose z-axis is exactly the reverse of the TCP's at the start:
@@ -736,7 +853,9 @@ def test_solve_toolpath_is_solve_chained(model, q0_benchmark, workpiece_frame, m
     # rule, each solve walking its own start, bit for bit
     walks = []
     walk = solver_module.chain_stack
-    monkeypatch.setattr(solver_module, "chain_stack", lambda m, q: walks.append(1) or walk(m, q))
+    monkeypatch.setattr(
+        solver_module, "chain_stack", lambda m, q, *work: walks.append(1) or walk(m, q, *work)
+    )
     cone = generate_cone_spiral(ConeSpec(samples_per_rev=16, pitch=10.0)).with_frame(workpiece_frame)
     path, proj = mode_problem(cone, mode, 5)
     settings = SolverSettings(method=method)
